@@ -18,7 +18,7 @@ from .semantics import (bisimilar, cluster_embeds, eval_depth_modality,
                         eval_tangle_direct, greatest_bisim, is_semifinal,
                         prune_check, restricted_bisimilar, sigma_depth,
                         sigma_final_part, sigma_truth_masks,
-                        sigma_world_depths, theta_of_world)
+                        sigma_world_depths)
 from .translate import (Chain, SatPair, TranslationGuardError,
                         TranslationGuards, Translator, format_tangle_dag,
                         size_bound_exponent, size_bound_ok, translate)

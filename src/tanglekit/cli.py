@@ -11,7 +11,8 @@ from typing import Optional
 
 from . import formulas as fm
 from . import semantics as sem
-from .models import KripkeModel, ModelFormatError, enumerate_models, random_model, validate_wk4
+from .models import (ClusterEnumerationError, KripkeModel, ModelFormatError,
+                     enumerate_models, random_model, validate_wk4)
 from .translate import (TranslationGuardError, TranslationGuards,
                         format_tangle_dag, size_bound_exponent, size_bound_ok,
                         translate)
@@ -113,6 +114,10 @@ def _fuzz_models(args):
 
 
 def cmd_fuzz(args) -> int:
+    if args.size < 1:
+        raise UsageError(f"--size must be at least 1, got {args.size}")
+    if args.models < 1:
+        raise UsageError(f"--models must be at least 1, got {args.models}")
     left = _parse_formula(args.formula_a)
     if args.chi:
         if args.formula_b is not None:
@@ -190,12 +195,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.set_defaults(func=cmd_check)
 
+    guards = TranslationGuards()
     p = sub.add_parser("translate", help="characteristic tangle formula")
     p.add_argument("formula")
-    p.add_argument("--max-depth", type=int, default=16)
-    p.add_argument("--max-pairs", type=int, default=20000)
-    p.add_argument("--max-chains", type=int, default=60000)
-    p.add_argument("--max-thetas", type=int, default=60000)
+    p.add_argument("--max-depth", type=int, default=guards.max_depth)
+    p.add_argument("--max-pairs", type=int, default=guards.max_pairs)
+    p.add_argument("--max-chains", type=int, default=guards.max_chains)
+    p.add_argument("--max-thetas", type=int, default=guards.max_thetas)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("fuzz-equiv", help="compare two formulas over models")
@@ -237,7 +243,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (fm.ClosureOverflowError, TranslationGuardError) as exc:
+    except (fm.ClosureOverflowError, TranslationGuardError,
+            ClusterEnumerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -200,22 +200,6 @@ def prop_names(f: MuFormula) -> frozenset[str]:
     return f._props
 
 
-def _all_names(f: MuFormula, acc: set, seen: Optional[set] = None) -> None:
-    if seen is None:
-        seen = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in seen:
-            continue
-        seen.add(g)
-        if g.kind in (PROP, NEGPROP, VAR):
-            acc.add(g.name)
-        if g.var is not None:
-            acc.add(g.var)
-        stack.extend(g.children())
-
-
 def size(f) -> int:
     """Tree size: one per connective, modality, constant, variable occurrence
     and binder (binder counts as one, bound variable included).  Computed over
@@ -405,10 +389,6 @@ def fresh_constant_name(binder: MuFormula) -> str:
             _fresh_by_name[name] = binder
             return name
     raise RuntimeError("unresolvable fresh-name collision")
-
-
-def fresh_constant_owner(name: str) -> Optional[MuFormula]:
-    return _fresh_by_name.get(name)
 
 
 def unfold_with_fresh(binder: MuFormula) -> MuFormula:
@@ -730,7 +710,7 @@ class TangleFormula:
     the tangle operator holds a finite nonempty multiset of children)."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "members",
-                 "_key", "_size", "_nodes")
+                 "_key", "_size")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  members=None):
@@ -742,7 +722,6 @@ class TangleFormula:
         self.members = members
         self._key = None
         self._size = None
-        self._nodes = None
 
     def __repr__(self):
         return f"TangleFormula({print_tangle(self)!r})"
@@ -899,7 +878,9 @@ def tangle_tree_size(f: TangleFormula) -> int:
     return f._size
 
 
-def tangle_dag_nodes(f: TangleFormula) -> int:
+def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:
+    """Distinct DAG nodes of f; with `limit`, the walk stops once it has
+    seen that many, so the count is min(nodes, limit)."""
     seen: set[TangleFormula] = set()
     stack = [f]
     while stack:
@@ -907,6 +888,8 @@ def tangle_dag_nodes(f: TangleFormula) -> int:
         if g in seen:
             continue
         seen.add(g)
+        if len(seen) == limit:
+            break
         stack.extend(g.children())
     return len(seen)
 

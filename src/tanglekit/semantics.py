@@ -367,24 +367,6 @@ def eval_depth_modality(model: KripkeModel, sigma: fm.SigmaClosure, n: int,
     return out
 
 
-def theta_of_world(model: KripkeModel, sigma: fm.SigmaClosure, w: int,
-                   cache: Optional[dict] = None) -> frozenset[tuple[int, MuFormula]]:
-    """Depth facts strictly above the world's own level: pairs (m, member)
-    with a final depth-m world weakly above w satisfying the member."""
-    if cache is None:
-        cache = {}
-    depths, final = sigma_world_depths(model, sigma, cache)
-    own = depths[w]
-    reach = (1 << w) | model.succ[w]
-    facts = []
-    for member in sigma:
-        sat = eval_mu(model, fm.floor(member), None, cache)
-        for v in _bits(final & sat & reach):
-            if depths[v] < own:
-                facts.append((depths[v], member))
-    return frozenset(facts)
-
-
 PruneViolation = tuple[int, str, MuFormula]
 
 

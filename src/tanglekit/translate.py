@@ -21,6 +21,14 @@ Scaling notes, all semantically transparent:
   subformula instances, instead of model-checking the assembled witness;
   the witness itself stays available as a recipe (`materialize_witness`)
   and `verify_pair` replays the summary computation against it.
+- That block evaluation reads only the cluster, the bits above and the
+  fixed closed-instance index, so it is memoised per `(cluster,
+  sky_above)` and shared by every pair with the same input (on `nu x.(p &
+  <> x)`, 24,480 pairs have 224 distinct inputs).  Each pair still gets its
+  own `theta_c` and recipe.  The sort key of a fact set is memoised too.
+- `format_tangle_dag` names a shared node only if it has at least
+  `min_size` distinct nodes; that walk stops as soon as it has seen
+  `min_size`, so printing stays linear in the DAG.
 - Semi-rooted chains are not materialized one by one: their contribution to
   the split formula is grouped per (prefix chain, root cluster), with the
   disjunction over root-fact sets collapsed through the fact formulas, which
@@ -158,6 +166,8 @@ class Translator:
         self._semi_counts: list[int] = []
         self._lattice: list[dict[frozenset, tuple[SatPair, ...]]] = []
         self._stack_bisim_memo: dict[tuple, bool] = {}
+        self._block_memo: dict[tuple, tuple[dict, bool, int]] = {}
+        self._theta_key_memo: dict[frozenset, tuple] = {}
         self._tau_memo: dict = {}
         self._a_memo: dict = {}
         self._slice_memo: dict = {}
@@ -344,7 +354,11 @@ class Translator:
         return max((d for d in range(len(self.chains)) if self.chains[d]), default=-1)
 
     def _theta_key(self, theta: frozenset) -> tuple:
-        return tuple(sorted((m, self._member_index[psi]) for m, psi in theta))
+        got = self._theta_key_memo.get(theta)
+        if got is None:
+            got = tuple(sorted((m, self._member_index[psi]) for m, psi in theta))
+            self._theta_key_memo[theta] = got
+        return got
 
     def _build_depth(self, d: int) -> None:
         table: dict[tuple, SatPair] = {}
@@ -461,6 +475,23 @@ class Translator:
         sky_above = 0
         for p in recipe:
             sky_above |= p.sky
+        truths, is_final, sky = self._root_block(cluster, sky_above)
+        if is_final:
+            theta_c = theta | {(depth, m) for tr in truths.values() for m in tr}
+        else:
+            theta_c = theta
+        return SatPair(cluster, theta, depth, recipe, is_final, truths,
+                       theta_c, sky)
+
+    def _root_block(self, cluster: CanonicalCluster,
+                    sky_above: int) -> tuple[dict, bool, int]:
+        """Root truths per valuation class, cluster-wide finality and the
+        sky of `cluster` stacked under facts `sky_above`.  They depend on
+        nothing else, so each distinct input is evaluated once."""
+        key = (cluster, sky_above)
+        got = self._block_memo.get(key)
+        if got is not None:
+            return got
         block = _Block(cluster)
         memo: dict = {}
         bits: list[int] = []
@@ -490,12 +521,9 @@ class Translator:
         assert len(final_classes) in (0, len(cluster.entries)), \
             "finality must be cluster-wide"
         is_final = len(final_classes) == len(cluster.entries)
-        if is_final:
-            theta_c = theta | {(depth, m) for tr in truths.values() for m in tr}
-        else:
-            theta_c = theta
-        return SatPair(cluster, theta, depth, recipe, is_final, truths,
-                       theta_c, sky)
+        got = (truths, is_final, sky)
+        self._block_memo[key] = got
+        return got
 
     def _stack_bisimilar(self, upper: CanonicalCluster,
                          lower: CanonicalCluster) -> bool:
@@ -570,9 +598,6 @@ class Translator:
         if emb == sem.EMBED_BISIMILAR:
             return CHAIN_REFL
         return CHAIN_NONE
-
-    def _chain_le(self, c1: Chain, c2: Chain) -> bool:
-        return self.chain_order(c1, c2) != CHAIN_NONE
 
     # -- structural formulas -----------------------------------------------------
 
@@ -727,7 +752,7 @@ class Translator:
         for theta, group in self._siblings(chain).items():
             if theta == chain.root.theta:
                 parts.extend(self.alpha_formula(c) for c in group
-                             if not self._chain_le(c, chain))
+                             if self.chain_order(c, chain) == CHAIN_NONE)
             else:
                 key = (id(chain.parent), theta)
                 shared = self._group_or_memo.get(key)
@@ -906,7 +931,7 @@ def format_tangle_dag(f: TangleFormula, min_size: int = 3) -> str:
     for g in order:
         if g is f or counts[g] < 2 or g.kind in (fm.TOP, fm.PROP) or g is fm.t_bot():
             continue
-        if fm.tangle_dag_nodes(g) < min_size:
+        if fm.tangle_dag_nodes(g, limit=min_size) < min_size:
             continue
         names[g] = f"d{len(names)}"
 

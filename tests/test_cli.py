@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from tanglekit.cli import main
+from tanglekit.cli import _build_parser, main
+from tanglekit.translate import TranslationGuards
 
 
 @pytest.fixture
@@ -78,6 +79,17 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert "guard exceeded" in err
 
+    def test_guard_defaults_match_library(self):
+        args = _build_parser().parse_args(["translate", "p"])
+        guards = TranslationGuards()
+        assert (args.max_depth, args.max_pairs, args.max_chains, args.max_thetas) == (
+            guards.max_depth, guards.max_pairs, guards.max_chains, guards.max_thetas)
+
+    def test_readme_example_exits_0(self, capsys):
+        # needs 20,576 pairs at depth 3, within the library's default guards
+        assert main(["translate", "nu x.(p & <> x)"]) == 0
+        assert "tangle fragment: True" in capsys.readouterr().out
+
     def test_deterministic_output(self, capsys):
         assert main(["translate", "<> p"]) == 0
         first = capsys.readouterr().out
@@ -129,6 +141,18 @@ class TestFuzz:
 
     def test_needs_second_formula_or_chi(self, capsys):
         assert main(["fuzz-equiv", "p"]) == 2
+
+    def test_exhaustive_beyond_cap_exits_2(self, capsys):
+        assert main(["fuzz-equiv", "p", "p", "--exhaustive", "--size", "7"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flag", ["--size", "--models"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_counts_exit_2(self, flag, value, capsys):
+        assert main(["fuzz-equiv", "p", "p", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag}")
+        assert "agreed" not in captured.out
 
 
 class TestListings:

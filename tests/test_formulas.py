@@ -262,6 +262,13 @@ class TestMeasures:
         assert fm.in_tangle_fragment(image)
         assert fm.tangle_tree_size(t) >= fm.tangle_dag_nodes(t)
 
+    def test_tangle_dag_nodes_limit(self):
+        # p, q, ~q, the tangle
+        t = fm.t_tangle([fm.t_prop("p"), fm.t_not(fm.t_prop("q"))])
+        assert fm.tangle_dag_nodes(t) == 4
+        for limit in range(1, 7):
+            assert fm.tangle_dag_nodes(t, limit=limit) == min(4, limit)
+
     def test_tangle_printing(self):
         t = fm.t_big_or([])
         assert fm.print_tangle(t) == "F"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from tanglekit import formulas as fm
@@ -48,6 +50,23 @@ class TestPairs:
             sample = (tr_p.sat_pairs[depth][:4] + tr_p.semi_pairs[depth][:4])
             for pair in sample:
                 tr_p.verify_pair(pair)
+
+    def test_every_pair_matches_witness_model_checking(self):
+        # root blocks are evaluated once per (cluster, facts above); most
+        # pairs reuse a block filled for another fact profile, and each must
+        # still agree with model checking its own materialized witness
+        _, translator = translate(p("<> p"))
+        pairs = [pair for table in translator.pairs for pair in table.values()]
+        inputs = set()
+        for pair in pairs:
+            sky = 0
+            for comp in pair.components:
+                sky |= comp.sky
+            inputs.add((pair.cluster, sky))
+        assert len(pairs) == 5872
+        assert len(inputs) == 192
+        for pair in pairs:
+            translator.verify_pair(pair)
 
     def test_facts_always_inhabit_every_level(self, tr_p):
         for depth in range(len(tr_p.pairs)):
@@ -232,3 +251,17 @@ class TestDagOutput:
     def test_deterministic(self, tr_p):
         chi = tr_p.characteristic(fm.prop("p"))
         assert format_tangle_dag(chi) == format_tangle_dag(chi)
+
+    # sha256 of the DAG text as first recorded for the benchmark; the
+    # output must stay byte-identical
+    @pytest.mark.parametrize("text, digest", [
+        ("p", "d63b6ad1a55b71cc02093bc4af821c46e75bd84918c7e46354c792ffcf7d6405"),
+        ("mu x.(p | <> x)",
+         "8b9352ba4fa58bc4ea86fc409b5a03bcfee964d15939e29c95234bc3c24b21eb"),
+        ("<> p", "c5647d3ce5c92886808e0ceff35b99d44291b279f36ed147a98f7bae4eacebb3"),
+        ("[] p", "620dd8b1e80a8c7b351e0a1e22acda6bc9d89a586d2aed287348c2b8e5535c71"),
+    ])
+    def test_pinned_output(self, text, digest):
+        chi, _ = translate(p(text))
+        text_out = format_tangle_dag(chi)
+        assert hashlib.sha256(text_out.encode()).hexdigest() == digest
