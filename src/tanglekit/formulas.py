@@ -710,7 +710,7 @@ class TangleFormula:
     the tangle operator holds a finite nonempty multiset of children)."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "members",
-                 "_key", "_size")
+                 "_key", "_size", "_program")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  members=None):
@@ -722,6 +722,7 @@ class TangleFormula:
         self.members = members
         self._key = None
         self._size = None
+        self._program = None
 
     def __repr__(self):
         return f"TangleFormula({print_tangle(self)!r})"

@@ -71,6 +71,7 @@ class KripkeModel:
         self._clusters = None
         self._cluster_id = None
         self._above = None
+        self._tangle = None
 
     # -- basic views ---------------------------------------------------
 
@@ -210,9 +211,15 @@ class KripkeModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "KripkeModel":
         try:
-            labels = list(data["worlds"])
+            labels = data["worlds"]
         except (KeyError, TypeError):
             raise ModelFormatError("model object needs a 'worlds' list") from None
+        if not isinstance(labels, list):
+            raise ModelFormatError(
+                f"'worlds' must be a list of strings, got {type(labels).__name__}")
+        for lab in labels:
+            if not isinstance(lab, str):
+                raise ModelFormatError(f"world label {lab!r} is not a string")
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise ModelFormatError("duplicate world labels")

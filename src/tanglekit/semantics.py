@@ -4,7 +4,17 @@ depth-indexed modality, and the pruning oracle).
 
 World sets are bitmasks.  The helpers that take a `cache` dict expect it to
 be private to one model; passing the same dict across calls makes repeated
-evaluation on that model incremental.
+evaluation on that model incremental.  For `eval_tangle` the caller's dict
+is the value store itself (node -> mask): the evaluator writes every node it
+computes into it and skips the nodes already there, so it must only ever
+hold values for one model.
+
+`eval_tangle` runs a flat post-order program of the formula's DAG, compiled
+once per root by an iterative walk and kept on the root node
+(`TangleFormula._program`), so neither compiling nor running it recurses.
+Tangle nodes read a per-model cache (`KripkeModel._tangle`): the cluster
+geometry and a memo from member masks to result.  It is built on first use
+and lives and dies with the model.
 """
 
 from __future__ import annotations
@@ -141,35 +151,53 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
 # tangle evaluation
 
 
+def _tangle_cache(model: KripkeModel) -> tuple[tuple, dict]:
+    """The model's cluster geometry and its tangle memo, built on first use.
+    Per cluster the geometry holds `cluster mask | worlds that see into it`
+    and `(1 << u, succ[u] & cluster mask)` for each point u."""
+    if model._tangle is None:
+        geometry = []
+        for cluster in model.clusters():
+            cmask = 0
+            for w in cluster:
+                cmask |= 1 << w
+            down = cmask
+            for w in range(model.n):
+                if model.succ[w] & cmask:
+                    down |= 1 << w
+            geometry.append((down, tuple((1 << u, model.succ[u] & cmask)
+                                         for u in cluster)))
+        model._tangle = (tuple(geometry), {})
+    return model._tangle
+
+
 def _tangle_mask(model: KripkeModel, member_masks: Sequence[int]) -> int:
     """Worlds weakly below a maximal cluster in which the member multiset is
     recurrently satisfied: each cluster point either sees witnesses for every
     member inside the cluster, or satisfies one member itself and sees
     witnesses for all the others."""
+    geometry, memo = _tangle_cache(model)
+    key = tuple(member_masks)
+    got = memo.get(key)
+    if got is not None:
+        return got
     result = 0
-    for cluster in model.clusters():
-        cmask = 0
-        for w in cluster:
-            cmask |= 1 << w
-        tangled = True
-        for u in cluster:
-            inside = model.succ[u] & cmask
-            if all(inside & m for m in member_masks):
+    for down, points in geometry:
+        for bit, inside in points:
+            # At most one member may lack a witness inside the cluster, and
+            # the point itself must satisfy that one.
+            missed = False
+            for m in key:
+                if not inside & m:
+                    if missed or not m & bit:
+                        break
+                    missed = True
+            else:
                 continue
-            ok = False
-            for i, m in enumerate(member_masks):
-                if m >> u & 1 and all(inside & m2 for j, m2 in enumerate(member_masks)
-                                      if j != i):
-                    ok = True
-                    break
-            if not ok:
-                tangled = False
-                break
-        if tangled:
-            result |= cmask
-            for w in range(model.n):
-                if model.succ[w] & cmask:
-                    result |= 1 << w
+            break
+        else:
+            result |= down
+    memo[key] = result
     return result
 
 
@@ -186,33 +214,71 @@ def eval_tangle_direct(model: KripkeModel, members: Sequence[MuFormula],
     return _tangle_mask(model, masks)
 
 
+def _tangle_program(f: TangleFormula) -> list[tuple]:
+    """The DAG of f in post-order, one `(node, kind, operand)` entry per
+    distinct node; the operand is the name, the child, the `(left, right)`
+    pair or the member tuple.  Built once by an iterative walk and kept on f."""
+    if f._program is None:
+        program = []
+        seen = set()
+        stack = [(f, False)]
+        while stack:
+            g, ready = stack.pop()
+            kind = g.kind
+            if ready:
+                if kind == fm.PROP:
+                    operand = g.name
+                elif kind in (fm.AND, fm.OR):
+                    operand = (g.left, g.right)
+                elif kind == fm.TANGLE:
+                    operand = g.members
+                else:
+                    operand = g.arg
+                program.append((g, kind, operand))
+            elif g not in seen:
+                seen.add(g)
+                stack.append((g, True))
+                stack.extend((c, False) for c in g.children() if c not in seen)
+        f._program = program
+    return f._program
+
+
 def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
-    """World set of a tangle-language formula (one pass over the DAG)."""
+    """World set of a tangle-language formula: one loop over the cached
+    post-order program of f.  A given `cache` is the value store (node ->
+    mask) for this model; entries already in it are not recomputed."""
+    program = _tangle_program(f)
     if cache is None:
-        cache = {}
-    got = cache.get(f)
-    if got is not None:
-        return got
-    kind = f.kind
-    if kind == fm.TOP:
-        out = model.full_mask
-    elif kind == fm.PROP:
-        out = model.val_mask(f.name)
-    elif kind == fm.NOT:
-        out = model.full_mask & ~eval_tangle(model, f.arg, cache)
-    elif kind == fm.AND:
-        out = eval_tangle(model, f.left, cache) & eval_tangle(model, f.right, cache)
-    elif kind == fm.OR:
-        out = eval_tangle(model, f.left, cache) | eval_tangle(model, f.right, cache)
-    elif kind == fm.DIA:
-        out = _dia_mask(model, eval_tangle(model, f.arg, cache))
-    elif kind == fm.BOX:
-        out = _box_mask(model, eval_tangle(model, f.arg, cache))
+        values: dict = {}
     else:
-        out = _tangle_mask(model, [eval_tangle(model, m, cache) for m in f.members])
-    cache[f] = out
-    return out
+        got = cache.get(f)
+        if got is not None:
+            return got
+        values = cache
+        if values:
+            program = [step for step in program if step[0] not in values]
+    full = model.full_mask
+    AND, OR, NOT, DIA, BOX, TANGLE = fm.AND, fm.OR, fm.NOT, fm.DIA, fm.BOX, fm.TANGLE
+    for node, kind, operand in program:
+        if kind == OR:
+            out = values[operand[0]] | values[operand[1]]
+        elif kind == AND:
+            out = values[operand[0]] & values[operand[1]]
+        elif kind == TANGLE:
+            out = _tangle_mask(model, [values[m] for m in operand])
+        elif kind == NOT:
+            out = full & ~values[operand]
+        elif kind == DIA:
+            out = _dia_mask(model, values[operand])
+        elif kind == BOX:
+            out = _box_mask(model, values[operand])
+        elif kind == fm.PROP:
+            out = model.val_mask(operand)
+        else:  # TOP
+            out = full
+        values[node] = out
+    return values[f]
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,13 @@ class TestCheck:
     def test_missing_file_exits_2(self, capsys):
         assert main(["check", "/no/such/file.json", "T"]) == 2
 
+    @pytest.mark.parametrize("worlds", [[1, 2], "ab", ["a", None]])
+    def test_worlds_not_strings_exit_2(self, worlds, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": worlds, "edges": [], "val": {}}))
+        assert main(["check", str(path), "T"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad model: ")
+
 
 class TestTranslate:
     def test_bottom_is_bottom(self, capsys):

@@ -90,6 +90,57 @@ class TestTangleFormulaEval:
         t = fm.t_box(fm.t_or(fm.t_prop("e"), fm.t_dia(fm.t_prop("p"))))
         assert sem.eval_tangle(cycle_model, t) == sem.eval_mu(cycle_model, fm.to_mu(t))
 
+    def test_random_dags_match_mu_image(self, models_pq3):
+        rng = random.Random(31)
+        roots = [root for _ in range(6) for root in _random_tangle_dag(rng, 10)[-3:]]
+        images = [fm.to_mu(t) for t in roots]
+        for model in models_pq3:
+            for t, image in zip(roots, images):
+                assert sem.eval_tangle(model, t) == sem.eval_mu(model, image)
+
+    def test_shared_cache_is_filled_and_agrees(self, models_pq3):
+        roots = _random_tangle_dag(random.Random(5), 16)[-6:]
+        for model in models_pq3[::7]:
+            cache: dict = {}
+            for t in roots:
+                assert sem.eval_tangle(model, t, cache) == sem.eval_tangle(model, t)
+                assert all(node in cache for node, _, _ in sem._tangle_program(t))
+
+    def test_deep_chain(self, cycle_model):
+        # far beyond the interpreter's recursion limit
+        t = fm.t_prop("e")
+        want = cycle_model.val_mask("e")
+        for i in range(5000):
+            if i % 2:
+                t = fm.t_not(t)
+                want = cycle_model.full_mask & ~want
+            else:
+                t = fm.t_dia(t)
+                want = sem._dia_mask(cycle_model, want)
+        assert sem.eval_tangle(cycle_model, t) == want
+
+
+@pytest.fixture(scope="module")
+def models_pq3():
+    return list(enumerate_models(["p", "q"], 3))
+
+
+def _random_tangle_dag(rng: random.Random, steps: int) -> list:
+    """Tangle formulas over p and q, each built from earlier ones, so later
+    nodes share subterms; tangles have 1-4 members, possibly repeated."""
+    pool = [fm.t_prop("p"), fm.t_prop("q"), fm.t_top()]
+    for _ in range(steps):
+        kind = rng.choice(["not", "and", "or", "dia", "box", "tangle", "tangle"])
+        if kind == "tangle":
+            pool.append(fm.t_tangle(rng.choices(pool, k=rng.randint(1, 4))))
+        elif kind in ("and", "or"):
+            build = fm.t_and if kind == "and" else fm.t_or
+            pool.append(build(rng.choice(pool), rng.choice(pool)))
+        else:
+            build = {"not": fm.t_not, "dia": fm.t_dia, "box": fm.t_box}[kind]
+            pool.append(build(rng.choice(pool)))
+    return pool
+
 
 class TestExactFixpoints:
     def test_matches_iteration_on_small_models(self):
