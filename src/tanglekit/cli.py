@@ -12,7 +12,7 @@ from typing import Optional
 from . import formulas as fm
 from . import semantics as sem
 from .models import (ClusterEnumerationError, KripkeModel, ModelFormatError,
-                     enumerate_models, random_model, validate_wk4)
+                     enumerate_models, iter_bits, random_model, validate_wk4)
 from .translate import (TranslationGuardError, TranslationGuards,
                         format_tangle_dag, size_bound_exponent, size_bound_ok,
                         translate)
@@ -138,8 +138,7 @@ def cmd_fuzz(args) -> int:
         lmask = sem.eval_mu(model, left)
         rmask = right_eval(model)
         if lmask != rmask:
-            diff = lmask ^ rmask
-            w = (diff & -diff).bit_length() - 1
+            w = next(iter_bits(lmask ^ rmask))
             payload = {"model": model.to_dict(), "world": model.labels[w],
                        "left": sorted(model.mask_labels(lmask)),
                        "right": sorted(model.mask_labels(rmask))}

@@ -14,7 +14,7 @@ kinds; they are recognized structurally, which interning makes an O(1) check.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 # -- node kinds (shared between the two ASTs where the shape coincides)
 TOP = "top"
@@ -52,7 +52,7 @@ class MuFormula:
     """One interned node of an NNF mu-calculus formula."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "var", "body",
-                 "_key", "_size", "_freevars", "_props")
+                 "_key", "_size", "_freevars", "_props", "_program")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  var=None, body=None):
@@ -67,6 +67,7 @@ class MuFormula:
         self._size = None
         self._freevars = None
         self._props = None
+        self._program = None
 
     # Interning makes identity the structural equality; object.__eq__ and
     # object.__hash__ are exactly what we want.
@@ -171,32 +172,49 @@ def sugar_shape(f: MuFormula) -> Optional[tuple[str, MuFormula]]:
     return None
 
 
+def _unfilled(f, slot: str) -> list:
+    """The nodes under f whose cached `slot` is unset, children before
+    parents, found by an iterative walk so deep formulas do not recurse."""
+    out = []
+    seen = set()
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        if ready:
+            out.append(g)
+        elif g not in seen:
+            seen.add(g)
+            stack.append((g, True))
+            stack.extend((c, False) for c in g.children() if getattr(c, slot) is None)
+    return out
+
+
 def free_vars(f: MuFormula) -> frozenset[str]:
     """Free fixed-point variable names (Var nodes not captured by a binder)."""
     if f._freevars is None:
-        kind = f.kind
-        if kind == VAR:
-            fv = frozenset((f.name,))
-        elif kind in (MU, NU):
-            fv = free_vars(f.body) - {f.var}
-        else:
-            fv = frozenset()
-            for c in f.children():
-                fv |= free_vars(c)
-        f._freevars = fv
+        for g in _unfilled(f, "_freevars"):
+            kind = g.kind
+            if kind in (AND, OR):
+                g._freevars = g.left._freevars | g.right._freevars
+            elif kind in (DIA, BOX):
+                g._freevars = g.arg._freevars
+            elif kind in (MU, NU):
+                g._freevars = g.body._freevars - {g.var}
+            elif kind == VAR:
+                g._freevars = frozenset((g.name,))
+            else:
+                g._freevars = frozenset()
     return f._freevars
 
 
 def prop_names(f: MuFormula) -> frozenset[str]:
     """Names of propositional constants occurring anywhere in the formula."""
     if f._props is None:
-        if f.kind in (PROP, NEGPROP):
-            ps = frozenset((f.name,))
-        else:
-            ps = frozenset()
-            for c in f.children():
-                ps |= prop_names(c)
-        f._props = ps
+        for g in _unfilled(f, "_props"):
+            if g.kind in (PROP, NEGPROP):
+                g._props = frozenset((g.name,))
+            else:
+                g._props = frozenset().union(*(c._props for c in g.children()))
     return f._props
 
 
@@ -206,10 +224,8 @@ def size(f) -> int:
     the DAG, so shared subterms are counted as many times as the tree has them.
     """
     if f._size is None:
-        if f.kind in (MU, NU):
-            f._size = 1 + size(f.body)
-        else:
-            f._size = 1 + sum(size(c) for c in f.children())
+        for g in _unfilled(f, "_size"):
+            g._size = 1 + sum(c._size for c in g.children())
     return f._size
 
 
@@ -1082,11 +1098,16 @@ def _pp_mu(f: MuFormula, prec: int) -> str:
     return f"({s})" if prec > 0 else s
 
 
-def print_tangle(f: TangleFormula) -> str:
-    return _pp_tangle(f, 0)
+def print_tangle(f: TangleFormula,
+                 names: Optional[Mapping[TangleFormula, str]] = None) -> str:
+    """Canonical text of a tangle formula.  With `names`, every proper
+    subterm that has a name prints as that name."""
+    return _pp_tangle(f, 0, names or {}, f)
 
 
-def _pp_tangle(f: TangleFormula, prec: int) -> str:
+def _pp_tangle(f: TangleFormula, prec: int, names: Mapping, root: TangleFormula) -> str:
+    if f is not root and f in names:
+        return names[f]
     kind = f.kind
     if kind == TOP:
         return "T"
@@ -1095,19 +1116,21 @@ def _pp_tangle(f: TangleFormula, prec: int) -> str:
     if kind == PROP:
         return f.name
     if kind == NOT:
-        s = f"~{_pp_tangle(f.arg, _PREC_UNARY)}"
+        s = f"~{_pp_tangle(f.arg, _PREC_UNARY, names, root)}"
         return f"({s})" if prec > _PREC_UNARY else s
     if kind == AND:
-        s = f"{_pp_tangle(f.left, _PREC_AND)} & {_pp_tangle(f.right, _PREC_AND + 1)}"
+        s = (f"{_pp_tangle(f.left, _PREC_AND, names, root)} & "
+             f"{_pp_tangle(f.right, _PREC_AND + 1, names, root)}")
         return f"({s})" if prec > _PREC_AND else s
     if kind == OR:
-        s = f"{_pp_tangle(f.left, _PREC_OR)} | {_pp_tangle(f.right, _PREC_OR + 1)}"
+        s = (f"{_pp_tangle(f.left, _PREC_OR, names, root)} | "
+             f"{_pp_tangle(f.right, _PREC_OR + 1, names, root)}")
         return f"({s})" if prec > _PREC_OR else s
     if kind == DIA:
-        s = f"<> {_pp_tangle(f.arg, _PREC_UNARY)}"
+        s = f"<> {_pp_tangle(f.arg, _PREC_UNARY, names, root)}"
         return f"({s})" if prec > _PREC_UNARY else s
     if kind == BOX:
-        s = f"[] {_pp_tangle(f.arg, _PREC_UNARY)}"
+        s = f"[] {_pp_tangle(f.arg, _PREC_UNARY, names, root)}"
         return f"({s})" if prec > _PREC_UNARY else s
-    inner = ", ".join(_pp_tangle(m, 0) for m in f.members)
+    inner = ", ".join(_pp_tangle(m, 0, names, root) for m in f.members)
     return "<inf>{" + inner + "}"

@@ -22,6 +22,14 @@ class ModelFormatError(ValueError):
     pass
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
     """Least weakly transitive relation containing the input: whenever
     a -> b -> c with a != c, add a -> c.  Existing reflexive edges are kept."""
@@ -32,10 +40,7 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
         changed = False
         for a in range(n):
             add = 0
-            rest = succ[a]
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for b in iter_bits(succ[a]):
                 add |= succ[b]
             add &= ~(1 << a)
             if add & ~succ[a]:
@@ -89,10 +94,7 @@ class KripkeModel:
         if self._pred is None:
             pred = [0] * self.n
             for a in range(self.n):
-                rest = self.succ[a]
-                while rest:
-                    b = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
+                for b in iter_bits(self.succ[a]):
                     pred[b] |= 1 << a
             self._pred = tuple(pred)
         return self._pred
@@ -178,10 +180,7 @@ class KripkeModel:
         succ = []
         for w in keep:
             m = 0
-            rest = self.succ[w] & mask
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
+            for b in iter_bits(self.succ[w] & mask):
                 m |= 1 << remap[b]
             succ.append(m)
         val = {}
@@ -196,14 +195,7 @@ class KripkeModel:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        edges = []
-        for a in range(self.n):
-            rest = self.succ[a]
-            while rest:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                edges.append([self.labels[a], self.labels[b]])
-        edges.sort()
+        edges = sorted([self.labels[a], self.labels[b]] for a, b in _edges_of(self.succ))
         val = {name: sorted(self.mask_labels(mask))
                for name, mask in sorted(self.val.items()) if mask}
         return {"worlds": list(self.labels), "edges": edges, "val": val}
@@ -223,16 +215,28 @@ class KripkeModel:
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise ModelFormatError("duplicate world labels")
+        raw_edges = data.get("edges", [])
+        if not isinstance(raw_edges, list):
+            raise ModelFormatError(
+                f"'edges' must be a list of label pairs, got {type(raw_edges).__name__}")
         edges = []
-        for pair in data.get("edges", ()):
-            if len(pair) != 2 or pair[0] not in index or pair[1] not in index:
+        for pair in raw_edges:
+            if (not isinstance(pair, list) or len(pair) != 2
+                    or not all(isinstance(lab, str) and lab in index for lab in pair)):
                 raise ModelFormatError(f"bad edge {pair!r}")
             edges.append((index[pair[0]], index[pair[1]]))
+        raw_val = data.get("val") or {}
+        if not isinstance(raw_val, dict):
+            raise ModelFormatError(
+                f"'val' must map propositions to label lists, got {type(raw_val).__name__}")
         val = {}
-        for name, worlds in (data.get("val") or {}).items():
+        for name, worlds in raw_val.items():
+            if not isinstance(worlds, list):
+                raise ModelFormatError(
+                    f"valuation of {name!r} must be a list of labels, got {type(worlds).__name__}")
             ws = []
             for lab in worlds:
-                if lab not in index:
+                if not isinstance(lab, str) or lab not in index:
                     raise ModelFormatError(f"valuation of {name!r} mentions unknown world {lab!r}")
                 ws.append(index[lab])
             val[name] = ws
@@ -244,15 +248,10 @@ class KripkeModel:
 
 def validate_wk4(model: KripkeModel) -> Optional[tuple[int, int, int]]:
     """None if weakly transitive, otherwise a violating triple (a, b, c)."""
-    for a in range(model.n):
-        rest = model.succ[a]
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            missing = model.succ[b] & ~model.succ[a] & ~(1 << a)
-            if missing:
-                c = (missing & -missing).bit_length() - 1
-                return (a, b, c)
+    for a, b in _edges_of(model.succ):
+        missing = model.succ[b] & ~model.succ[a] & ~(1 << a)
+        if missing:
+            return (a, b, next(iter_bits(missing)))
     return None
 
 
@@ -442,17 +441,8 @@ def _wk4_relations(n: int) -> list[tuple[int, ...]]:
     rels = []
     for bits in range(1 << (n * n)):
         succ = tuple((bits >> (a * n)) & ((1 << n) - 1) for a in range(n))
-        ok = True
-        for a in range(n):
-            rest = succ[a]
-            while rest and ok:
-                b = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if succ[b] & ~succ[a] & ~(1 << a):
-                    ok = False
-            if not ok:
-                break
-        if ok:
+        if all(not succ[b] & ~succ[a] & ~(1 << a)
+               for a in range(n) for b in iter_bits(succ[a])):
             rels.append(succ)
     return rels
 
@@ -511,14 +501,7 @@ def _permute_mask(mask: int, perm: Sequence[int], n: int) -> int:
 
 
 def _edges_of(succ: Sequence[int]) -> list[tuple[int, int]]:
-    edges = []
-    for a in range(len(succ)):
-        rest = succ[a]
-        while rest:
-            b = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            edges.append((a, b))
-    return edges
+    return [(a, b) for a in range(len(succ)) for b in iter_bits(succ[a])]
 
 
 def random_model(props: Iterable[str], size: int, seed: int) -> KripkeModel:

@@ -4,17 +4,35 @@ depth-indexed modality, and the pruning oracle).
 
 World sets are bitmasks.  The helpers that take a `cache` dict expect it to
 be private to one model; passing the same dict across calls makes repeated
-evaluation on that model incremental.  For `eval_tangle` the caller's dict
-is the value store itself (node -> mask): the evaluator writes every node it
-computes into it and skips the nodes already there, so it must only ever
-hold values for one model.
+evaluation on that model incremental.
+
+Mu-calculus formulas have one compiler and one run loop.  `mu_program`
+turns a formula, once, into a flat post-order program kept on the root node
+(`MuFormula._program`).  A closed node is keyed by itself; an open one by
+an int that is the same wherever its free variables are bound by the same
+binders.  A fixed-point step carries its body's steps, and each step sits in
+the body of the innermost binder whose variable is free in it, so work that
+does not depend on a variable runs outside that variable's loop.  `_run`
+executes a program over a world-set algebra: the model gives the full set
+and the valuation, and `dia`/`box` (called with the argument's key) give the
+modalities.  `eval_mu` uses the model's own `_dia_mask`/`_box_mask`; the
+translator uses a root cluster whose modalities first read what holds above
+it.  Compiling is iterative and the loop recurses once per nested binder
+only.  `eval_mu_exact` is the independent oracle: it recurses over the
+formula and enumerates exact fixed points.
+
+A `cache` is the value store of the run: closed-node values in it are
+reused and never recomputed, while open nodes, whose values depend on `env`
+and on the binders' iterates, are always recomputed, so calls with
+different `env` values can share it.
 
 `eval_tangle` runs a flat post-order program of the formula's DAG, compiled
 once per root by an iterative walk and kept on the root node
 (`TangleFormula._program`), so neither compiling nor running it recurses.
-Tangle nodes read a per-model cache (`KripkeModel._tangle`): the cluster
-geometry and a memo from member masks to result.  It is built on first use
-and lives and dies with the model.
+The caller's dict is its value store (node -> mask), so it must only ever
+hold values for one model.  Tangle nodes read a per-model cache
+(`KripkeModel._tangle`): the cluster geometry and a memo from member masks
+to result.  It is built on first use and lives and dies with the model.
 """
 
 from __future__ import annotations
@@ -25,7 +43,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import formulas as fm
 from .formulas import MuFormula, TangleFormula
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
-                     _cluster_heights)
+                     _cluster_heights, iter_bits)
 
 EMBED_STRICT = "strict"
 EMBED_BISIMILAR = "bisimilar"
@@ -40,7 +58,7 @@ class UnboundVariableError(ValueError):
 # mu-calculus evaluation
 
 
-def _dia_mask(model: KripkeModel, s: int) -> int:
+def _dia_mask(model: KripkeModel, s: int, key=None) -> int:
     out = 0
     for w in range(model.n):
         if model.succ[w] & s:
@@ -48,7 +66,7 @@ def _dia_mask(model: KripkeModel, s: int) -> int:
     return out
 
 
-def _box_mask(model: KripkeModel, s: int) -> int:
+def _box_mask(model: KripkeModel, s: int, key=None) -> int:
     out = 0
     for w in range(model.n):
         if not model.succ[w] & ~s:
@@ -56,58 +74,140 @@ def _box_mask(model: KripkeModel, s: int) -> int:
     return out
 
 
+# (node, binder key per free variable) -> key of that open occurrence
+_open_keys: dict[tuple, int] = {}
+
+
+def _step_key(g: MuFormula, scope: dict):
+    """A closed node is its own key.  An open one gets an int, the same
+    wherever its free variables are bound by the same binders; a bound
+    variable reads its binder's slot, so its key is the binder's."""
+    fv = fm.free_vars(g)
+    if not fv:
+        return g
+    if g.kind == fm.VAR and g.name in scope:
+        return scope[g.name][0]
+    binding = (g, tuple(sorted((v, scope[v][0] if v in scope else None) for v in fv)))
+    key = _open_keys.get(binding)
+    if key is None:
+        key = _open_keys[binding] = len(_open_keys)
+    return key
+
+
+def mu_program(f: MuFormula) -> list[tuple]:
+    """The steps that evaluate f, compiled once by an iterative walk and
+    kept on f.  A step is `(key, kind, operand)`; the operand is the name,
+    the argument key, the `(left, right)` keys, or for a fixed point its
+    body's steps and the key of the body's result.  Each step sits in the
+    body of the innermost binder whose variable is free in it, so work that
+    does not depend on a variable runs once, outside that variable's loop;
+    steps of variables left free (read from `env`) sit at the top."""
+    if f._program is not None:
+        return f._program
+    top: list = []
+    seen = set()
+    # Entries are (node, scope) to visit, or (None, (home, step)) to append
+    # the finished step to its home list.  A scope maps each bound variable
+    # to (binder key, nesting depth, the binder's body steps).
+    stack: list = [(f, {})]
+    while stack:
+        g, scope = stack.pop()
+        if g is None:
+            home, step = scope
+            home.append(step)
+            continue
+        kind = g.kind
+        if kind == fm.VAR and g.name in scope:
+            continue
+        key = _step_key(g, scope)
+        if key in seen:
+            continue
+        seen.add(key)
+        home, depth = top, 0
+        for v in fm.free_vars(g):
+            if v in scope and scope[v][1] > depth:
+                _, depth, home = scope[v]
+        if kind in (fm.MU, fm.NU):
+            body: list = []
+            inner = dict(scope)
+            inner[g.var] = (key, 1 + max((d for _, d, _ in scope.values()), default=0), body)
+            stack.append((None, (home, (key, kind, (body, _step_key(g.body, inner))))))
+            stack.append((g.body, inner))
+            continue
+        if kind in (fm.AND, fm.OR):
+            operand = (_step_key(g.left, scope), _step_key(g.right, scope))
+        elif kind in (fm.DIA, fm.BOX):
+            operand = _step_key(g.arg, scope)
+        else:
+            operand = g.name
+        stack.append((None, (home, (key, kind, operand))))
+        stack.extend((c, scope) for c in g.children())
+    f._program = top
+    return top
+
+
+def _run(steps: list, values: dict, model: KripkeModel, dia, box,
+         env: Mapping[str, int]) -> None:
+    """Run the steps, writing each value under its key.  `dia(model, s,
+    key)` and `box(model, s, key)` are the modal operations of the world-set
+    algebra; `key` is the argument's key.  Recurses once per nested binder."""
+    full = model.full_mask
+    AND, OR, DIA, BOX, PROP, NEGPROP, MU, NU = (
+        fm.AND, fm.OR, fm.DIA, fm.BOX, fm.PROP, fm.NEGPROP, fm.MU, fm.NU)
+    for key, kind, operand in steps:
+        if kind == OR:
+            out = values[operand[0]] | values[operand[1]]
+        elif kind == AND:
+            out = values[operand[0]] & values[operand[1]]
+        elif kind == DIA:
+            out = dia(model, values[operand], operand)
+        elif kind == BOX:
+            out = box(model, values[operand], operand)
+        elif kind == PROP:
+            out = model.val_mask(operand)
+        elif kind == NEGPROP:
+            out = full & ~model.val_mask(operand)
+        elif kind == MU or kind == NU:
+            body, result = operand
+            out = 0 if kind == MU else full
+            while True:
+                values[key] = out
+                _run(body, values, model, dia, box, env)
+                if values[result] == out:
+                    break
+                out = values[result]
+        elif kind == fm.TOP:
+            out = full
+        elif kind == fm.BOT:
+            out = 0
+        else:  # VAR, free in the root
+            if operand not in env:
+                raise UnboundVariableError(f"unbound variable {operand!r}")
+            out = env[operand]
+        values[key] = out
+
+
+def run_mu(model: KripkeModel, f: MuFormula, values: dict, dia, box,
+           env: Optional[Mapping[str, int]] = None) -> int:
+    """World set of f under the algebra `dia`/`box` on `model`.  `values`
+    is the value store; closed nodes already in it are not recomputed, open
+    ones always are."""
+    got = values.get(f)
+    if got is not None:
+        return got
+    program = mu_program(f)
+    if values:
+        program = [step for step in program
+                   if type(step[0]) is int or step[0] not in values]
+    _run(program, values, model, dia, box, env or {})
+    return values[program[-1][0]]
+
+
 def eval_mu(model: KripkeModel, f: MuFormula,
             env: Optional[Mapping[str, int]] = None,
             cache: Optional[dict] = None) -> int:
     """World set of an NNF formula; fixed points by monotone iteration."""
-    if cache is None:
-        cache = {}
-    return _eval_mu(model, f, dict(env) if env else {}, cache)
-
-
-def _env_key(f: MuFormula, env: dict) -> tuple:
-    fv = fm.free_vars(f)
-    return (f, tuple(sorted((v, env[v]) for v in fv if v in env)))
-
-
-def _eval_mu(model: KripkeModel, f: MuFormula, env: dict, cache: dict) -> int:
-    key = _env_key(f, env)
-    got = cache.get(key)
-    if got is not None:
-        return got
-    kind = f.kind
-    if kind == fm.TOP:
-        out = model.full_mask
-    elif kind == fm.BOT:
-        out = 0
-    elif kind == fm.PROP:
-        out = model.val_mask(f.name)
-    elif kind == fm.NEGPROP:
-        out = model.full_mask & ~model.val_mask(f.name)
-    elif kind == fm.VAR:
-        if f.name not in env:
-            raise UnboundVariableError(f"unbound variable {f.name!r}")
-        out = env[f.name]
-    elif kind == fm.AND:
-        out = _eval_mu(model, f.left, env, cache) & _eval_mu(model, f.right, env, cache)
-    elif kind == fm.OR:
-        out = _eval_mu(model, f.left, env, cache) | _eval_mu(model, f.right, env, cache)
-    elif kind == fm.DIA:
-        out = _dia_mask(model, _eval_mu(model, f.arg, env, cache))
-    elif kind == fm.BOX:
-        out = _box_mask(model, _eval_mu(model, f.arg, env, cache))
-    else:
-        current = 0 if kind == fm.MU else model.full_mask
-        while True:
-            env2 = dict(env)
-            env2[f.var] = current
-            nxt = _eval_mu(model, f.body, env2, cache)
-            if nxt == current:
-                break
-            current = nxt
-        out = current
-    cache[key] = out
-    return out
+    return run_mu(model, f, {} if cache is None else cache, _dia_mask, _box_mask, env)
 
 
 def eval_mu_exact(model: KripkeModel, f: MuFormula,
@@ -115,18 +215,19 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
     """Fixed points as the intersection (union) of all exact fixed points,
     enumerated over the full powerset.  Only sensible on tiny models."""
     env = dict(env) if env else {}
+    full = model.full_mask
 
     def go(g: MuFormula, env: dict) -> int:
         kind = g.kind
         if kind in (fm.MU, fm.NU):
             exact = []
-            for x in range(model.full_mask + 1):
+            for x in range(full + 1):
                 env2 = dict(env)
                 env2[g.var] = x
                 if go(g.body, env2) == x:
                     exact.append(x)
             if kind == fm.MU:
-                out = model.full_mask
+                out = full
                 for x in exact:
                     out &= x
             else:
@@ -142,7 +243,17 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
             return _dia_mask(model, go(g.arg, env))
         if kind == fm.BOX:
             return _box_mask(model, go(g.arg, env))
-        return _eval_mu(model, g, env, {})
+        if kind == fm.TOP:
+            return full
+        if kind == fm.BOT:
+            return 0
+        if kind == fm.PROP:
+            return model.val_mask(g.name)
+        if kind == fm.NEGPROP:
+            return full & ~model.val_mask(g.name)
+        if g.name not in env:
+            raise UnboundVariableError(f"unbound variable {g.name!r}")
+        return env[g.name]
 
     return go(f, env)
 
@@ -299,31 +410,14 @@ def greatest_bisim(m: KripkeModel, n: KripkeModel,
     while changed:
         changed = False
         for (u, v) in list(rel):
-            ok = True
-            rest = m.succ[u]
-            while rest and ok:
-                u2 = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not any((u2, v2) in rel for v2 in _bits(n.succ[v])):
-                    ok = False
-            rest = n.succ[v]
-            while rest and ok:
-                v2 = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if not any((u2, v2) in rel for u2 in _bits(m.succ[u])):
-                    ok = False
+            ok = (all(any((u2, v2) in rel for v2 in iter_bits(n.succ[v]))
+                      for u2 in iter_bits(m.succ[u]))
+                  and all(any((u2, v2) in rel for u2 in iter_bits(m.succ[u]))
+                          for v2 in iter_bits(n.succ[v])))
             if not ok:
                 rel.discard((u, v))
                 changed = True
     return rel
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def bisimilar(m: KripkeModel, n: KripkeModel,
@@ -377,7 +471,7 @@ def sigma_final_part(model: KripkeModel, sigma: fm.SigmaClosure,
     pred = model.pred()
     out = 0
     for mask in truths.values():
-        for w in _bits(mask):
+        for w in iter_bits(mask):
             if not model.succ[w] & mask & ~pred[w]:
                 out |= 1 << w
     return out
@@ -423,7 +517,7 @@ def eval_depth_modality(model: KripkeModel, sigma: fm.SigmaClosure, n: int,
     depths, final = sigma_world_depths(model, sigma, cache)
     sat = eval_mu(model, fm.floor(phi), None, cache)
     targets = 0
-    for v in _bits(final & sat):
+    for v in iter_bits(final & sat):
         if depths[v] == n:
             targets |= 1 << v
     out = targets
@@ -458,7 +552,7 @@ def prune_check(model: KripkeModel, sigma: fm.SigmaClosure, *,
     for mask in candidates:
         sub = model.restrict(mask)
         sub_cache: dict = {}
-        keep = _bits(mask)
+        keep = list(iter_bits(mask))
         for member, full_mask_truth in truths.items():
             sub_truth = eval_mu(sub, fm.floor(member), None, sub_cache)
             for i, w in enumerate(keep):

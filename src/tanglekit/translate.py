@@ -16,16 +16,23 @@ Scaling notes, all semantically transparent:
 - Closure members are used up to identity of their closed forms, with a
   fixed point further identified with its unfolding; facts of identified
   members coincide in every model, so tables and formulas only shrink.
-- Root truths of a pair are computed from the cluster block plus
-  "true somewhere strictly above" bits for the finite set of closed
-  subformula instances, instead of model-checking the assembled witness;
-  the witness itself stays available as a recipe (`materialize_witness`)
-  and `verify_pair` replays the summary computation against it.
-- That block evaluation reads only the cluster, the bits above and the
-  fixed closed-instance index, so it is memoised per `(cluster,
-  sky_above)` and shared by every pair with the same input (on `nu x.(p &
-  <> x)`, 24,480 pairs have 224 distinct inputs).  Each pair still gets its
-  own `theta_c` and recipe.  The sort key of a fact set is memoised too.
+- Root truths of a pair are computed on the realized root cluster alone,
+  with the member floors run through the shared mu-calculus evaluator,
+  instead of model-checking the assembled witness; the witness itself stays
+  available as a recipe (`materialize_witness`) and `verify_pair` replays
+  the summary computation against it.  What lies above the root enters
+  through the *sky*: two bits per program key of a member floor or of a
+  dia/box argument in the floors' programs, bit 2i "true somewhere" and bit
+  2i+1 "false somewhere".  A diamond whose argument is true somewhere
+  above holds on the whole cluster, a box whose argument is false somewhere
+  above holds nowhere; otherwise they act inside the cluster.  Open
+  arguments are keyed per binding, and their values after the run are the
+  values at the fixed points, so no closed instance is ever built.
+- That block evaluation reads only the cluster and the sky above, so it is
+  memoised per `(cluster, sky_above)` and shared by every pair with the
+  same input (on `nu x.(p & <> x)`, 24,480 pairs have 224 distinct inputs).
+  Each pair still gets its own `theta_c` and recipe.  The sort key of a
+  fact set is memoised too.
 - `format_tangle_dag` names a shared node only if it has at least
   `min_size` distinct nodes; that walk stops as soon as it has seen
   `min_size`, so printing stays linear in the DAG.
@@ -43,7 +50,7 @@ from . import formulas as fm
 from . import semantics as sem
 from .formulas import MuFormula, TangleFormula
 from .models import (ONE, SAT, CanonicalCluster, KripkeModel, disjoint_union,
-                     enumerate_canonical_clusters, stack)
+                     enumerate_canonical_clusters, iter_bits, stack)
 
 CHAIN_STRICT = "strict"
 CHAIN_REFL = "refl"
@@ -71,8 +78,9 @@ class SatPair:
     """Canonical root cluster plus the depth facts strictly above it.
 
     `truths` holds, per root valuation class, the member representatives
-    true there; `sky` is the bitmask of closed-instance formulas true
-    somewhere in the whole witness; `components` is the witness recipe."""
+    true there; `sky` tells, per sky key, whether it is true somewhere and
+    whether it is false somewhere in the whole witness; `components` is
+    the witness recipe."""
 
     __slots__ = ("cluster", "theta", "depth", "components", "final", "truths",
                  "theta_c", "sky", "_witness")
@@ -121,26 +129,6 @@ class Chain:
         return f"Chain(depth={self.depth})"
 
 
-class _Block:
-    """Root-cluster realization: all-irreflexive mutually related worlds."""
-
-    __slots__ = ("vals", "others", "full", "val_bits")
-
-    def __init__(self, cluster: CanonicalCluster):
-        vals = []
-        for val, mult in cluster.entries:
-            copies = 1 if mult == ONE else 2
-            vals.extend([frozenset(val)] * copies)
-        n = len(vals)
-        self.vals = vals
-        self.full = (1 << n) - 1
-        self.others = [self.full & ~(1 << w) for w in range(n)]
-        self.val_bits = {}
-        for w, val in enumerate(vals):
-            for p in val:
-                self.val_bits[p] = self.val_bits.get(p, 0) | (1 << w)
-
-
 class Translator:
     """Pair and chain tables for one closure, plus the structural formulas."""
 
@@ -153,11 +141,7 @@ class Translator:
         self.rep_of, self.members = self._dedupe_members()
         self._member_index = {m: i for i, m in enumerate(self.members)}
         self._floors = {m: fm.floor(m) for m in self.members}
-        self._kindex: dict[MuFormula, int] = {}
-        self._kpos: list[MuFormula] = []
-        self._closing_memo: dict = {}
-        self._collect_memo: set = set()
-        self._build_k()
+        self._sky_bit = self._sky_index()
         self.pairs: list[dict[tuple, SatPair]] = []
         self.sat_pairs: list[list[SatPair]] = []
         self.semi_pairs: list[list[SatPair]] = []
@@ -229,110 +213,21 @@ class Translator:
                 rep_of[g] = rep
         return rep_of, tuple(reps)
 
-    # -- closed-instance set and block evaluation ------------------------------
+    # -- the sky --------------------------------------------------------------
 
-    def _closing(self, f: MuFormula, env_close: tuple) -> MuFormula:
-        fv = fm.free_vars(f)
-        if not fv:
-            return f
-        items = tuple((v, b) for v, b in env_close if v in fv)
-        key = (f, items)
-        got = self._closing_memo.get(key)
-        if got is None:
-            got = f
-            for v, b in items:
-                got = fm.substitute(got, v, b)
-            self._closing_memo[key] = got
-        return got
-
-    def _kadd(self, f: MuFormula) -> int:
-        idx = self._kindex.get(f)
-        if idx is None:
-            idx = len(self._kpos)
-            self._kindex[f] = idx
-            self._kpos.append(f)
-            self._collect(f, ())
-        return idx
-
-    def _collect(self, f: MuFormula, env_close: tuple) -> None:
-        key = (f, tuple((v, b) for v, b in env_close if v in fm.free_vars(f)))
-        if key in self._collect_memo:
-            return
-        self._collect_memo.add(key)
-        kind = f.kind
-        if kind in (fm.DIA, fm.BOX):
-            closed = self._closing(f.arg, env_close)
-            self._kadd(closed)
-            self._kadd(fm.negate(closed))
-            self._collect(f.arg, env_close)
-        elif kind in (fm.MU, fm.NU):
-            closed_binder = self._closing(f, env_close)
-            self._collect(f.body, env_close + ((f.var, closed_binder),))
-        else:
-            for c in f.children():
-                self._collect(c, env_close)
-
-    def _build_k(self) -> None:
-        for m in self.members:
-            self._kadd(self._floors[m])
-
-    def _eval_block(self, f: MuFormula, env: dict, env_close: tuple,
-                    block: _Block, sky: int, memo: dict) -> int:
-        fv = fm.free_vars(f)
-        key = (f, tuple(sorted((v, env[v]) for v in fv if v in env)),
-               tuple((v, b) for v, b in env_close if v in fv))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        kind = f.kind
-        if kind == fm.TOP:
-            out = block.full
-        elif kind == fm.BOT:
-            out = 0
-        elif kind == fm.PROP:
-            out = block.val_bits.get(f.name, 0)
-        elif kind == fm.NEGPROP:
-            out = block.full & ~block.val_bits.get(f.name, 0)
-        elif kind == fm.VAR:
-            out = env[f.name]
-        elif kind == fm.AND:
-            out = (self._eval_block(f.left, env, env_close, block, sky, memo)
-                   & self._eval_block(f.right, env, env_close, block, sky, memo))
-        elif kind == fm.OR:
-            out = (self._eval_block(f.left, env, env_close, block, sky, memo)
-                   | self._eval_block(f.right, env, env_close, block, sky, memo))
-        elif kind == fm.DIA:
-            inner = self._eval_block(f.arg, env, env_close, block, sky, memo)
-            above = sky >> self._kindex[self._closing(f.arg, env_close)] & 1
-            out = block.full if above else 0
-            if not above:
-                for w in range(len(block.vals)):
-                    if inner & block.others[w]:
-                        out |= 1 << w
-        elif kind == fm.BOX:
-            inner = self._eval_block(f.arg, env, env_close, block, sky, memo)
-            neg_idx = self._kindex[fm.negate(self._closing(f.arg, env_close))]
-            if sky >> neg_idx & 1:
-                out = 0
-            else:
-                out = 0
-                for w in range(len(block.vals)):
-                    if not block.others[w] & ~inner:
-                        out |= 1 << w
-        else:  # MU, NU
-            closed_binder = self._closing(f, env_close)
-            env_close2 = env_close + ((f.var, closed_binder),)
-            current = 0 if kind == fm.MU else block.full
-            while True:
-                env2 = dict(env)
-                env2[f.var] = current
-                nxt = self._eval_block(f.body, env2, env_close2, block, sky, memo)
-                if nxt == current:
-                    break
-                current = nxt
-            out = current
-        memo[key] = out
-        return out
+    def _sky_index(self) -> dict:
+        """Bit position 2i of each program key the root block reads from
+        above: the member floors and every dia/box argument in their
+        programs.  Bit 2i means "true somewhere", bit 2i+1 "false somewhere"."""
+        keys = dict.fromkeys(self._floors[m] for m in self.members)
+        bodies = [sem.mu_program(f) for f in keys]
+        while bodies:
+            for _, kind, operand in bodies.pop():
+                if kind in (fm.DIA, fm.BOX):
+                    keys.setdefault(operand)
+                elif kind in (fm.MU, fm.NU):
+                    bodies.append(operand[0])
+        return {k: 2 * i for i, k in enumerate(keys)}
 
     # -- table construction ----------------------------------------------------
 
@@ -492,30 +387,40 @@ class Translator:
         got = self._block_memo.get(key)
         if got is not None:
             return got
-        block = _Block(cluster)
-        memo: dict = {}
-        bits: list[int] = []
-        for f in self._kpos:
-            bits.append(self._eval_block(f, {}, (), block, sky_above, memo))
+        bit = self._sky_bit
+
+        def dia(model: KripkeModel, s: int, key) -> int:
+            if sky_above >> bit[key] & 1:
+                return model.full_mask
+            return sem._dia_mask(model, s)
+
+        def box(model: KripkeModel, s: int, key) -> int:
+            if sky_above >> bit[key] & 2:
+                return 0
+            return sem._box_mask(model, s)
+
+        block = cluster.realize()
+        values: dict = {}
+        for f in self._floors.values():
+            sem.run_mu(block, f, values, dia, box)
         sky = sky_above
-        for i, b in enumerate(bits):
-            if b:
+        for k, i in bit.items():
+            if values[k]:
                 sky |= 1 << i
+            if values[k] != block.full_mask:
+                sky |= 2 << i
         truths = {}
         w = 0
         final_classes = set()
         for val, mult in cluster.entries:
             rep_bits = frozenset(
-                m for m in self.members
-                if bits[self._kindex[self._floors[m]]] >> w & 1)
+                m for m in self.members if values[self._floors[m]] >> w & 1)
             if mult == SAT:
                 twin = frozenset(
-                    m for m in self.members
-                    if bits[self._kindex[self._floors[m]]] >> (w + 1) & 1)
+                    m for m in self.members if values[self._floors[m]] >> (w + 1) & 1)
                 assert twin == rep_bits, "bisimilar copies disagree"
             truths[frozenset(val)] = rep_bits
-            if any(not sky_above >> self._kindex[self._floors[m]] & 1
-                   for m in rep_bits):
+            if any(not sky_above >> bit[self._floors[m]] & 1 for m in rep_bits):
                 final_classes.add(frozenset(val))
             w += 1 if mult == ONE else 2
         assert len(final_classes) in (0, len(cluster.entries)), \
@@ -570,7 +475,7 @@ class Translator:
         facts = set()
         for member in self.members:
             mask = sem.eval_mu(witness, self._floors[member], None, cache)
-            for v in sem._bits(final & mask):
+            for v in iter_bits(final & mask):
                 if depths[v] < pair.depth:
                     facts.add((depths[v], member))
         assert frozenset(facts) == pair.theta, "fact profile mismatch"
@@ -915,18 +820,24 @@ def size_bound_ok(phi: MuFormula, chi: TangleFormula) -> bool:
 
 def format_tangle_dag(f: TangleFormula, min_size: int = 3) -> str:
     """Render a tangle formula with `let` definitions for shared subterms."""
-    counts: dict[TangleFormula, int] = {}
+    # references to each node from distinct parents, and the distinct nodes
+    # in post-order (children left to right); on the stack, None means the
+    # node under it is finished
+    counts: dict[TangleFormula, int] = {f: 1}
     order: list[TangleFormula] = []
-
-    def visit(g: TangleFormula) -> None:
-        counts[g] = counts.get(g, 0) + 1
-        if counts[g] > 1:
-            return
-        for c in g.children():
-            visit(c)
-        order.append(g)
-
-    visit(f)
+    expanded = set()
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:
+            order.append(stack.pop())
+        elif g not in expanded:
+            expanded.add(g)
+            children = g.children()
+            for c in children:
+                counts[c] = counts.get(c, 0) + 1
+            stack += (g, None)
+            stack += reversed(children)
     names: dict[TangleFormula, str] = {}
     for g in order:
         if g is f or counts[g] < 2 or g.kind in (fm.TOP, fm.PROP) or g is fm.t_bot():
@@ -934,35 +845,7 @@ def format_tangle_dag(f: TangleFormula, min_size: int = 3) -> str:
         if fm.tangle_dag_nodes(g, limit=min_size) < min_size:
             continue
         names[g] = f"d{len(names)}"
-
-    def pp(g: TangleFormula, prec: int, root: bool = False) -> str:
-        if not root and g in names:
-            return names[g]
-        kind = g.kind
-        if kind == fm.TOP:
-            return "T"
-        if g is fm.t_bot():
-            return "F"
-        if kind == fm.PROP:
-            return g.name
-        if kind == fm.NOT:
-            s = f"~{pp(g.arg, 3)}"
-            return f"({s})" if prec > 3 else s
-        if kind == fm.AND:
-            s = f"{pp(g.left, 2)} & {pp(g.right, 3)}"
-            return f"({s})" if prec > 2 else s
-        if kind == fm.OR:
-            s = f"{pp(g.left, 1)} | {pp(g.right, 2)}"
-            return f"({s})" if prec > 1 else s
-        if kind == fm.DIA:
-            s = f"<> {pp(g.arg, 3)}"
-            return f"({s})" if prec > 3 else s
-        if kind == fm.BOX:
-            s = f"[] {pp(g.arg, 3)}"
-            return f"({s})" if prec > 3 else s
-        return "<inf>{" + ", ".join(pp(m, 0) for m in g.members) + "}"
-
-    lines = [f"let {names[g]} = {pp(g, 0, root=True)}"
+    lines = [f"let {names[g]} = {fm.print_tangle(g, names)}"
              for g in order if g in names]
-    lines.append(f"chi = {pp(f, 0, root=True)}")
+    lines.append(f"chi = {fm.print_tangle(f, names)}")
     return "\n".join(lines)

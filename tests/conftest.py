@@ -15,8 +15,9 @@ def cycle_model():
 
 
 def random_formula(rng: random.Random, props, depth: int,
-                   bound=(), allow_binders=True) -> fm.MuFormula:
-    """Seeded random closed NNF formula over the given atoms."""
+                   bound=(), allow_binders=True, names=None) -> fm.MuFormula:
+    """Seeded random closed NNF formula over the given atoms.  Binders are
+    named v<depth>, or drawn from `names`, so that they can shadow."""
     if depth == 0:
         choices = ["top", "bot", "prop", "negprop"] + (["var"] if bound else [])
         kind = rng.choice(choices)
@@ -35,12 +36,12 @@ def random_formula(rng: random.Random, props, depth: int,
     if kind == "leaf":
         return random_formula(rng, props, 0, bound)
     if kind in ("and", "or"):
-        left = random_formula(rng, props, depth - 1, bound, allow_binders)
-        right = random_formula(rng, props, depth - 1, bound, allow_binders)
+        left = random_formula(rng, props, depth - 1, bound, allow_binders, names)
+        right = random_formula(rng, props, depth - 1, bound, allow_binders, names)
         return fm.conj(left, right) if kind == "and" else fm.disj(left, right)
     if kind in ("dia", "box"):
-        arg = random_formula(rng, props, depth - 1, bound, allow_binders)
+        arg = random_formula(rng, props, depth - 1, bound, allow_binders, names)
         return fm.diamond(arg) if kind == "dia" else fm.box(arg)
-    v = f"v{len(bound)}"
-    body = random_formula(rng, props, depth - 1, bound + (v,), allow_binders)
+    v = rng.choice(names) if names else f"v{len(bound)}"
+    body = random_formula(rng, props, depth - 1, bound + (v,), allow_binders, names)
     return fm.mu(v, body) if kind == "mu" else fm.nu(v, body)

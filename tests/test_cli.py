@@ -60,6 +60,14 @@ class TestCheck:
         assert main(["check", str(path), "T"]) == 2
         assert capsys.readouterr().err.startswith("error: bad model: ")
 
+    @pytest.mark.parametrize("edges, val", [
+        (5, {}), ([[["a"], "a"]], {}), ([], ["a"]), ([], {"p": "ab"})])
+    def test_edges_or_val_malformed_exit_2(self, edges, val, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"worlds": ["a", "b"], "edges": edges, "val": val}))
+        assert main(["check", str(path), "p"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad model: ")
+
 
 class TestTranslate:
     def test_bottom_is_bottom(self, capsys):

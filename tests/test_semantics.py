@@ -152,6 +152,61 @@ class TestExactFixpoints:
             for m in models:
                 assert sem.eval_mu(m, f) == sem.eval_mu_exact(m, f)
 
+    def test_shadowing_and_shared_open_subterms(self):
+        # `<> (p & x)` is shared between binders of x, and within one binder
+        # it also sits under a nested binder it does not depend on
+        shared = fm.diamond(fm.conj(fm.prop("p"), fm.var("x")))
+        formulas = [
+            p("nu x. (p & <> (mu x. (q | <> x)) & <> x)"),
+            p("(nu x. (p & <> x)) | (mu x. (p & <> x))"),
+            p("nu x. mu y. ((p & <> x) | (q & [] y))"),
+            # a binder nested under a shadowing one: both orders of the names
+            p("nu x. (p & mu x. mu y. ((q & x) | <> y))"),
+            p("nu y. (p & mu y. mu x. ((q & y) | <> x))"),
+            fm.nu("x", fm.disj(shared, fm.mu("y", fm.conj(shared, fm.box(fm.var("y")))))),
+            fm.nu("x", fm.conj(shared, fm.mu("x", fm.disj(fm.prop("q"), shared)))),
+        ]
+        rng = random.Random(404)
+        formulas += [random_formula(rng, ["p", "q"], rng.randint(2, 4), names=("x", "y"))
+                     for _ in range(40)]
+        for m in enumerate_models(["p", "q"], 2):
+            cache: dict = {}
+            for f in formulas:
+                want = sem.eval_mu_exact(m, f)
+                assert sem.eval_mu(m, f) == want
+                assert sem.eval_mu(m, f, None, cache) == want
+
+
+class TestMuProgram:
+    def test_deep_formula(self, cycle_model):
+        # nu x. (p & <>^3000 x): far beyond the interpreter's recursion limit
+        g = fm.var("x")
+        for _ in range(3000):
+            g = fm.diamond(g)
+        f = fm.nu("x", fm.conj(fm.prop("p"), g))
+        assert fm.free_vars(f) == frozenset()
+        assert fm.prop_names(f) == {"p"}
+        assert sem.eval_mu(cycle_model, f) == 0b10
+        refl = KripkeModel(["w"], [(0, 0)], {"p": [0]})
+        assert sem.eval_mu(refl, f) == 1
+
+    def test_shared_cache_keeps_open_values_apart(self, cycle_model):
+        x = fm.var("x")
+        f = fm.conj(fm.nu("y", fm.disj(x, fm.diamond(fm.var("y")))), p("<> e"))
+        cache: dict = {}
+        for env in ({"x": 0b01}, {"x": 0b10}, {"x": 0}, {"x": 0b01}):
+            assert sem.eval_mu(cycle_model, f, env, cache) == sem.eval_mu(cycle_model, f, env)
+        # values of closed nodes are kept for later calls
+        assert cache[p("<> e")] == 0b10
+
+    def test_invariant_work_is_hoisted(self):
+        # <> p does not depend on x, so it runs once, outside the loop
+        program = sem.mu_program(p("nu x. (<> p & <> x)"))
+        assert [kind for _, kind, _ in program] == [fm.PROP, fm.DIA, fm.NU]
+        _, _, (body, result) = program[-1]
+        assert [kind for _, kind, _ in body] == [fm.DIA, fm.AND]
+        assert body[-1][0] == result
+
 
 class TestBisimulation:
     def test_self_bisimilar(self, cycle_model):
