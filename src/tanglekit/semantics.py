@@ -13,13 +13,15 @@ an int that is the same wherever its free variables are bound by the same
 binders.  A fixed-point step carries its body's steps, and each step sits in
 the body of the innermost binder whose variable is free in it, so work that
 does not depend on a variable runs outside that variable's loop.  `_run`
-executes a program over a world-set algebra: the model gives the full set
-and the valuation, and `dia`/`box` (called with the argument's key) give the
-modalities.  `eval_mu` uses the model's own `_dia_mask`/`_box_mask`; the
-translator uses a root cluster whose modalities first read what holds above
-it.  Compiling is iterative and the loop recurses once per nested binder
-only.  `eval_mu_exact` is the independent oracle: it recurses over the
-formula and enumerates exact fixed points.
+executes a program over a world-set algebra: the model gives the valuation,
+`full` (the set of all its worlds, computed once per `run_mu` call and
+passed down through the binders' recursion) gives top, and `dia`/`box`
+(called with the argument's key) give the modalities.  `eval_mu` uses the
+model's own `_dia_mask`/`_box_mask`; the translator uses a root cluster
+whose modalities first read what holds above it.  Compiling is iterative
+and the loop recurses once per nested binder only.  `eval_mu_exact` is the
+independent oracle: it recurses over the formula and enumerates exact fixed
+points.
 
 A `cache` is the value store of the run: closed-node values in it are
 reused and never recomputed, while open nodes, whose values depend on `env`
@@ -41,7 +43,8 @@ import random
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import formulas as fm
-from .formulas import MuFormula, TangleFormula
+from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NU, OR, PROP, TOP,
+                       MuFormula, TangleFormula)
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
                      _cluster_heights, iter_bits)
 
@@ -60,17 +63,22 @@ class UnboundVariableError(ValueError):
 
 def _dia_mask(model: KripkeModel, s: int, key=None) -> int:
     out = 0
-    for w in range(model.n):
-        if model.succ[w] & s:
-            out |= 1 << w
+    bit = 1
+    for succ in model.succ:
+        if succ & s:
+            out |= bit
+        bit <<= 1
     return out
 
 
 def _box_mask(model: KripkeModel, s: int, key=None) -> int:
     out = 0
-    for w in range(model.n):
-        if not model.succ[w] & ~s:
-            out |= 1 << w
+    bit = 1
+    outside = ~s
+    for succ in model.succ:
+        if not succ & outside:
+            out |= bit
+        bit <<= 1
     return out
 
 
@@ -146,14 +154,13 @@ def mu_program(f: MuFormula) -> list[tuple]:
     return top
 
 
-def _run(steps: list, values: dict, model: KripkeModel, dia, box,
+def _run(steps: list, values: dict, model: KripkeModel, full: int, dia, box,
          env: Mapping[str, int]) -> None:
-    """Run the steps, writing each value under its key.  `dia(model, s,
+    """Run the steps, writing each value under its key.  `full` is the set
+    of all worlds of `model`, computed once by the caller.  `dia(model, s,
     key)` and `box(model, s, key)` are the modal operations of the world-set
     algebra; `key` is the argument's key.  Recurses once per nested binder."""
-    full = model.full_mask
-    AND, OR, DIA, BOX, PROP, NEGPROP, MU, NU = (
-        fm.AND, fm.OR, fm.DIA, fm.BOX, fm.PROP, fm.NEGPROP, fm.MU, fm.NU)
+    val = model.val
     for key, kind, operand in steps:
         if kind == OR:
             out = values[operand[0]] | values[operand[1]]
@@ -164,21 +171,21 @@ def _run(steps: list, values: dict, model: KripkeModel, dia, box,
         elif kind == BOX:
             out = box(model, values[operand], operand)
         elif kind == PROP:
-            out = model.val_mask(operand)
+            out = val.get(operand, 0)
         elif kind == NEGPROP:
-            out = full & ~model.val_mask(operand)
+            out = full & ~val.get(operand, 0)
         elif kind == MU or kind == NU:
             body, result = operand
             out = 0 if kind == MU else full
             while True:
                 values[key] = out
-                _run(body, values, model, dia, box, env)
+                _run(body, values, model, full, dia, box, env)
                 if values[result] == out:
                     break
                 out = values[result]
-        elif kind == fm.TOP:
+        elif kind == TOP:
             out = full
-        elif kind == fm.BOT:
+        elif kind == BOT:
             out = 0
         else:  # VAR, free in the root
             if operand not in env:
@@ -199,7 +206,7 @@ def run_mu(model: KripkeModel, f: MuFormula, values: dict, dia, box,
     if values:
         program = [step for step in program
                    if type(step[0]) is int or step[0] not in values]
-    _run(program, values, model, dia, box, env or {})
+    _run(program, values, model, model.full_mask, dia, box, env or {})
     return values[program[-1][0]]
 
 

@@ -161,6 +161,11 @@ class TestFuzz:
         assert main(["fuzz-equiv", "p", "p", "--exhaustive", "--size", "7"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_exhaustive_six_worlds_exits_2(self, capsys):
+        # the enumeration is capped at five worlds: refused before it starts
+        assert main(["fuzz-equiv", "p", "p", "--exhaustive", "--size", "6"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("flag", ["--size", "--models"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_nonpositive_counts_exit_2(self, flag, value, capsys):

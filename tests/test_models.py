@@ -190,12 +190,90 @@ class TestEnumeration:
         with pytest.raises(km.ClusterEnumerationError):
             next(enumerate_models([], 9))
 
+    def test_guard_is_five_worlds(self):
+        with pytest.raises(km.ClusterEnumerationError):
+            next(enumerate_models([], 6))
+
+    @pytest.mark.parametrize("n, count", [(1, 2), (2, 10), (3, 54), (4, 359)])
+    def test_frame_counts(self, n, count):
+        assert len(km._wk4_canonical(n)) == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_frames_match_brute_force(self, n):
+        perms = list(itertools.permutations(range(n)))
+        identity = tuple(range(n))
+        expected = {}
+        for succ in _wk4_relations(n):
+            canon = min(_permuted_relation(succ, p) for p in perms)
+            if canon not in expected:
+                expected[canon] = {p for p in perms if p != identity
+                                   and _permuted_relation(canon, p) == canon}
+        got = km._wk4_canonical(n)
+        assert [succ for succ, _ in got] == sorted(expected)
+        for succ, tables in got:
+            auts = {tuple(table[1 << w].bit_length() - 1 for w in range(n))
+                    for table in tables}
+            assert auts == expected[succ]
+
+    @pytest.mark.parametrize("props, max_worlds",
+                             [([], 4), (["p"], 4), (["p", "q"], 3)])
+    def test_models_match_brute_force(self, props, max_worlds):
+        got = [(m.succ, tuple(m.val_mask(p) for p in props))
+               for m in enumerate_models(props, max_worlds)]
+        assert len(got) == len(set(got))
+        assert set(got) == _brute_force_models(props, max_worlds)
+
+    def test_five_worlds(self):
+        # 2,902 five-world frames, checked once against the brute force
+        assert sum(1 for _ in enumerate_models([], 5)) == 3327
+
+
+def _permute_mask(mask, perm):
+    out = 0
+    for w, image in enumerate(perm):
+        if mask >> w & 1:
+            out |= 1 << image
+    return out
+
+
+def _permuted_relation(succ, perm):
+    out = [0] * len(succ)
+    for a, row in enumerate(succ):
+        out[perm[a]] = _permute_mask(row, perm)
+    return tuple(out)
+
+
+def _wk4_relations(n):
+    """Every weakly transitive successor-mask tuple on n labeled worlds."""
+    rels = []
+    for bits in range(1 << (n * n)):
+        succ = tuple((bits >> (a * n)) & ((1 << n) - 1) for a in range(n))
+        if validate_wk4(KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {}))) is None:
+            rels.append(succ)
+    return rels
+
+
+def _brute_force_models(props, max_worlds):
+    """The least (relation, valuation) image of every labeled wK4 model."""
+    out = set()
+    for n in range(1, max_worlds + 1):
+        perms = list(itertools.permutations(range(n)))
+        for succ in _wk4_relations(n):
+            # the least pair has the least relation: only its perms compete
+            images = [(_permuted_relation(succ, p), p) for p in perms]
+            canon = min(rel for rel, _ in images)
+            best = [p for rel, p in images if rel == canon]
+            for masks in itertools.product(range(1 << n), repeat=len(props)):
+                out.add((canon, min(tuple(_permute_mask(m, p) for m in masks)
+                                    for p in best)))
+    return out
+
 
 def _canonical_key(m, props):
     best = None
     for perm in itertools.permutations(range(m.n)):
-        rel = km._permuted_relation(m.succ, perm)
-        vals = tuple(km._permute_mask(m.val_mask(p), perm, m.n) for p in props)
+        rel = _permuted_relation(m.succ, perm)
+        vals = tuple(_permute_mask(m.val_mask(p), perm) for p in props)
         key = (rel, vals)
         if best is None or key < best:
             best = key
