@@ -34,6 +34,8 @@ def _load_model(path: str) -> KripkeModel:
         raise UsageError(f"cannot read model file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"model file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError("model file is nested too deeply") from None
     try:
         model = KripkeModel.from_dict(data)
     except ModelFormatError as exc:
@@ -245,6 +247,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (fm.ClosureOverflowError, TranslationGuardError,
             ClusterEnumerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # Exit 1 means a counterexample, so a crash must not look like one.
+        print(f"error: formula nested too deeply (Python's recursion limit of "
+              f"{sys.getrecursionlimit()} was reached)", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK

@@ -726,7 +726,7 @@ class TangleFormula:
     the tangle operator holds a finite nonempty multiset of children)."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "members",
-                 "_key", "_size", "_program")
+                 "_key", "_size", "_program", "_segments")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  members=None):
@@ -739,6 +739,7 @@ class TangleFormula:
         self._key = None
         self._size = None
         self._program = None
+        self._segments = None
 
     def __repr__(self):
         return f"TangleFormula({print_tangle(self)!r})"

@@ -28,13 +28,23 @@ reused and never recomputed, while open nodes, whose values depend on `env`
 and on the binders' iterates, are always recomputed, so calls with
 different `env` values can share it.
 
-`eval_tangle` runs a flat post-order program of the formula's DAG, compiled
-once per root by an iterative walk and kept on the root node
-(`TangleFormula._program`), so neither compiling nor running it recurses.
-The caller's dict is its value store (node -> mask), so it must only ever
-hold values for one model.  Tangle nodes read a per-model cache
-(`KripkeModel._tangle`): the cluster geometry and a memo from member masks
-to result.  It is built on first use and lives and dies with the model.
+`eval_tangle` runs compiled code.  The formula's DAG is first listed as a
+flat post-order program by an iterative walk (`_tangle_program`, kept in
+`TangleFormula._program`).  Once per root, that program is turned into
+straight-line Python functions, generated with `compile`/`exec` and kept in
+`TangleFormula._segments`.  Each step is a few lines over a per-call value
+list, with integer indices and fixed local names only: atom names are
+passed in a tuple and never written into the source.  A function holds at
+most `SEGMENT_STEPS` steps, because the compiler's memory grows with the
+size of the function compiled: one function for a DAG of tens of thousands
+of steps would cost tens of megabytes at compile time.  Neither compiling
+nor running recurses.  A given dict is a value store (node -> mask), so it
+must only ever hold values for one model.  If the root is in it, its value
+is returned; otherwise every node of the root's program is computed, shared
+nodes already in the store too, and stored in it.  Tangle nodes read a
+per-model cache (`KripkeModel._tangle`): the cluster geometry and a memo
+from member masks to result.  It is built on first use and lives and dies
+with the model.
 """
 
 from __future__ import annotations
@@ -43,8 +53,8 @@ import random
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import formulas as fm
-from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NU, OR, PROP, TOP,
-                       MuFormula, TangleFormula)
+from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
+                       TANGLE, TOP, MuFormula, TangleFormula)
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
                      _cluster_heights, iter_bits)
 
@@ -361,42 +371,93 @@ def _tangle_program(f: TangleFormula) -> list[tuple]:
     return f._program
 
 
+# Steps per compiled segment.  Compiling costs memory that grows with the
+# size of the function compiled, so a DAG of any size is split into
+# functions of at most this many steps.
+SEGMENT_STEPS = 128
+
+# The signature of every segment.  Besides these names its source uses only
+# the locals `x` and `k` and the globals `dia`, `box` and `tangle`.
+_SEGMENT_HEAD = "def segment(v, model, val, names, full, D, B, T):\n"
+
+
+def _step_source(i: int, kind: str, operand, index: dict, names: list) -> str:
+    """The source of step i: it reads earlier steps' values from `v` by
+    index and writes its own to `v[i]`.  An atom name goes into `names` and
+    the source reads it from there by index."""
+    if kind == AND:
+        return f"v[{i}] = v[{index[operand[0]]}] & v[{index[operand[1]]}]"
+    if kind == OR:
+        return f"v[{i}] = v[{index[operand[0]]}] | v[{index[operand[1]]}]"
+    if kind == NOT:
+        return f"v[{i}] = full & ~v[{index[operand]}]"
+    if kind == PROP:
+        names.append(operand)
+        return f"v[{i}] = val.get(names[{len(names) - 1}], 0)"
+    if kind in (DIA, BOX):
+        memo, op = ("D", "dia") if kind == DIA else ("B", "box")
+        a = index[operand]
+        return (f"x = {memo}.get(v[{a}])\n"
+                f"if x is None:\n"
+                f"    x = {memo}[v[{a}]] = {op}(model, v[{a}])\n"
+                f"v[{i}] = x")
+    if kind == TANGLE:
+        members = ", ".join(f"v[{index[m]}]" for m in operand)
+        return (f"k = ({members},)\n"
+                f"x = T.get(k)\n"
+                f"if x is None:\n"
+                f"    x = tangle(model, k)\n"
+                f"v[{i}] = x")
+    return f"v[{i}] = full"  # TOP
+
+
+def _tangle_segments(f: TangleFormula) -> tuple:
+    """`(segments, names, nodes)` for f, compiled once from its program and
+    kept on f.  Each segment is a generated function that runs at most
+    `SEGMENT_STEPS` consecutive steps over the value list `v`; `names` holds
+    the atom names the segments read, `nodes` the program's nodes in the
+    order of `v`."""
+    if f._segments is None:
+        program = _tangle_program(f)
+        index = {node: i for i, (node, _, _) in enumerate(program)}
+        names: list = []
+        steps = [_step_source(i, kind, operand, index, names)
+                 for i, (_, kind, operand) in enumerate(program)]
+        segments = []
+        for start in range(0, len(steps), SEGMENT_STEPS):
+            body = "\n".join(steps[start:start + SEGMENT_STEPS])
+            source = _SEGMENT_HEAD + "    " + body.replace("\n", "\n    ") + "\n"
+            scope = {"dia": _dia_mask, "box": _box_mask, "tangle": _tangle_mask}
+            exec(compile(source, "<tangle segment>", "exec"), scope)
+            segments.append(scope["segment"])
+        f._segments = (tuple(segments), tuple(names),
+                       tuple(node for node, _, _ in program))
+    return f._segments
+
+
 def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
-    """World set of a tangle-language formula: one loop over the cached
-    post-order program of f.  A given `cache` is the value store (node ->
-    mask) for this model; entries already in it are not recomputed."""
-    program = _tangle_program(f)
-    if cache is None:
-        values: dict = {}
-    else:
+    """World set of a tangle-language formula: the compiled segments of f
+    run in order over one value list.  Diamond and box steps share a memo
+    per call, keyed by the argument mask; tangle steps read the model's
+    memo.  A given `cache` is a value store (node -> mask) for this model:
+    if f is in it, its value is returned; otherwise every node of f's
+    program is computed, shared nodes already in it too, and stored in it."""
+    if cache is not None:
         got = cache.get(f)
         if got is not None:
             return got
-        values = cache
-        if values:
-            program = [step for step in program if step[0] not in values]
-    full = model.full_mask
-    AND, OR, NOT, DIA, BOX, TANGLE = fm.AND, fm.OR, fm.NOT, fm.DIA, fm.BOX, fm.TANGLE
-    for node, kind, operand in program:
-        if kind == OR:
-            out = values[operand[0]] | values[operand[1]]
-        elif kind == AND:
-            out = values[operand[0]] & values[operand[1]]
-        elif kind == TANGLE:
-            out = _tangle_mask(model, [values[m] for m in operand])
-        elif kind == NOT:
-            out = full & ~values[operand]
-        elif kind == DIA:
-            out = _dia_mask(model, values[operand])
-        elif kind == BOX:
-            out = _box_mask(model, values[operand])
-        elif kind == fm.PROP:
-            out = model.val_mask(operand)
-        else:  # TOP
-            out = full
-        values[node] = out
-    return values[f]
+    segments, names, nodes = _tangle_segments(f)
+    v = [0] * len(nodes)
+    val, full = model.val, model.full_mask
+    dia_memo: dict = {}
+    box_memo: dict = {}
+    _, tangle_memo = _tangle_cache(model)
+    for segment in segments:
+        segment(v, model, val, names, full, dia_memo, box_memo, tangle_memo)
+    if cache is not None:
+        cache.update(zip(nodes, v))
+    return v[-1]
 
 
 # ---------------------------------------------------------------------------

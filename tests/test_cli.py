@@ -190,6 +190,19 @@ class TestListings:
         assert "size: 1" in out
         assert "sigma members: 14" in out
 
+    @pytest.mark.parametrize("command", ["stats", "translate"])
+    def test_deeply_nested_formula_exits_2(self, command, capsys):
+        assert main([command, "<> " * 1200 + "p"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: formula nested too deeply (")
+        assert "Traceback" not in err
+
+    def test_deeply_nested_model_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["check", str(path), "p"]) == 2
+        assert "model file is nested too deeply" in capsys.readouterr().err
+
     def test_stats_structured(self, capsys):
         assert main(["--format", "structured", "stats", "<> p"]) == 0
         data = json.loads(capsys.readouterr().out)

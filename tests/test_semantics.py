@@ -106,6 +106,41 @@ class TestTangleFormulaEval:
                 assert sem.eval_tangle(model, t, cache) == sem.eval_tangle(model, t)
                 assert all(node in cache for node, _, _ in sem._tangle_program(t))
 
+    def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
+        size = sem.SEGMENT_STEPS
+        pool = _random_tangle_dag(random.Random(61), 3 * size)
+        # One root over the whole pool, joined pairwise, so its program holds
+        # every node and late steps read operands from early segments.
+        level = pool
+        while len(level) > 1:
+            level = [(fm.t_and if i % 4 else fm.t_or)(*level[i:i + 2])
+                     if i + 1 < len(level) else level[i]
+                     for i in range(0, len(level), 2)]
+        root = level[0]
+        program = sem._tangle_program(root)
+        index = {node: i for i, (node, _, _) in enumerate(program)}
+        assert len(program) > 2 * size
+        assert any(index[c] // size < i // size - 1
+                   for i, (node, _, _) in enumerate(program) for c in node.children())
+        images = {node: fm.to_mu(node) for node in index}
+        for model in models_pq3[::16]:
+            values: dict = {}
+            assert sem.eval_tangle(model, root, values) == sem.eval_tangle(model, root)
+            mu_cache: dict = {}
+            for node, image in images.items():
+                assert values[node] == sem.eval_mu(model, image, None, mu_cache)
+
+    @pytest.mark.parametrize("name", ["a'b", "v", "full", "x); import os #"])
+    def test_atom_names_are_data_not_source(self, name):
+        model = KripkeModel(["0", "1", "2"], [(0, 1), (0, 2), (1, 2), (2, 1)],
+                            {name: [1], "q": [2]})
+        atom = fm.t_prop(name)
+        assert sem.eval_tangle(model, atom) == model.val[name]
+        for t in (fm.t_dia(atom), fm.t_tangle([atom, fm.t_dia(atom)]),
+                  fm.t_and(fm.t_not(atom), fm.t_tangle([atom, fm.t_prop("q")]))):
+            assert sem.eval_tangle(model, t) == sem.eval_mu(model, fm.to_mu(t))
+            assert name in sem._tangle_segments(t)[1]
+
     def test_deep_chain(self, cycle_model):
         # far beyond the interpreter's recursion limit
         t = fm.t_prop("e")
