@@ -219,9 +219,10 @@ def prop_names(f: MuFormula) -> frozenset[str]:
 
 
 def size(f) -> int:
-    """Tree size: one per connective, modality, constant, variable occurrence
-    and binder (binder counts as one, bound variable included).  Computed over
-    the DAG, so shared subterms are counted as many times as the tree has them.
+    """Tree size of a mu-calculus or tangle formula: one per connective,
+    modality, constant, variable occurrence and binder (binder counts as one,
+    bound variable included).  Computed over the DAG, so shared subterms are
+    counted as many times as the tree has them; exact for any size.
     """
     if f._size is None:
         for g in _unfilled(f, "_size"):
@@ -544,7 +545,9 @@ def canonical_member(f: MuFormula) -> MuFormula:
 
 class SigmaClosure:
     """Seed formula closed under sub*, negation and reflexive-diamond prefixing,
-    with members kept in canonical prefix form."""
+    with members kept in canonical prefix form.  `floors` maps each member
+    to its closed form, taken once the saturation has named every fixed
+    point the members mention."""
 
     def __init__(self, seed: MuFormula, members: frozenset[MuFormula]):
         self.seed = seed
@@ -561,6 +564,7 @@ class SigmaClosure:
         self.atoms = frozenset(atoms)
         self.fresh = fresh
         self._sorted = tuple(sorted(members, key=lambda g: (size(g), print_mu(g))))
+        self.floors = {m: floor(m) for m in self._sorted}
 
     def __len__(self):
         return len(self.members)
@@ -887,13 +891,6 @@ def to_mu(f: TangleFormula) -> MuFormula:
         return out
 
     return go(f)
-
-
-def tangle_tree_size(f: TangleFormula) -> int:
-    """Fully expanded (tree) size computed over the DAG without expanding it."""
-    if f._size is None:
-        f._size = 1 + sum(tangle_tree_size(c) for c in f.children())
-    return f._size
 
 
 def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:

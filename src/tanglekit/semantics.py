@@ -528,7 +528,7 @@ def sigma_truth_masks(model: KripkeModel, sigma: fm.SigmaClosure,
     """Truth mask of every closure member, read through its closed form."""
     if cache is None:
         cache = {}
-    return {m: eval_mu(model, fm.floor(m), None, cache) for m in sigma}
+    return {m: eval_mu(model, sigma.floors[m], None, cache) for m in sigma}
 
 
 def sigma_final_part(model: KripkeModel, sigma: fm.SigmaClosure,
@@ -583,7 +583,7 @@ def eval_depth_modality(model: KripkeModel, sigma: fm.SigmaClosure, n: int,
     if cache is None:
         cache = {}
     depths, final = sigma_world_depths(model, sigma, cache)
-    sat = eval_mu(model, fm.floor(phi), None, cache)
+    sat = eval_mu(model, sigma.floors.get(phi, phi), None, cache)
     targets = 0
     for v in iter_bits(final & sat):
         if depths[v] == n:
@@ -622,7 +622,7 @@ def prune_check(model: KripkeModel, sigma: fm.SigmaClosure, *,
         sub_cache: dict = {}
         keep = list(iter_bits(mask))
         for member, full_mask_truth in truths.items():
-            sub_truth = eval_mu(sub, fm.floor(member), None, sub_cache)
+            sub_truth = eval_mu(sub, sigma.floors[member], None, sub_cache)
             for i, w in enumerate(keep):
                 if (full_mask_truth >> w & 1) != (sub_truth >> i & 1):
                     return False, (mask, model.labels[w], member)

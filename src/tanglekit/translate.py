@@ -31,8 +31,15 @@ Scaling notes, all semantically transparent:
 - That block evaluation reads only the cluster and the sky above, so it is
   memoised per `(cluster, sky_above)` and shared by every pair with the
   same input (on `nu x.(p & <> x)`, 24,480 pairs have 224 distinct inputs).
-  Each pair still gets its own `theta_c` and recipe.  The sort key of a
-  fact set is memoised too.
+  Each pair still gets its own `theta_c` and recipe.
+- A fact set is an int: the fact "member i holds at depth d" is bit
+  `d * M + i`, with M the number of distinct members and i the member's
+  index in `members`.  Root truths are int masks over member indices.
+  Unions, subset tests, level slices and the top level are int operations,
+  and the pair tables are keyed by `(cluster, int)`.  Where output order
+  depends on fact sets, they are sorted by the ascending tuple of their
+  bit positions, which is the sorted `(depth, index)` order; that key is
+  memoised per fact set.
 - `format_tangle_dag` names a shared node only if it has at least
   `min_size` distinct nodes; that walk stops as soon as it has seen
   `min_size`, so printing stays linear in the DAG.
@@ -77,10 +84,11 @@ class TranslationGuards:
 class SatPair:
     """Canonical root cluster plus the depth facts strictly above it.
 
-    `truths` holds, per root valuation class, the member representatives
-    true there; `sky` tells, per sky key, whether it is true somewhere and
-    whether it is false somewhere in the whole witness; `components` is
-    the witness recipe."""
+    `theta` and `theta_c` are fact sets as ints (see the module notes);
+    `truths` holds, per root valuation class, the mask of the member
+    indices true there; `sky` tells, per sky key, whether it is true
+    somewhere and whether it is false somewhere in the whole witness;
+    `components` is the witness recipe."""
 
     __slots__ = ("cluster", "theta", "depth", "components", "final", "truths",
                  "theta_c", "sky", "_witness")
@@ -97,12 +105,13 @@ class SatPair:
         self.sky = sky
         self._witness = None
 
-    def satisfied_somewhere(self, member: MuFormula) -> bool:
-        return any(member in tr for tr in self.truths.values())
+    def satisfied_somewhere(self, index: int) -> bool:
+        """Does the member with this index hold in some root class?"""
+        return any(tr >> index & 1 for tr in self.truths.values())
 
     def __repr__(self):
         kind = "sat" if self.final else "semi"
-        return f"SatPair(depth={self.depth}, {kind}, |theta|={len(self.theta)})"
+        return f"SatPair(depth={self.depth}, {kind}, |theta|={self.theta.bit_count()})"
 
 
 class Chain:
@@ -140,7 +149,7 @@ class Translator:
         self.clusters = enumerate_canonical_clusters(self.atoms)
         self.rep_of, self.members = self._dedupe_members()
         self._member_index = {m: i for i, m in enumerate(self.members)}
-        self._floors = {m: fm.floor(m) for m in self.members}
+        self._width = len(self.members)
         self._sky_bit = self._sky_index()
         self.pairs: list[dict[tuple, SatPair]] = []
         self.sat_pairs: list[list[SatPair]] = []
@@ -148,14 +157,13 @@ class Translator:
         self.chains: list[list[Chain]] = []
         self._semi_split: list[list[TangleFormula]] = []
         self._semi_counts: list[int] = []
-        self._lattice: list[dict[frozenset, tuple[SatPair, ...]]] = []
+        self._lattice: list[dict[int, tuple[SatPair, ...]]] = []
         self._stack_bisim_memo: dict[tuple, bool] = {}
         self._block_memo: dict[tuple, tuple[dict, bool, int]] = {}
-        self._theta_key_memo: dict[frozenset, tuple] = {}
+        self._theta_key_memo: dict[int, tuple] = {}
         self._tau_memo: dict = {}
         self._a_memo: dict = {}
         self._slice_memo: dict = {}
-        self._tau_chain_memo: dict = {}
         self._alpha_memo: dict = {}
         self._delta_memo: dict = {}
         self._depth_memo: dict = {}
@@ -185,11 +193,8 @@ class Translator:
                 parent[ra] = rb
 
         cores = set()
-        floored = {}
         for m in self.sigma:
-            f = fm.floor(m)
-            floored[m] = f
-            word, core = fm.split_prefix(f)
+            word, core = fm.split_prefix(self.sigma.floors[m])
             cores.add(core)
             cores.add(fm.negate(core))
         for core in list(cores):
@@ -201,7 +206,7 @@ class Translator:
         # rebuild each member's identity from (prefix word, core class)
         keyed: dict[tuple, list[MuFormula]] = {}
         for m in self.sigma:
-            word, core = fm.split_prefix(floored[m])
+            word, core = fm.split_prefix(self.sigma.floors[m])
             keyed.setdefault((word, find(core)), []).append(m)
         rep_of: dict[MuFormula, MuFormula] = {}
         reps = []
@@ -219,7 +224,7 @@ class Translator:
         """Bit position 2i of each program key the root block reads from
         above: the member floors and every dia/box argument in their
         programs.  Bit 2i means "true somewhere", bit 2i+1 "false somewhere"."""
-        keys = dict.fromkeys(self._floors[m] for m in self.members)
+        keys = dict.fromkeys(self.sigma.floors[m] for m in self.members)
         bodies = [sem.mu_program(f) for f in keys]
         while bodies:
             for _, kind, operand in bodies.pop():
@@ -244,26 +249,21 @@ class Translator:
         self._built = True
         return self
 
-    def realized_depth(self) -> int:
-        """Deepest level with a witnessing chain."""
-        return max((d for d in range(len(self.chains)) if self.chains[d]), default=-1)
-
-    def _theta_key(self, theta: frozenset) -> tuple:
+    def _theta_key(self, theta: int) -> tuple:
         got = self._theta_key_memo.get(theta)
         if got is None:
-            got = tuple(sorted((m, self._member_index[psi]) for m, psi in theta))
-            self._theta_key_memo[theta] = got
+            got = self._theta_key_memo[theta] = tuple(iter_bits(theta))
         return got
 
     def _build_depth(self, d: int) -> None:
         table: dict[tuple, SatPair] = {}
         if d == 0:
             for cluster in self.clusters:
-                table[(cluster, frozenset())] = self._make_pair(cluster, frozenset(), 0, ())
+                table[(cluster, 0)] = self._make_pair(cluster, 0, 0, ())
         else:
             lattice = self._extend_lattice(d - 1)
             cands = {theta: recipe for theta, recipe in lattice.items()
-                     if max(m for m, _ in theta) == d - 1}
+                     if theta >> (d - 1) * self._width}
             for theta in sorted(cands, key=self._theta_key):
                 for cluster in self.clusters:
                     if len(table) >= self.guards.max_pairs:
@@ -295,37 +295,39 @@ class Translator:
                     self._options_memo[base] = options
                 for cluster in self.clusters:
                     collapse = self._stack_bisimilar(parent.root.cluster, cluster)
-                    semis: list[SatPair] = []
-                    finals: list[SatPair] = []
+                    semis = 0
+                    base_semi = False
+                    finals: list[int] = []
                     for theta in options:
                         pair = self.pairs[d].get((cluster, theta))
                         assert pair is not None, "chain extension escaped the pair table"
                         if collapse and theta == base:
                             continue
                         if pair.final:
-                            finals.append(pair)
+                            finals.append(theta)
                             if len(chains) >= self.guards.max_chains:
                                 raise TranslationGuardError(
                                     "chains",
                                     f"more than {self.guards.max_chains} chains at depth {d}")
                             chains.append(Chain(parent, pair))
                         else:
-                            semis.append(pair)
-                    semi_count += len(semis)
+                            semis += 1
+                            base_semi = base_semi or theta == base
+                    semi_count += semis
                     semi_split.extend(self._semi_alphas(
-                        parent, cluster, base, semis, finals, collapse))
+                        parent, cluster, base, semis, base_semi, finals, collapse))
         self.chains.append(chains)
         self._semi_split.append(semi_split)
         self._semi_counts.append(semi_count)
 
-    def _extend_lattice(self, d: int) -> dict[frozenset, tuple[SatPair, ...]]:
+    def _extend_lattice(self, d: int) -> dict[int, tuple[SatPair, ...]]:
         """Closure under union of the visible-fact profiles of satisfaction
         pairs of depth <= d, with a generating recipe per element."""
         while len(self._lattice) <= d:
             level = len(self._lattice)
             lattice = dict(self._lattice[level - 1]) if level else {}
             singles: list[SatPair] = []
-            covered: set[frozenset] = set()
+            covered: set[int] = set()
             for dd in range(level + 1):
                 for pair in self.sat_pairs[dd]:
                     if pair.theta_c not in covered:
@@ -338,7 +340,7 @@ class Translator:
             while queue:
                 theta = queue.pop()
                 for pair in singles:
-                    if pair.theta_c <= theta:
+                    if pair.theta_c & ~theta == 0:
                         continue
                     union = theta | pair.theta_c
                     if union not in lattice:
@@ -350,20 +352,20 @@ class Translator:
             self._lattice.append(lattice)
         return self._lattice[d]
 
-    def _shrink_recipe(self, theta: frozenset,
+    def _shrink_recipe(self, theta: int,
                        recipe: tuple[SatPair, ...]) -> tuple[SatPair, ...]:
-        ordered = sorted(recipe, key=lambda p: (-len(p.theta_c),
+        ordered = sorted(recipe, key=lambda p: (-p.theta_c.bit_count(),
                                                 self._theta_key(p.theta_c)))
         kept: list[SatPair] = []
-        acc: set = set()
+        acc = 0
         for p in ordered:
-            if p.theta_c - acc:
+            if p.theta_c & ~acc:
                 kept.append(p)
                 acc |= p.theta_c
-        assert frozenset(acc) == theta
+        assert acc == theta
         return tuple(kept)
 
-    def _make_pair(self, cluster: CanonicalCluster, theta: frozenset,
+    def _make_pair(self, cluster: CanonicalCluster, theta: int,
                    depth: int, recipe: tuple[SatPair, ...]) -> SatPair:
         if recipe:
             recipe = self._shrink_recipe(theta, recipe)
@@ -371,10 +373,10 @@ class Translator:
         for p in recipe:
             sky_above |= p.sky
         truths, is_final, sky = self._root_block(cluster, sky_above)
+        theta_c = theta
         if is_final:
-            theta_c = theta | {(depth, m) for tr in truths.values() for m in tr}
-        else:
-            theta_c = theta
+            for tr in truths.values():
+                theta_c |= tr << depth * self._width
         return SatPair(cluster, theta, depth, recipe, is_final, truths,
                        theta_c, sky)
 
@@ -400,8 +402,9 @@ class Translator:
             return sem._box_mask(model, s)
 
         block = cluster.realize()
+        floors = [self.sigma.floors[m] for m in self.members]
         values: dict = {}
-        for f in self._floors.values():
+        for f in floors:
             sem.run_mu(block, f, values, dia, box)
         sky = sky_above
         for k, i in bit.items():
@@ -409,18 +412,20 @@ class Translator:
                 sky |= 1 << i
             if values[k] != block.full_mask:
                 sky |= 2 << i
+        # per member index: its truth mask on the block, and whether it is
+        # true somewhere above
+        masks = [values[f] for f in floors]
+        above = sum(1 << i for i, f in enumerate(floors) if sky_above >> bit[f] & 1)
         truths = {}
         w = 0
         final_classes = set()
         for val, mult in cluster.entries:
-            rep_bits = frozenset(
-                m for m in self.members if values[self._floors[m]] >> w & 1)
+            rep_bits = sum(1 << i for i, mask in enumerate(masks) if mask >> w & 1)
             if mult == SAT:
-                twin = frozenset(
-                    m for m in self.members if values[self._floors[m]] >> (w + 1) & 1)
+                twin = sum(1 << i for i, mask in enumerate(masks) if mask >> (w + 1) & 1)
                 assert twin == rep_bits, "bisimilar copies disagree"
             truths[frozenset(val)] = rep_bits
-            if any(not sky_above >> bit[self._floors[m]] & 1 for m in rep_bits):
+            if rep_bits & ~above:
                 final_classes.add(frozenset(val))
             w += 1 if mult == ONE else 2
         assert len(final_classes) in (0, len(cluster.entries)), \
@@ -472,20 +477,18 @@ class Translator:
         root_final = final & root_mask
         assert root_final in (0, root_mask), "finality must be cluster-wide"
         assert (root_final == root_mask) == pair.final, "finality mismatch"
-        facts = set()
-        for member in self.members:
-            mask = sem.eval_mu(witness, self._floors[member], None, cache)
+        masks = [sem.eval_mu(witness, self.sigma.floors[m], None, cache)
+                 for m in self.members]
+        facts = 0
+        for i, mask in enumerate(masks):
             for v in iter_bits(final & mask):
                 if depths[v] < pair.depth:
-                    facts.add((depths[v], member))
-        assert frozenset(facts) == pair.theta, "fact profile mismatch"
+                    facts |= 1 << depths[v] * self._width + i
+        assert facts == pair.theta, "fact profile mismatch"
         w = 0
         for val, mult in pair.cluster.entries:
-            expect = pair.truths[frozenset(val)]
-            got = frozenset(
-                m for m in self.members
-                if sem.eval_mu(witness, self._floors[m], None, cache) >> w & 1)
-            assert got == expect, "root truth mismatch"
+            got = sum(1 << i for i, mask in enumerate(masks) if mask >> w & 1)
+            assert got == pair.truths[frozenset(val)], "root truth mismatch"
             w += 1 if mult == ONE else 2
 
     # -- chain orders -----------------------------------------------------------
@@ -516,29 +519,28 @@ class Translator:
             self._tau_memo[key] = got
         return got
 
-    def _level_slice(self, m: int, present: frozenset) -> TangleFormula:
+    def _level_slice(self, m: int, present: int) -> TangleFormula:
         key = (m, present)
         got = self._slice_memo.get(key)
         if got is None:
             parts = []
-            for member in self.members:
+            for i, member in enumerate(self.members):
                 f = self.depth_formula(m, member)
-                parts.append(f if member in present else fm.t_not(f))
+                parts.append(f if present >> i & 1 else fm.t_not(f))
             got = fm.t_big_and(parts)
             self._slice_memo[key] = got
         return got
 
-    def a_formula(self, theta: frozenset) -> TangleFormula:
+    def a_formula(self, theta: int) -> TangleFormula:
         """Exact fact profile up to theta's own root depth: positives from
         theta, negations for everything else at those levels (empty set: T)."""
         got = self._a_memo.get(theta)
         if got is None:
-            root_depth = max((m for m, _ in theta), default=-1) + 1
-            slices = []
-            for m in range(root_depth):
-                present = frozenset(psi for mm, psi in theta if mm == m)
-                slices.append(self._level_slice(m, present))
-            got = fm.t_big_and(slices)
+            width = self._width
+            level = (1 << width) - 1
+            top = (theta.bit_length() - 1) // width
+            got = fm.t_big_and([self._level_slice(m, theta >> m * width & level)
+                                for m in range(top + 1)])
             self._a_memo[theta] = got
         return got
 
@@ -550,21 +552,12 @@ class Translator:
         return self._ir_parts(chain.parent, chain.root.cluster, chain.root.theta)
 
     def _ir_parts(self, parent: Chain, cluster: CanonicalCluster,
-                  theta: frozenset) -> bool:
+                  theta: int) -> bool:
         if theta != parent.root.theta_c:
             return False
         if sem.cluster_embeds(cluster, parent.root.cluster) == sem.EMBED_NO:
             return False
         return any(mult == ONE for _, mult in cluster.entries)
-
-    def tau_chain_formula(self, chain: Chain, valuation: frozenset) -> TangleFormula:
-        key = (chain, tuple(sorted(valuation)))
-        got = self._tau_chain_memo.get(key)
-        if got is None:
-            got = self._tau_chain_shape(valuation, self.a_formula(chain.root.theta),
-                                        chain.parent, self.ir_flag(chain))
-            self._tau_chain_memo[key] = got
-        return got
 
     def _tau_chain_shape(self, valuation: frozenset, facts: TangleFormula,
                          parent: Optional[Chain], ir: bool) -> TangleFormula:
@@ -597,11 +590,13 @@ class Translator:
         return got
 
     def _semi_alphas(self, parent: Chain, cluster: CanonicalCluster,
-                     base: frozenset, semis: list[SatPair],
-                     finals: list[SatPair], collapse: bool) -> list[TangleFormula]:
-        """Contribution of the semi-rooted chains extending `parent` with
-        `cluster`: one merged alpha covering all their fact sets at once,
-        plus a separate alpha for the collapse-flagged base fact set.
+                     base: int, semis: int, base_semi: bool,
+                     finals: list[int], collapse: bool) -> list[TangleFormula]:
+        """Contribution of the `semis` semi-rooted chains extending `parent`
+        with `cluster` (`base_semi`: one of them has the base fact set;
+        `finals`: the fact sets of the final ones): one merged alpha
+        covering all their fact sets at once, plus a separate alpha for the
+        collapse-flagged base fact set.
 
         The merged fact description replaces the disjunction over the
         admissible sets T by: the base facts are visible, and the exact
@@ -613,23 +608,21 @@ class Translator:
             return []
         out = []
         ir_base = (not collapse) and self._ir_parts(parent, cluster, base)
-        merged = [p for p in semis if not (ir_base and p.theta == base)]
-        if merged:
-            parts = [self.depth_formula(m, psi) for m, psi in
-                     sorted(base, key=lambda f: (f[0], self._member_index[f[1]]))]
-            excluded = [p.theta for p in finals]
-            if collapse or ir_base:
-                excluded.append(base)
+        if semis > (ir_base and base_semi):
+            width = self._width
+            parts = [self.depth_formula(b // width, self.members[b % width])
+                     for b in iter_bits(base)]
+            excluded = finals + [base] if collapse or ir_base else finals
             parts.extend(fm.t_not(self.a_formula(t))
                          for t in sorted(set(excluded), key=self._theta_key))
             facts = fm.t_big_and(parts)
             out.append(self._alpha_shape(cluster, facts, parent, False))
-        if ir_base and any(p.theta == base for p in semis):
+        if ir_base and base_semi:
             out.append(self._alpha_shape(cluster, self.a_formula(base),
                                          parent, True))
         return out
 
-    def _siblings(self, chain: Chain) -> dict[frozenset, list[Chain]]:
+    def _siblings(self, chain: Chain) -> dict[int, list[Chain]]:
         """Same-prefix chains of the same depth, grouped by root facts.  The
         chain orders relate prefix-equal chains only, so the alternatives the
         guard formulas quantify over all live here."""
@@ -688,7 +681,8 @@ class Translator:
             if member is None:
                 supp = chains
             else:
-                supp = [c for c in chains if c.root.satisfied_somewhere(member)]
+                i = self._member_index[member]
+                supp = [c for c in chains if c.root.satisfied_somewhere(i)]
             got = fm.t_big_or([fm.t_dot_dia(self.delta_formula(c)) for c in supp])
             self._depth_memo[key] = got
         return got
@@ -717,24 +711,24 @@ class Translator:
 
     # -- the characteristic formula ----------------------------------------------
 
-    def eval_triples(self, phi: MuFormula) -> list[tuple[frozenset, Optional[Chain], frozenset]]:
+    def eval_triples(self, phi: MuFormula) -> list[tuple[frozenset, Optional[Chain], int]]:
         """All root situations satisfying phi: (root valuation, witnessing
         chain or None, visible facts).  A chain means the root is final in
         some witness; None means it is not, and the facts then carry the
         whole profile."""
         if not self._built:
             self.build()
-        member = self.rep_of[self.sigma.member_of(phi)]
+        i = self._member_index[self.rep_of[self.sigma.member_of(phi)]]
         triples = []
         for d in range(len(self.chains)):
             for chain in self.chains[d]:
                 for val, _ in chain.root.cluster.entries:
-                    if member in chain.root.truths[frozenset(val)]:
+                    if chain.root.truths[frozenset(val)] >> i & 1:
                         triples.append((frozenset(val), chain, chain.root.theta))
         for d in range(1, len(self.pairs)):
             for pair in self.semi_pairs[d]:
                 for val, _ in pair.cluster.entries:
-                    if member in pair.truths[frozenset(val)]:
+                    if pair.truths[frozenset(val)] >> i & 1:
                         triples.append((frozenset(val), None, pair.theta))
         return triples
 
@@ -753,7 +747,7 @@ class Translator:
                     fm.t_dot_dia(self.delta_formula(chain)),
                 ]))
             else:
-                n = max(m for m, _ in theta)
+                n = (theta.bit_length() - 1) // self._width
                 parts.append(fm.t_big_and([
                     self.depth_formula(n),
                     fm.t_not(self.depth_formula(n + 1)),
@@ -777,7 +771,7 @@ class Translator:
                        for d in range(len(self.chains))],
         }
         if chi is not None:
-            tree = fm.tangle_tree_size(chi)
+            tree = fm.size(chi)
             out["dag_nodes"] = fm.tangle_dag_nodes(chi)
             out["log2_tree_size"] = tree.bit_length() - 1
             out["tree_size_digits"] = len(str(tree))
@@ -806,7 +800,7 @@ def size_bound_exponent(phi: MuFormula) -> int:
 def size_bound_ok(phi: MuFormula, chi: TangleFormula) -> bool:
     """Exact check that tree-size(chi) <= 2^bound, without materializing the
     right-hand side."""
-    tree = fm.tangle_tree_size(chi)
+    tree = fm.size(chi)
     bound = size_bound_exponent(phi)
     log_floor = tree.bit_length() - 1
     if log_floor < bound:

@@ -260,7 +260,7 @@ class TestMeasures:
         t = fm.t_tangle([fm.t_prop("p"), fm.t_not(fm.t_prop("q"))])
         image = fm.to_mu(t)
         assert fm.in_tangle_fragment(image)
-        assert fm.tangle_tree_size(t) >= fm.tangle_dag_nodes(t)
+        assert fm.size(t) >= fm.tangle_dag_nodes(t)
 
     def test_tangle_dag_nodes_limit(self):
         # p, q, ~q, the tangle
