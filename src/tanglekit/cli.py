@@ -244,8 +244,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (fm.ClosureOverflowError, TranslationGuardError,
-            ClusterEnumerationError) as exc:
+    except TranslationGuardError as exc:
+        print(f"error: {exc} (built: pairs {exc.growth['pairs']}, "
+              f"lattice {exc.growth['lattice']})", file=sys.stderr)
+        return EXIT_USAGE
+    except (fm.ClosureOverflowError, ClusterEnumerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

@@ -29,9 +29,12 @@ Scaling notes, all semantically transparent:
   arguments are keyed per binding, and their values after the run are the
   values at the fixed points, so no closed instance is ever built.
 - That block evaluation reads only the cluster and the sky above, so it is
-  memoised per `(cluster, sky_above)` and shared by every pair with the
-  same input (on `nu x.(p & <> x)`, 24,480 pairs have 224 distinct inputs).
-  Each pair still gets its own `theta_c` and recipe.
+  memoised per `(cluster, sky_above)` and shared by every cell with the
+  same input (on `nu x.(p & <> x)`, 24,480 cells have 224 distinct inputs).
+- Only final pairs are stored.  The cells of a depth are its candidate
+  fact profiles (`cells[d]`, with a shrunk recipe each) times the clusters;
+  chain extension counts the semi-final ones, `eval_triples` reads their
+  truths from the block memo, and the pairs guard counts cells up front.
 - A fact set is an int: the fact "member i holds at depth d" is bit
   `d * M + i`, with M the number of distinct members and i the member's
   index in `members`.  Root truths are int masks over member indices.
@@ -51,6 +54,7 @@ Scaling notes, all semantically transparent:
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional
 
 from . import formulas as fm
@@ -65,9 +69,12 @@ CHAIN_NONE = "none"
 
 
 class TranslationGuardError(RuntimeError):
-    def __init__(self, table: str, detail: str):
+    """`growth`: the `report()` pairs and lattice sizes before the failure."""
+
+    def __init__(self, table: str, detail: str, growth: dict):
         super().__init__(f"{table} guard exceeded: {detail}")
         self.table = table
+        self.growth = growth
 
 
 class TranslationGuards:
@@ -151,9 +158,8 @@ class Translator:
         self._member_index = {m: i for i, m in enumerate(self.members)}
         self._width = len(self.members)
         self._sky_bit = self._sky_index()
+        self.cells: list[dict[int, tuple[SatPair, ...]]] = []
         self.pairs: list[dict[tuple, SatPair]] = []
-        self.sat_pairs: list[list[SatPair]] = []
-        self.semi_pairs: list[list[SatPair]] = []
         self.chains: list[list[Chain]] = []
         self._semi_split: list[list[TangleFormula]] = []
         self._semi_counts: list[int] = []
@@ -168,7 +174,7 @@ class Translator:
         self._delta_memo: dict = {}
         self._depth_memo: dict = {}
         self._split_memo: dict = {}
-        self._options_memo: dict = {}
+        self._option_counts: dict = {}
         self._sibling_memo: dict = {}
         self._group_or_memo: dict = {}
         self._built = False
@@ -241,13 +247,23 @@ class Translator:
             return self
         self._build_depth(0)
         d = 0
-        while self.sat_pairs[d] and self.chains[d]:
+        while self.pairs[d] and self.chains[d]:
             if d + 1 > min(self.guards.max_depth, len(self.members) + 1):
-                raise TranslationGuardError("depth", f"tables still growing at depth {d + 1}")
+                raise self._guard_error("depth", f"tables still growing at depth {d + 1}")
             self._build_depth(d + 1)
             d += 1
         self._built = True
         return self
+
+    def _guard_error(self, table: str, detail: str) -> TranslationGuardError:
+        return TranslationGuardError(table, detail, self._growth())
+
+    def _growth(self) -> dict:
+        """Per-depth [final, semi] cell counts and lattice sizes so far."""
+        n = len(self.clusters)
+        return {"pairs": [[len(t), len(c) * n - len(t)]
+                          for t, c in zip(self.pairs, self.cells)],
+                "lattice": [len(lattice) for lattice in self._lattice]}
 
     def _theta_key(self, theta: int) -> tuple:
         got = self._theta_key_memo.get(theta)
@@ -256,63 +272,68 @@ class Translator:
         return got
 
     def _build_depth(self, d: int) -> None:
-        table: dict[tuple, SatPair] = {}
-        if d == 0:
-            for cluster in self.clusters:
-                table[(cluster, 0)] = self._make_pair(cluster, 0, 0, ())
-        else:
-            lattice = self._extend_lattice(d - 1)
-            cands = {theta: recipe for theta, recipe in lattice.items()
-                     if theta >> (d - 1) * self._width}
-            for theta in sorted(cands, key=self._theta_key):
-                for cluster in self.clusters:
-                    if len(table) >= self.guards.max_pairs:
-                        raise TranslationGuardError(
-                            "pairs", f"more than {self.guards.max_pairs} pairs at depth {d}")
-                    table[(cluster, theta)] = self._make_pair(
-                        cluster, theta, d, cands[theta])
-        self.pairs.append(table)
-        self.sat_pairs.append([p for p in table.values() if p.final])
-        self.semi_pairs.append([p for p in table.values() if not p.final])
+        """Candidate fact profiles of depth d, in `_theta_key` order, each
+        with a shrunk recipe; then the final pairs among their cells."""
+        lattice = self._extend_lattice() if d else {0: ()}
+        floor = (d - 1) * self._width
+        thetas = sorted((theta for theta in lattice if theta.bit_length() > floor),
+                        key=self._theta_key)
+        n = len(thetas) * len(self.clusters)
+        if n > self.guards.max_pairs:
+            raise self._guard_error(
+                "pairs", f"{n} pairs at depth {d}, more than {self.guards.max_pairs}")
+        self.cells.append({theta: self._shrink_recipe(theta, lattice[theta])
+                           for theta in thetas})
+        self.pairs.append({(pair.cluster, pair.theta): pair
+                           for pair in self.cell_pairs(d) if pair.final})
         self._build_chains(d)
 
+    def cell_pairs(self, d: int) -> Iterable[SatPair]:
+        """The pair of every cell of depth d, final or not, in table order;
+        only the final ones are stored."""
+        for theta, recipe in self.cells[d].items():
+            for cluster in self.clusters:
+                yield self._make_pair(cluster, theta, d, recipe)
+
     def _build_chains(self, d: int) -> None:
+        """Chains of depth d.  The options extending a parent are the cells
+        whose facts contain the parent's augmented facts `base`, so per
+        cluster the final ones are the final pairs containing `base`, and
+        the rest are semi-final."""
         chains: list[Chain] = []
         semi_split: list[TangleFormula] = []
         semi_count = 0
+        table = self.pairs[d]
         if d == 0:
-            for pair in self.sat_pairs[0]:
-                chains.append(Chain(None, pair))
+            chains = [Chain(None, pair) for pair in table.values()]
         else:
             lattice = self._lattice[d - 1]
+            by_cluster: dict[CanonicalCluster, list[SatPair]] = {}
+            for pair in table.values():
+                by_cluster.setdefault(pair.cluster, []).append(pair)
             for parent in self.chains[d - 1]:
                 base = parent.root.theta_c
-                options = self._options_memo.get(base)
-                if options is None:
-                    thetas = {base}
-                    thetas.update(base | extra for extra in lattice)
-                    options = sorted(thetas, key=self._theta_key)
-                    self._options_memo[base] = options
+                count = self._option_counts.get(base)
+                if count is None:
+                    options = {base}
+                    options.update(base | extra for extra in lattice)
+                    assert options.issubset(self.cells[d]), \
+                        "chain extension escaped the pair table"
+                    count = self._option_counts[base] = len(options)
                 for cluster in self.clusters:
                     collapse = self._stack_bisimilar(parent.root.cluster, cluster)
-                    semis = 0
-                    base_semi = False
                     finals: list[int] = []
-                    for theta in options:
-                        pair = self.pairs[d].get((cluster, theta))
-                        assert pair is not None, "chain extension escaped the pair table"
-                        if collapse and theta == base:
+                    for pair in by_cluster.get(cluster, ()):
+                        theta = pair.theta
+                        if base & ~theta or (collapse and theta == base):
                             continue
-                        if pair.final:
-                            finals.append(theta)
-                            if len(chains) >= self.guards.max_chains:
-                                raise TranslationGuardError(
-                                    "chains",
-                                    f"more than {self.guards.max_chains} chains at depth {d}")
-                            chains.append(Chain(parent, pair))
-                        else:
-                            semis += 1
-                            base_semi = base_semi or theta == base
+                        finals.append(theta)
+                        if len(chains) >= self.guards.max_chains:
+                            raise self._guard_error("chains", (
+                                f"more than {self.guards.max_chains} chains at depth {d}"))
+                        chains.append(Chain(parent, pair))
+                    semis = count - len(finals) - collapse
+                    base_semi = not collapse and (cluster, base) not in table
                     semi_count += semis
                     semi_split.extend(self._semi_alphas(
                         parent, cluster, base, semis, base_semi, finals, collapse))
@@ -320,37 +341,31 @@ class Translator:
         self._semi_split.append(semi_split)
         self._semi_counts.append(semi_count)
 
-    def _extend_lattice(self, d: int) -> dict[int, tuple[SatPair, ...]]:
-        """Closure under union of the visible-fact profiles of satisfaction
-        pairs of depth <= d, with a generating recipe per element."""
-        while len(self._lattice) <= d:
-            level = len(self._lattice)
-            lattice = dict(self._lattice[level - 1]) if level else {}
-            singles: list[SatPair] = []
-            covered: set[int] = set()
-            for dd in range(level + 1):
-                for pair in self.sat_pairs[dd]:
-                    if pair.theta_c not in covered:
-                        covered.add(pair.theta_c)
-                        singles.append(pair)
-            for pair in singles:
-                if pair.theta_c not in lattice:
-                    lattice[pair.theta_c] = (pair,)
-            queue = sorted(lattice, key=self._theta_key)
-            while queue:
-                theta = queue.pop()
-                for pair in singles:
-                    if pair.theta_c & ~theta == 0:
-                        continue
-                    union = theta | pair.theta_c
-                    if union not in lattice:
-                        if len(lattice) >= self.guards.max_thetas:
-                            raise TranslationGuardError(
-                                "thetas", f"fact-profile lattice beyond {self.guards.max_thetas}")
-                        lattice[union] = lattice[theta] + (pair,)
-                        queue.append(union)
-            self._lattice.append(lattice)
-        return self._lattice[d]
+    def _extend_lattice(self) -> dict[int, tuple[SatPair, ...]]:
+        """The next lattice level: the closure under union of the fact
+        profiles of all final pairs so far, each with a generating recipe."""
+        lattice = dict(self._lattice[-1]) if self._lattice else {}
+        singles: dict[int, SatPair] = {}
+        for table in self.pairs:
+            for pair in table.values():
+                singles.setdefault(pair.theta_c, pair)
+        for theta_c, pair in singles.items():
+            lattice.setdefault(theta_c, (pair,))
+        queue = sorted(lattice, key=self._theta_key)
+        while queue:
+            theta = queue.pop()
+            for pair in singles.values():
+                if pair.theta_c & ~theta == 0:
+                    continue
+                union = theta | pair.theta_c
+                if union not in lattice:
+                    if len(lattice) >= self.guards.max_thetas:
+                        raise self._guard_error(
+                            "thetas", f"fact-profile lattice beyond {self.guards.max_thetas}")
+                    lattice[union] = lattice[theta] + (pair,)
+                    queue.append(union)
+        self._lattice.append(lattice)
+        return lattice
 
     def _shrink_recipe(self, theta: int,
                        recipe: tuple[SatPair, ...]) -> tuple[SatPair, ...]:
@@ -367,8 +382,6 @@ class Translator:
 
     def _make_pair(self, cluster: CanonicalCluster, theta: int,
                    depth: int, recipe: tuple[SatPair, ...]) -> SatPair:
-        if recipe:
-            recipe = self._shrink_recipe(theta, recipe)
         sky_above = 0
         for p in recipe:
             sky_above |= p.sky
@@ -460,7 +473,7 @@ class Translator:
             else:
                 witness = rooted
             if witness.n > self.guards.max_witness_worlds:
-                raise TranslationGuardError(
+                raise self._guard_error(
                     "witness", f"witness model with {witness.n} worlds")
             pair._witness = witness
         return pair._witness
@@ -716,20 +729,16 @@ class Translator:
         chain or None, visible facts).  A chain means the root is final in
         some witness; None means it is not, and the facts then carry the
         whole profile."""
-        if not self._built:
-            self.build()
+        self.build()
         i = self._member_index[self.rep_of[self.sigma.member_of(phi)]]
+        finals = [(c.root, c) for level in self.chains for c in level]
+        semis = ((pair, None) for d in range(1, len(self.cells))
+                 for pair in self.cell_pairs(d) if not pair.final)
         triples = []
-        for d in range(len(self.chains)):
-            for chain in self.chains[d]:
-                for val, _ in chain.root.cluster.entries:
-                    if chain.root.truths[frozenset(val)] >> i & 1:
-                        triples.append((frozenset(val), chain, chain.root.theta))
-        for d in range(1, len(self.pairs)):
-            for pair in self.semi_pairs[d]:
-                for val, _ in pair.cluster.entries:
-                    if pair.truths[frozenset(val)] >> i & 1:
-                        triples.append((frozenset(val), None, pair.theta))
+        for pair, chain in itertools.chain(finals, semis):
+            for val, _ in pair.cluster.entries:
+                if pair.truths[frozenset(val)] >> i & 1:
+                    triples.append((frozenset(val), chain, pair.theta))
         return triples
 
     def characteristic(self, phi: MuFormula) -> TangleFormula:
@@ -737,24 +746,15 @@ class Translator:
         models; phi must belong to the closure (the seed always does)."""
         parts = []
         for val, chain, theta in self.eval_triples(phi):
-            if chain is not None:
-                n = chain.depth
-                parts.append(fm.t_big_and([
-                    self.depth_formula(n),
-                    fm.t_not(self.depth_formula(n + 1)),
-                    fm.t_not(self.split_formula(n)),
-                    self.tau_formula(val),
-                    fm.t_dot_dia(self.delta_formula(chain)),
-                ]))
-            else:
-                n = (theta.bit_length() - 1) // self._width
-                parts.append(fm.t_big_and([
-                    self.depth_formula(n),
-                    fm.t_not(self.depth_formula(n + 1)),
-                    self.split_formula(n),
-                    self.tau_formula(val),
-                    self.a_formula(theta),
-                ]))
+            n = chain.depth if chain else (theta.bit_length() - 1) // self._width
+            split = self.split_formula(n)
+            parts.append(fm.t_big_and([
+                self.depth_formula(n),
+                fm.t_not(self.depth_formula(n + 1)),
+                fm.t_not(split) if chain else split,
+                self.tau_formula(val),
+                fm.t_dot_dia(self.delta_formula(chain)) if chain else self.a_formula(theta),
+            ]))
         return fm.t_big_or(parts)
 
     # -- reporting ------------------------------------------------------------------
@@ -765,10 +765,10 @@ class Translator:
             "distinct_members": len(self.members),
             "atoms": list(self.atoms),
             "canonical_clusters": len(self.clusters),
-            "pairs": [[len(self.sat_pairs[d]), len(self.semi_pairs[d])]
-                      for d in range(len(self.pairs))],
+            **self._growth(),
             "chains": [[len(self.chains[d]), self._semi_counts[d]]
                        for d in range(len(self.chains))],
+            "block_inputs": len(self._block_memo),
         }
         if chi is not None:
             tree = fm.size(chi)

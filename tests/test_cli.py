@@ -94,6 +94,13 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert "guard exceeded" in err
 
+    def test_guard_error_shows_growth(self, capsys):
+        assert main(["translate", "<> p", "--max-pairs", "4263"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: pairs guard exceeded: 4264 pairs at depth 3, more than "
+                       "4263 (built: pairs [[8, 0], [34, 94], [28, 1444]], "
+                       "lattice [16, 200, 733])\n")
+
     def test_guard_defaults_match_library(self):
         args = _build_parser().parse_args(["translate", "p"])
         guards = TranslationGuards()

@@ -34,31 +34,42 @@ class TestPairs:
     def test_depth_zero_augmented_facts_match_truths(self, tr_p):
         # fact bit depth * M + i: member i holds at that depth
         width = len(tr_p.members)
-        for pair in tr_p.sat_pairs[0]:
+        for pair in tr_p.pairs[0].values():
             expect = {(0, i) for tr in pair.truths.values() for i in iter_bits(tr)}
             assert {divmod(b, width) for b in iter_bits(pair.theta_c)} == expect
 
     def test_cardinality_bound(self, tr_p):
-        # |pairs at depth k| is at most 3^(2^|P|) * 2^|Sigma| * (k+1)
+        # |cells at depth k| is at most 3^(2^|P|) * 2^|Sigma| * (k+1)
         cap = (3 ** (2 ** 1)) * (2 ** 14)
-        for k in range(len(tr_p.pairs)):
-            assert len(tr_p.pairs[k]) <= cap * (k + 1)
+        for k in range(len(tr_p.cells)):
+            assert len(tr_p.cells[k]) * len(tr_p.clusters) <= cap * (k + 1)
+
+    def test_only_final_pairs_are_stored(self, tr_p):
+        for depth in range(len(tr_p.cells)):
+            finals = [pair for pair in tr_p.cell_pairs(depth) if pair.final]
+            assert [(pair.cluster, pair.theta) for pair in finals] == list(tr_p.pairs[depth])
+            assert all(pair.final for pair in tr_p.pairs[depth].values())
 
     def test_summary_matches_witness_model_checking(self, tr_p):
-        for pair in tr_p.sat_pairs[0]:
+        for pair in tr_p.pairs[0].values():
             tr_p.verify_pair(pair)
         # spot-check deeper levels, both kinds
-        for depth in range(1, len(tr_p.pairs)):
-            sample = (tr_p.sat_pairs[depth][:4] + tr_p.semi_pairs[depth][:4])
-            for pair in sample:
+        for depth in range(1, len(tr_p.cells)):
+            cells = list(tr_p.cell_pairs(depth))
+            finals = [pair for pair in cells if pair.final][:4]
+            semis = [pair for pair in cells if not pair.final][:4]
+            assert semis and (finals or depth == len(tr_p.cells) - 1)
+            for pair in finals + semis:
                 tr_p.verify_pair(pair)
 
     def test_every_pair_matches_witness_model_checking(self):
         # root blocks are evaluated once per (cluster, facts above); most
-        # pairs reuse a block filled for another fact profile, and each must
-        # still agree with model checking its own materialized witness
+        # cells reuse a block filled for another fact profile, and each
+        # cell's pair, final or not, must still agree with model checking
+        # its own materialized witness
         _, translator = translate(p("<> p"))
-        pairs = [pair for table in translator.pairs for pair in table.values()]
+        pairs = [pair for depth in range(len(translator.cells))
+                 for pair in translator.cell_pairs(depth)]
         inputs = set()
         for pair in pairs:
             sky = 0
@@ -66,21 +77,21 @@ class TestPairs:
                 sky |= comp.sky
             inputs.add((pair.cluster, sky))
         assert len(pairs) == 5872
-        assert len(inputs) == 192
+        assert len(inputs) == 192 == translator.report()["block_inputs"]
         for pair in pairs:
             translator.verify_pair(pair)
 
     def test_facts_always_inhabit_every_level(self, tr_p):
         width = len(tr_p.members)
-        for depth in range(len(tr_p.pairs)):
-            for pair in tr_p.pairs[depth].values():
-                levels = {b // width for b in iter_bits(pair.theta)}
+        for depth in range(len(tr_p.cells)):
+            for theta in tr_p.cells[depth]:
+                levels = {b // width for b in iter_bits(theta)}
                 assert levels == set(range(depth))
 
 
 class TestChains:
     def test_depth_zero_chains_wrap_pairs(self, tr_p):
-        assert len(tr_p.chains[0]) == len(tr_p.sat_pairs[0])
+        assert len(tr_p.chains[0]) == len(tr_p.pairs[0])
         for chain in tr_p.chains[0]:
             assert chain.depth == 0
             assert chain.pairs() == (chain.root,)
@@ -104,6 +115,14 @@ class TestChains:
                 assert chain.parent.root.theta_c & ~chain.root.theta == 0
                 assert chain.root.theta != chain.parent.root.theta
 
+    def test_table_counts_pinned(self):
+        # [final, semi] cells and chains per depth, as first recorded
+        chi, translator = translate(p("nu x.(p & <> x)"))
+        report = translator.report(chi)
+        assert report["pairs"] == [[8, 0], [37, 91], [51, 3717], [0, 20576]]
+        assert report["chains"] == [[8, 0], [79, 393], [168, 66986], [0, 461188]]
+        assert report["block_inputs"] == 224
+
     def test_chain_order(self, tr_p):
         for chain in tr_p.chains[0]:
             assert tr_p.chain_order(chain, chain) == CHAIN_REFL
@@ -120,7 +139,7 @@ class TestStructuralFormulas:
         assert tr_p.a_formula(0) is fm.t_top()
 
     def test_facts_formula_levels(self, tr_p):
-        pair = tr_p.sat_pairs[1][0]
+        pair = next(iter(tr_p.pairs[1].values()))
         a = tr_p.a_formula(pair.theta)
         # mentions only depth-0 observations, one polarity per member
         assert a.kind in (fm.AND, fm.NOT, fm.OR, fm.TANGLE, fm.TOP)
@@ -226,6 +245,21 @@ class TestCharacteristic:
         with pytest.raises(TranslationGuardError) as err:
             translate(p("nu x.(p & <> x)"), guards)
         assert err.value.table in ("thetas", "pairs", "chains")
+
+    def test_pairs_guard_counts_cells_before_building(self):
+        # depth 3 of <> p has 4,264 cells, none of them final
+        with pytest.raises(TranslationGuardError) as err:
+            translate(p("<> p"), TranslationGuards(max_pairs=4263))
+        assert err.value.table == "pairs"
+        assert "4264 pairs at depth 3, more than 4263" in str(err.value)
+        # the tables built before the failure, and the lattices they fed
+        assert err.value.growth == {"pairs": [[8, 0], [34, 94], [28, 1444]],
+                                    "lattice": [16, 200, 733]}
+        _, translator = translate(p("<> p"), TranslationGuards(max_pairs=4264))
+        report = translator.report()
+        assert report["pairs"] == [[8, 0], [34, 94], [28, 1444], [0, 4264]]
+        assert report["lattice"] == [16, 200, 733]
+        assert translator.pairs[3] == {}
 
 
 class TestSizeBound:
