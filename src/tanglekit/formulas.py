@@ -52,7 +52,8 @@ class MuFormula:
     """One interned node of an NNF mu-calculus formula."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "var", "body",
-                 "_key", "_size", "_freevars", "_props", "_program")
+                 "_key", "_size", "_freevars", "_props", "_program",
+                 "_segments")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  var=None, body=None):
@@ -68,6 +69,7 @@ class MuFormula:
         self._freevars = None
         self._props = None
         self._program = None
+        self._segments = None
 
     # Interning makes identity the structural equality; object.__eq__ and
     # object.__hash__ are exactly what we want.
@@ -225,8 +227,20 @@ def size(f) -> int:
     counted as many times as the tree has them; exact for any size.
     """
     if f._size is None:
-        for g in _unfilled(f, "_size"):
-            g._size = 1 + sum(c._size for c in g.children())
+        # An iterative post-order walk: on the stack, a tuple is the
+        # children of the node under it, whose size it completes.
+        stack: list = [f]
+        while stack:
+            g = stack.pop()
+            if type(g) is tuple:
+                n = 1
+                for c in g:
+                    n += c._size
+                stack.pop()._size = n
+            elif g._size is None:
+                children = g.children()
+                stack += (g, children)
+                stack += [c for c in children if c._size is None]
     return f._size
 
 

@@ -6,41 +6,52 @@ World sets are bitmasks.  The helpers that take a `cache` dict expect it to
 be private to one model; passing the same dict across calls makes repeated
 evaluation on that model incremental.
 
-Mu-calculus formulas have one compiler and one run loop.  `mu_program`
-turns a formula, once, into a flat post-order program kept on the root node
-(`MuFormula._program`).  A closed node is keyed by itself; an open one by
-an int that is the same wherever its free variables are bound by the same
-binders.  A fixed-point step carries its body's steps, and each step sits in
-the body of the innermost binder whose variable is free in it, so work that
-does not depend on a variable runs outside that variable's loop.  `_run`
-executes a program over a world-set algebra: the model gives the valuation,
-`full` (the set of all its worlds, computed once per `run_mu` call and
-passed down through the binders' recursion) gives top, and `dia`/`box`
-(called with the argument's key) give the modalities.  `eval_mu` uses the
-model's own `_dia_mask`/`_box_mask`; the translator uses a root cluster
-whose modalities first read what holds above it.  Compiling is iterative
-and the loop recurses once per nested binder only.  `eval_mu_exact` is the
-independent oracle: it recurses over the formula and enumerates exact fixed
-points.
+Both languages run compiled code, built by one segment compiler
+(`_compile_segments`): a list of step sources is split into runs of at
+most `SEGMENT_STEPS` steps, and each run becomes one Python function,
+generated with `compile`/`exec` over a fixed scope.  The compiler's memory
+grows with the size of the function compiled, so one function for a
+program of tens of thousands of steps would cost tens of megabytes at
+compile time.  Each step is a line or a short block over one per-call value
+list `v`, with integer indices and fixed local names only: atom names, free
+variable names and algebra keys are passed in tuples and never written into
+the source.
 
-A `cache` is the value store of the run: closed-node values in it are
-reused and never recomputed, while open nodes, whose values depend on `env`
-and on the binders' iterates, are always recomputed, so calls with
-different `env` values can share it.
+Mu-calculus formulas are compiled in two stages, each done once and kept on
+the root node.  `mu_program` turns a formula into a flat post-order program
+(`MuFormula._program`).  A closed node is keyed by itself; an open one by an
+int that is the same wherever its free variables are bound by the same
+binders.  A fixed-point step carries its body's steps, and each step sits
+in the body of the innermost binder whose variable is free in it, so work
+that does not depend on a variable runs outside that variable's loop.
+`_mu_segments` then compiles the top level and each binder's body into
+segments of their own (`MuFormula._segments`); a fixed-point step iterates
+`v[i] = x`, its body's segments, and a compare of the body's result with
+`x`.  So no function nests blocks more than three deep, however deep the
+binders nest, and running recurses once per nested binder only; compiling
+does not recurse.  `run_mu` runs the segments over a world-set algebra: the
+model gives the valuation and `full` (the set of all its worlds) gives top,
+and `dia(model, s, key)`/`box(model, s, key)`, called with the argument's
+key, give the modalities.  `eval_mu` uses the model's own
+`_dia_mask`/`_box_mask`; the translator uses a root cluster whose
+modalities first read what holds above it.  A free variable missing from
+`env` raises `UnboundVariableError`.  `eval_mu_exact` is the independent
+oracle: it recurses over the formula and enumerates exact fixed points.
 
-`eval_tangle` runs compiled code.  The formula's DAG is first listed as a
-flat post-order program by an iterative walk (`_tangle_program`, kept in
-`TangleFormula._program`).  Once per root, that program is turned into
-straight-line Python functions, generated with `compile`/`exec` and kept in
-`TangleFormula._segments`.  Each step is a few lines over a per-call value
-list, with integer indices and fixed local names only: atom names are
-passed in a tuple and never written into the source.  A function holds at
-most `SEGMENT_STEPS` steps, because the compiler's memory grows with the
-size of the function compiled: one function for a DAG of tens of thousands
-of steps would cost tens of megabytes at compile time.  Neither compiling
-nor running recurses.  A given dict is a value store (node -> mask), so it
-must only ever hold values for one model.  If the root is in it, its value
-is returned; otherwise every node of the root's program is computed, shared
+A mu `cache` is the value store of the run.  If the root is in it, its
+value is returned.  Closed top-level nodes already in it are guarded in the
+compiled code and never recomputed, while open nodes, whose values depend on
+`env` and on the binders' iterates, are always recomputed, so calls with
+different `env` values can share it.  Every value computed, open keys
+included, is stored back; with no cache, nothing is kept.
+
+For `eval_tangle`, the formula's DAG is first listed as a flat post-order
+program by an iterative walk (`_tangle_program`, kept in
+`TangleFormula._program`).  Once per root, that program is compiled into
+segments, kept in `TangleFormula._segments`.  Neither compiling nor running
+recurses.  A given dict is a value store (node -> mask), so it must only
+ever hold values for one model.  If the root is in it, its value is
+returned; otherwise every node of the root's program is computed, shared
 nodes already in the store too, and stored in it.  Tangle nodes read a
 per-model cache (`KripkeModel._tangle`): the cluster geometry and a memo
 from member masks to result.  It is built on first use and lives and dies
@@ -164,67 +175,155 @@ def mu_program(f: MuFormula) -> list[tuple]:
     return top
 
 
-def _run(steps: list, values: dict, model: KripkeModel, full: int, dia, box,
-         env: Mapping[str, int]) -> None:
-    """Run the steps, writing each value under its key.  `full` is the set
-    of all worlds of `model`, computed once by the caller.  `dia(model, s,
-    key)` and `box(model, s, key)` are the modal operations of the world-set
-    algebra; `key` is the argument's key.  Recurses once per nested binder."""
-    val = model.val
-    for key, kind, operand in steps:
-        if kind == OR:
-            out = values[operand[0]] | values[operand[1]]
-        elif kind == AND:
-            out = values[operand[0]] & values[operand[1]]
-        elif kind == DIA:
-            out = dia(model, values[operand], operand)
-        elif kind == BOX:
-            out = box(model, values[operand], operand)
-        elif kind == PROP:
-            out = val.get(operand, 0)
-        elif kind == NEGPROP:
-            out = full & ~val.get(operand, 0)
-        elif kind == MU or kind == NU:
-            body, result = operand
-            out = 0 if kind == MU else full
-            while True:
-                values[key] = out
-                _run(body, values, model, full, dia, box, env)
-                if values[result] == out:
-                    break
-                out = values[result]
-        elif kind == TOP:
-            out = full
-        elif kind == BOT:
-            out = 0
-        else:  # VAR, free in the root
-            if operand not in env:
-                raise UnboundVariableError(f"unbound variable {operand!r}")
-            out = env[operand]
-        values[key] = out
+# Steps per compiled segment.  Compiling costs memory that grows with the
+# size of the function compiled, so a program of any size is split into
+# functions of at most this many steps.
+SEGMENT_STEPS = 128
 
 
-def run_mu(model: KripkeModel, f: MuFormula, values: dict, dia, box,
+def _compile_segments(head: str, steps: list[str], scope: dict,
+                      filename: str) -> list:
+    """Split the step sources into runs of at most `SEGMENT_STEPS` and
+    compile each run, under `head`, into one function whose globals are a
+    copy of `scope`."""
+    segments = []
+    for start in range(0, len(steps), SEGMENT_STEPS):
+        body = "\n".join(steps[start:start + SEGMENT_STEPS])
+        source = head + "    " + body.replace("\n", "\n    ") + "\n"
+        namespace = dict(scope)
+        exec(compile(source, filename, "exec"), namespace)
+        segments.append(namespace["segment"])
+    return segments
+
+
+def _unbound(name: str):
+    raise UnboundVariableError(f"unbound variable {name!r}")
+
+
+# The signature of every mu segment.  Besides these names its source uses
+# only the local `x` and the global `unbound`.  `names` holds atom and free
+# variable names, `K` the keys passed to `dia`/`box`, `F` every segment of
+# the root's program.
+_MU_HEAD = "def segment(v, model, val, names, full, env, dia, box, K, F):\n"
+_MU_CALL = "F[{}](v, model, val, names, full, env, dia, box, K, F)"
+
+
+def _mu_step_source(i: int, kind: str, operand, index: dict, names: list,
+                    algebra: list, calls: Iterable[int]) -> str:
+    """The source of step i over the value list `v`; names and algebra keys
+    go into `names` and `algebra` and the source reads them by index.  A
+    fixed point iterates its body, whose segments are `F[j]` for j in
+    `calls`."""
+    if kind == AND:
+        return f"v[{i}] = v[{index[operand[0]]}] & v[{index[operand[1]]}]"
+    if kind == OR:
+        return f"v[{i}] = v[{index[operand[0]]}] | v[{index[operand[1]]}]"
+    if kind in (DIA, BOX):
+        algebra.append(operand)
+        op = "dia" if kind == DIA else "box"
+        return f"v[{i}] = {op}(model, v[{index[operand]}], K[{len(algebra) - 1}])"
+    if kind == TOP:
+        return f"v[{i}] = full"
+    if kind == BOT:
+        return f"v[{i}] = 0"
+    if kind in (MU, NU):
+        result = index[operand[1]]
+        return "\n".join([f"x = {'0' if kind == MU else 'full'}",
+                          "while True:",
+                          f"    v[{i}] = x",
+                          *("    " + _MU_CALL.format(j) for j in calls),
+                          f"    if v[{result}] == x:",
+                          "        break",
+                          f"    x = v[{result}]"])
+    names.append(operand)
+    j = len(names) - 1
+    if kind == PROP:
+        return f"v[{i}] = val.get(names[{j}], 0)"
+    if kind == NEGPROP:
+        return f"v[{i}] = full & ~val.get(names[{j}], 0)"
+    # VAR, free in the root
+    return f"v[{i}] = env[names[{j}]] if names[{j}] in env else unbound(names[{j}])"
+
+
+def _mu_segments(f: MuFormula) -> tuple:
+    """`(top, F, keys, root, names, K)` for f, compiled once from its
+    program and kept on f.  `keys` lists every step's key in the order of
+    the value list; the top-level steps come first, the root's (at index
+    `root`) last among them.  Each body (the top level, then the binders'
+    bodies in order of discovery) becomes segments of its own, all in `F`;
+    `top` is the top level's.  Closed top-level steps are guarded, so that
+    a value taken from the store is kept."""
+    if f._segments is None:
+        bodies = [mu_program(f)]
+        keys = []
+        for steps in bodies:  # grows as binders are found
+            for key, kind, operand in steps:
+                keys.append(key)
+                if kind in (MU, NU):
+                    bodies.append(operand[0])
+        index = {key: i for i, key in enumerate(keys)}
+        starts = [0]
+        for steps in bodies:
+            starts.append(starts[-1] + (len(steps) + SEGMENT_STEPS - 1) // SEGMENT_STEPS)
+        names: list = []
+        algebra: list = []
+        scope = {"unbound": _unbound}
+        segments = []
+        found = 1
+        for b, steps in enumerate(bodies):
+            sources = []
+            for key, kind, operand in steps:
+                i = index[key]
+                calls = ()
+                if kind in (MU, NU):
+                    calls = range(starts[found], starts[found + 1])
+                    found += 1
+                source = _mu_step_source(i, kind, operand, index, names,
+                                         algebra, calls)
+                if b == 0 and type(key) is not int:
+                    source = (f"if v[{i}] is None:\n    "
+                              + source.replace("\n", "\n    "))
+                sources.append(source)
+            segments += _compile_segments(_MU_HEAD, sources, scope, "<mu segment>")
+        f._segments = (tuple(segments[:starts[1]]), tuple(segments), tuple(keys),
+                       len(bodies[0]) - 1, tuple(names), tuple(algebra))
+    return f._segments
+
+
+def run_mu(model: KripkeModel, f: MuFormula, values: Optional[dict], dia, box,
            env: Optional[Mapping[str, int]] = None) -> int:
-    """World set of f under the algebra `dia`/`box` on `model`.  `values`
-    is the value store; closed nodes already in it are not recomputed, open
-    ones always are."""
-    got = values.get(f)
-    if got is not None:
-        return got
-    program = mu_program(f)
+    """World set of f under the algebra `dia`/`box` on `model`: the
+    compiled segments of f run over one value list.  `dia(model, s, key)`
+    and `box(model, s, key)` are the modal operations; `key` is the
+    argument's key.  `values` is the value store: if f is in it, its value
+    is returned; closed nodes already in it are not recomputed, open ones
+    always are, and every value computed is stored in it.  With None,
+    nothing is stored."""
+    top, segments, keys, root, names, algebra = f._segments or _mu_segments(f)
     if values:
-        program = [step for step in program
-                   if type(step[0]) is int or step[0] not in values]
-    _run(program, values, model, model.full_mask, dia, box, env or {})
-    return values[program[-1][0]]
+        got = values.get(f)
+        if got is not None:
+            return got
+        v = list(map(values.get, keys))
+    else:
+        v = [None] * len(keys)
+    val, full = model.val, model.full_mask
+    env = env or {}
+    for segment in top:
+        segment(v, model, val, names, full, env, dia, box, algebra, segments)
+    if values is not None:
+        if None in v:  # the body of a fixed point whose value was given
+            values.update((key, x) for key, x in zip(keys, v) if x is not None)
+        else:
+            values.update(zip(keys, v))
+    return v[root]
 
 
 def eval_mu(model: KripkeModel, f: MuFormula,
             env: Optional[Mapping[str, int]] = None,
             cache: Optional[dict] = None) -> int:
     """World set of an NNF formula; fixed points by monotone iteration."""
-    return run_mu(model, f, {} if cache is None else cache, _dia_mask, _box_mask, env)
+    return run_mu(model, f, cache, _dia_mask, _box_mask, env)
 
 
 def eval_mu_exact(model: KripkeModel, f: MuFormula,
@@ -371,13 +470,8 @@ def _tangle_program(f: TangleFormula) -> list[tuple]:
     return f._program
 
 
-# Steps per compiled segment.  Compiling costs memory that grows with the
-# size of the function compiled, so a DAG of any size is split into
-# functions of at most this many steps.
-SEGMENT_STEPS = 128
-
-# The signature of every segment.  Besides these names its source uses only
-# the locals `x` and `k` and the globals `dia`, `box` and `tangle`.
+# The signature of every tangle segment.  Besides these names its source
+# uses only the locals `x` and `k` and the globals `dia`, `box` and `tangle`.
 _SEGMENT_HEAD = "def segment(v, model, val, names, full, D, B, T):\n"
 
 
@@ -423,13 +517,8 @@ def _tangle_segments(f: TangleFormula) -> tuple:
         names: list = []
         steps = [_step_source(i, kind, operand, index, names)
                  for i, (_, kind, operand) in enumerate(program)]
-        segments = []
-        for start in range(0, len(steps), SEGMENT_STEPS):
-            body = "\n".join(steps[start:start + SEGMENT_STEPS])
-            source = _SEGMENT_HEAD + "    " + body.replace("\n", "\n    ") + "\n"
-            scope = {"dia": _dia_mask, "box": _box_mask, "tangle": _tangle_mask}
-            exec(compile(source, "<tangle segment>", "exec"), scope)
-            segments.append(scope["segment"])
+        scope = {"dia": _dia_mask, "box": _box_mask, "tangle": _tangle_mask}
+        segments = _compile_segments(_SEGMENT_HEAD, steps, scope, "<tangle segment>")
         f._segments = (tuple(segments), tuple(names),
                        tuple(node for node, _, _ in program))
     return f._segments

@@ -31,8 +31,9 @@ Scaling notes, all semantically transparent:
 - That block evaluation reads only the cluster and the sky above, so it is
   memoised per `(cluster, sky_above)` and shared by every cell with the
   same input (on `nu x.(p & <> x)`, 24,480 cells have 224 distinct inputs).
-- Only final pairs are stored.  The cells of a depth are its candidate
-  fact profiles (`cells[d]`, with a shrunk recipe each) times the clusters;
+- Only final pairs are built and stored; a cell's finality is read from
+  the block memo first.  The cells of a depth are its candidate fact
+  profiles (`cells[d]`, with a shrunk recipe each) times the clusters;
   chain extension counts the semi-final ones, `eval_triples` reads their
   truths from the block memo, and the pairs guard counts cells up front.
 - A fact set is an int: the fact "member i holds at depth d" is bit
@@ -165,6 +166,7 @@ class Translator:
         self._semi_counts: list[int] = []
         self._lattice: list[dict[int, tuple[SatPair, ...]]] = []
         self._stack_bisim_memo: dict[tuple, bool] = {}
+        self._embed_memo: dict[tuple, str] = {}
         self._block_memo: dict[tuple, tuple[dict, bool, int]] = {}
         self._theta_key_memo: dict[int, tuple] = {}
         self._tau_memo: dict = {}
@@ -284,16 +286,26 @@ class Translator:
                 "pairs", f"{n} pairs at depth {d}, more than {self.guards.max_pairs}")
         self.cells.append({theta: self._shrink_recipe(theta, lattice[theta])
                            for theta in thetas})
-        self.pairs.append({(pair.cluster, pair.theta): pair
-                           for pair in self.cell_pairs(d) if pair.final})
+        self.pairs.append({(cluster, theta): self._make_pair(cluster, theta, d, recipe, sky)
+                           for theta, recipe, sky in self._profiles(d)
+                           for cluster in self.clusters
+                           if self._root_block(cluster, sky)[1]})
         self._build_chains(d)
+
+    def _profiles(self, d: int) -> Iterable[tuple[int, tuple[SatPair, ...], int]]:
+        """`(theta, recipe, sky above)` of each candidate profile of depth d."""
+        for theta, recipe in self.cells[d].items():
+            sky = 0
+            for p in recipe:
+                sky |= p.sky
+            yield theta, recipe, sky
 
     def cell_pairs(self, d: int) -> Iterable[SatPair]:
         """The pair of every cell of depth d, final or not, in table order;
         only the final ones are stored."""
-        for theta, recipe in self.cells[d].items():
+        for theta, recipe, sky in self._profiles(d):
             for cluster in self.clusters:
-                yield self._make_pair(cluster, theta, d, recipe)
+                yield self._make_pair(cluster, theta, d, recipe, sky)
 
     def _build_chains(self, d: int) -> None:
         """Chains of depth d.  The options extending a parent are the cells
@@ -380,11 +392,8 @@ class Translator:
         assert acc == theta
         return tuple(kept)
 
-    def _make_pair(self, cluster: CanonicalCluster, theta: int,
-                   depth: int, recipe: tuple[SatPair, ...]) -> SatPair:
-        sky_above = 0
-        for p in recipe:
-            sky_above |= p.sky
+    def _make_pair(self, cluster: CanonicalCluster, theta: int, depth: int,
+                   recipe: tuple[SatPair, ...], sky_above: int) -> SatPair:
         truths, is_final, sky = self._root_block(cluster, sky_above)
         theta_c = theta
         if is_final:
@@ -506,6 +515,13 @@ class Translator:
 
     # -- chain orders -----------------------------------------------------------
 
+    def _embeds(self, c: CanonicalCluster, d: CanonicalCluster) -> str:
+        key = (c, d)
+        got = self._embed_memo.get(key)
+        if got is None:
+            got = self._embed_memo[key] = sem.cluster_embeds(c, d)
+        return got
+
     def chain_order(self, c1: Chain, c2: Chain) -> str:
         """CHAIN_STRICT when c1's root cluster strictly embeds into c2's with
         equal prefixes and facts; CHAIN_REFL when the chains coincide."""
@@ -513,7 +529,7 @@ class Translator:
             return CHAIN_NONE
         if c1.root.theta != c2.root.theta:
             return CHAIN_NONE
-        emb = sem.cluster_embeds(c1.root.cluster, c2.root.cluster)
+        emb = self._embeds(c1.root.cluster, c2.root.cluster)
         if emb == sem.EMBED_STRICT:
             return CHAIN_STRICT
         if emb == sem.EMBED_BISIMILAR:
@@ -568,7 +584,7 @@ class Translator:
                   theta: int) -> bool:
         if theta != parent.root.theta_c:
             return False
-        if sem.cluster_embeds(cluster, parent.root.cluster) == sem.EMBED_NO:
+        if self._embeds(cluster, parent.root.cluster) == sem.EMBED_NO:
             return False
         return any(mult == ONE for _, mult in cluster.entries)
 

@@ -243,6 +243,131 @@ class TestMuProgram:
         assert body[-1][0] == result
 
 
+def _alternating_nest(depth: int) -> fm.MuFormula:
+    """`nu x0. mu x1. (((p & <> x0) | (q & [] x1)) & W2)`, where each W_k
+    (2 <= k < depth) binds x_k and has x_(k-1) free, so it runs inside
+    x_(k-1)'s loop: `nu xk. (xk | (x(k-1) & W(k+1)))` at even k, `mu xk.
+    (xk & (x(k-1) | W(k+1)))` at odd k, and the innermost reads `<> x0`.
+    A nu W is T and a mu W is F whatever their bodies, so the whole formula
+    agrees with the two-binder core, and every W settles in one round."""
+    inner = fm.diamond(fm.var("x0"))
+    for k in range(depth - 1, 1, -1):
+        x, outer = fm.var(f"x{k}"), fm.var(f"x{k - 1}")
+        if k % 2:
+            inner = fm.mu(f"x{k}", fm.conj(x, fm.disj(outer, inner)))
+        else:
+            inner = fm.nu(f"x{k}", fm.disj(x, fm.conj(outer, inner)))
+    core = p("(p & <> x0) | (q & [] x1)")
+    return fm.nu("x0", fm.mu("x1", fm.conj(core, inner) if depth > 2 else core))
+
+
+def _binder_nesting(program: list) -> int:
+    deepest = 0
+    stack = [(program, 0)]
+    while stack:
+        steps, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((operand[0], depth + 1) for _, kind, operand in steps
+                     if kind in (fm.MU, fm.NU))
+    return deepest
+
+
+class TestCompiledMu:
+    @pytest.fixture(scope="class")
+    def models_pq2(self):
+        return list(enumerate_models(["p", "q"], 2))
+
+    def test_forty_nested_alternating_binders(self, models_pq2):
+        # The exact oracle enumerates every candidate of every binder, so it
+        # runs on the two-binder core; a four-binder nest checks, against it
+        # directly, that the W wrappers leave the core's value unchanged.
+        nest, small = _alternating_nest(40), _alternating_nest(4)
+        core = _alternating_nest(2)
+        assert _binder_nesting(sem.mu_program(nest)) == 40
+        assert _binder_nesting(sem.mu_program(small)) == 4
+        for model in models_pq2:
+            want = sem.eval_mu_exact(model, core)
+            assert sem.eval_mu_exact(model, small) == want
+            assert sem.eval_mu(model, small) == want
+            assert sem.eval_mu(model, nest) == want
+        assert {sem.eval_mu(m, core) for m in models_pq2} != {0}
+
+    def test_binder_body_longer_than_two_segments(self, models_pq2):
+        size = sem.SEGMENT_STEPS
+        first = fm.diamond(fm.var("x"))
+        g = first
+        for i in range(size + 8):
+            if i % 2:
+                g = fm.conj(fm.diamond(g), fm.prop("p"))
+            else:
+                g = fm.disj(fm.box(g), fm.prop("q"))
+        # A late step reads `<> x`, one of the body's first, two segments back.
+        f = fm.nu("x", fm.disj(fm.conj(first, fm.prop("q")), g))
+        _, _, (body, _) = sem.mu_program(f)[-1]
+        position = {key: i for i, (key, _, _) in enumerate(body)}
+        reads = [(i, a) for i, (_, kind, operand) in enumerate(body)
+                 for a in (operand if kind in (fm.AND, fm.OR) else (operand,))]
+        assert len(body) > 2 * size
+        assert any(position[a] // size < i // size - 1
+                   for i, a in reads if a in position)
+        got = {}
+        for model in models_pq2:
+            got[model] = sem.eval_mu(model, f)
+            assert got[model] == sem.eval_mu_exact(model, f)
+        assert len(set(got.values())) > 2
+
+    @pytest.mark.parametrize("name", ["a'b", "v", "full", "x); import os #"])
+    def test_names_are_data_not_source(self, name):
+        model = KripkeModel(["0", "1", "2"], [(0, 1), (0, 2), (1, 2), (2, 1)],
+                            {name: [1], "q": [2]})
+        atom, free = fm.prop(name), fm.var(name)
+        env = {name: 0b101}
+        formulas = [atom, fm.neg_prop(name), free, fm.diamond(atom),
+                    fm.conj(free, fm.box(fm.disj(atom, fm.prop("q")))),
+                    fm.nu("y", fm.conj(free, fm.diamond(fm.var("y")))),
+                    fm.mu(name, fm.disj(fm.prop("q"), fm.diamond(free)))]
+        for f in formulas:
+            assert sem.eval_mu(model, f, env) == sem.eval_mu_exact(model, f, env)
+            if name in fm.free_vars(f) | fm.prop_names(f):
+                assert name in sem._mu_segments(f)[4]
+        assert sem.eval_mu(model, atom) == model.val[name]
+        with pytest.raises(sem.UnboundVariableError, match="unbound variable"):
+            sem.eval_mu(model, formulas[4])
+
+    def test_custom_algebra_and_the_store(self, cycle_model):
+        calls = []
+
+        def dia(model, s, key):
+            calls.append(("dia", key))
+            return sem._dia_mask(model, s)
+
+        def box(model, s, key):
+            calls.append(("box", key))
+            return sem._box_mask(model, s)
+
+        def run(f, values):
+            calls.clear()
+            got = sem.run_mu(cycle_model, f, values, dia, box)
+            assert got == sem.eval_mu(cycle_model, f)
+            return list(calls)
+
+        inner = p("<> e")
+        looped = p("nu x. (<> e & [] x)")
+        values: dict = {}
+        assert run(inner, values) == [("dia", p("e"))]
+        # `<> e` is taken from the store; `[] x` reruns per round, keyed by
+        # its argument, the bound x, which reads its binder's slot
+        x_calls = run(looped, values)
+        assert x_calls == [("box", looped)] * 3
+        assert values[looped] == sem.eval_mu(cycle_model, looped)
+        assert all(key in values for key, _, _ in sem.mu_program(looped))
+        # a closed fixed point in the store is not iterated again
+        assert run(fm.disj(looped, p("[] o")), values) == [("box", p("o"))]
+        assert run(looped, values) == []
+        # without a store every node is computed and nothing is kept
+        assert run(looped, None) == [("dia", p("e"))] + x_calls
+
+
 class TestBisimulation:
     def test_self_bisimilar(self, cycle_model):
         rel = sem.bisimilar(cycle_model, cycle_model, ["e", "o", "p", "i"])
