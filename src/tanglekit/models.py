@@ -5,6 +5,14 @@ is stored as one successor bitmask per world, and valuations map proposition
 names to bitmasks.  Models are immutable after construction; the cluster
 structure is computed lazily and cached.
 
+Each model carries two modal memos, `_dia` and `_box`, mapping an argument
+mask to its diamond or box image (filled by `semantics._dia_mask` and
+`_box_mask`).  An image depends on `succ` alone, which never changes, so a
+memo stays valid for the model's life and may be shared by every model on
+the same frame.  A model gets fresh memos unless `_masks` hands it a pair as
+a third element.  `enumerate_models` does that: one pair per frame and call,
+shared by every model it yields on that frame, and freed with them.
+
 `enumerate_models` yields every model up to isomorphism.  Its frames come
 from `_wk4_canonical(n)`, which extends each canonical (n-1)-world frame by
 one world with every out-mask (self bit included) and in-mask, keeps the
@@ -70,8 +78,9 @@ class KripkeModel:
         self.n = len(self.labels)
         if len(set(self.labels)) != self.n:
             raise ModelFormatError("duplicate world labels")
+        memos = None
         if _masks is not None:
-            succ, val = _masks
+            succ, val, *memos = _masks
             self.succ = tuple(succ)
             self.val = dict(val)
         else:
@@ -85,6 +94,8 @@ class KripkeModel:
                 for w in worlds:
                     mask |= 1 << w
                 self.val[name] = mask
+        self.full_mask = (1 << self.n) - 1
+        self._dia, self._box = memos[0] if memos else ({}, {})
         self._pred = None
         self._clusters = None
         self._cluster_id = None
@@ -92,10 +103,6 @@ class KripkeModel:
         self._tangle = None
 
     # -- basic views ---------------------------------------------------
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def worlds(self) -> range:
         return range(self.n)
@@ -498,7 +505,8 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
                      guard: int = 5) -> Iterator[KripkeModel]:
     """All weakly transitive models with 1..max_worlds worlds over the given
     atoms, up to isomorphism.  Deterministic order: frames by canonical
-    relation, then valuations as the least tuple of their orbit."""
+    relation, then valuations as the least tuple of their orbit.  The
+    models of one frame share one pair of modal memos."""
     props = tuple(sorted(props))
     if max_worlds > guard:
         raise ClusterEnumerationError(
@@ -506,10 +514,11 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     for n in range(1, max_worlds + 1):
         labels = tuple(str(i) for i in range(n))
         for succ, tables in _wk4_canonical(n):
+            memos = ({}, {})
             for masks in itertools.product(range(1 << n), repeat=len(props)):
                 if any(tuple(map(table.__getitem__, masks)) < masks for table in tables):
                     continue
-                yield KripkeModel(labels, (), _masks=(succ, dict(zip(props, masks))))
+                yield KripkeModel(labels, (), _masks=(succ, dict(zip(props, masks)), memos))
 
 
 def _edges_of(succ: Sequence[int]) -> list[tuple[int, int]]:

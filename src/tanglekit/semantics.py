@@ -32,11 +32,23 @@ binders nest, and running recurses once per nested binder only; compiling
 does not recurse.  `run_mu` runs the segments over a world-set algebra: the
 model gives the valuation and `full` (the set of all its worlds) gives top,
 and `dia(model, s, key)`/`box(model, s, key)`, called with the argument's
-key, give the modalities.  `eval_mu` uses the model's own
-`_dia_mask`/`_box_mask`; the translator uses a root cluster whose
-modalities first read what holds above it.  A free variable missing from
-`env` raises `UnboundVariableError`.  `eval_mu_exact` is the independent
-oracle: it recurses over the formula and enumerates exact fixed points.
+key, give the modalities.  `eval_mu` uses `_dia_mask`/`_box_mask`; the
+translator uses a root cluster whose modalities first read what holds
+above it.  A free variable missing from `env` raises
+`UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
+recurses over the formula and enumerates exact fixed points.
+
+Modal images are memoised per frame.  `_dia_mask(model, s)` and
+`_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict, keyed by
+the argument mask, and on a miss compute the image with the memo-free
+`dia_image`/`box_image` over `model.succ` and store it.  An image depends
+on `succ` alone, which never changes, so an entry is valid for the model's
+life.  Every fast path goes through these two: `eval_mu`, the translator's
+root blocks (each realized cluster has a memo of its own) and the diamond
+and box steps of `eval_tangle`.  Models enumerated on one frame share one
+pair of memos (see `models.enumerate_models`); any other model has its own.
+No memo outlives its models.  `eval_mu_exact` calls `dia_image`/`box_image`
+directly, so the oracle shares nothing with the fast path.
 
 A mu `cache` is the value store of the run.  If the root is in it, its
 value is returned.  Closed top-level nodes already in it are guarded in the
@@ -52,10 +64,10 @@ segments, kept in `TangleFormula._segments`.  Neither compiling nor running
 recurses.  A given dict is a value store (node -> mask), so it must only
 ever hold values for one model.  If the root is in it, its value is
 returned; otherwise every node of the root's program is computed, shared
-nodes already in the store too, and stored in it.  Tangle nodes read a
-per-model cache (`KripkeModel._tangle`): the cluster geometry and a memo
-from member masks to result.  It is built on first use and lives and dies
-with the model.
+nodes already in the store too, and stored in it.  Diamond and box steps
+read the model's modal memos.  Tangle nodes read a per-model cache
+(`KripkeModel._tangle`): the cluster geometry and a memo from member masks
+to result.  It is built on first use and lives and dies with the model.
 """
 
 from __future__ import annotations
@@ -82,25 +94,45 @@ class UnboundVariableError(ValueError):
 # mu-calculus evaluation
 
 
-def _dia_mask(model: KripkeModel, s: int, key=None) -> int:
+def dia_image(succ: Sequence[int], s: int) -> int:
+    """Worlds with a successor in s."""
     out = 0
     bit = 1
-    for succ in model.succ:
-        if succ & s:
+    for row in succ:
+        if row & s:
             out |= bit
         bit <<= 1
     return out
 
 
-def _box_mask(model: KripkeModel, s: int, key=None) -> int:
+def box_image(succ: Sequence[int], s: int) -> int:
+    """Worlds all of whose successors are in s."""
     out = 0
     bit = 1
     outside = ~s
-    for succ in model.succ:
-        if not succ & outside:
+    for row in succ:
+        if not row & outside:
             out |= bit
         bit <<= 1
     return out
+
+
+def _dia_mask(model: KripkeModel, s: int, key=None) -> int:
+    """The diamond image of s, read from the model's memo `_dia`."""
+    try:
+        return model._dia[s]
+    except KeyError:
+        got = model._dia[s] = dia_image(model.succ, s)
+        return got
+
+
+def _box_mask(model: KripkeModel, s: int, key=None) -> int:
+    """The box image of s, read from the model's memo `_box`."""
+    try:
+        return model._box[s]
+    except KeyError:
+        got = model._box[s] = box_image(model.succ, s)
+        return got
 
 
 # (node, binder key per free variable) -> key of that open occurrence
@@ -329,7 +361,8 @@ def eval_mu(model: KripkeModel, f: MuFormula,
 def eval_mu_exact(model: KripkeModel, f: MuFormula,
                   env: Optional[Mapping[str, int]] = None) -> int:
     """Fixed points as the intersection (union) of all exact fixed points,
-    enumerated over the full powerset.  Only sensible on tiny models."""
+    enumerated over the full powerset.  Only sensible on tiny models.  It
+    computes every modal image afresh and reads no memo."""
     env = dict(env) if env else {}
     full = model.full_mask
 
@@ -356,9 +389,9 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
         if kind == fm.OR:
             return go(g.left, env) | go(g.right, env)
         if kind == fm.DIA:
-            return _dia_mask(model, go(g.arg, env))
+            return dia_image(model.succ, go(g.arg, env))
         if kind == fm.BOX:
-            return _box_mask(model, go(g.arg, env))
+            return box_image(model.succ, go(g.arg, env))
         if kind == fm.TOP:
             return full
         if kind == fm.BOT:
@@ -493,7 +526,7 @@ def _step_source(i: int, kind: str, operand, index: dict, names: list) -> str:
         a = index[operand]
         return (f"x = {memo}.get(v[{a}])\n"
                 f"if x is None:\n"
-                f"    x = {memo}[v[{a}]] = {op}(model, v[{a}])\n"
+                f"    x = {op}(model, v[{a}])\n"
                 f"v[{i}] = x")
     if kind == TANGLE:
         members = ", ".join(f"v[{index[m]}]" for m in operand)
@@ -527,8 +560,9 @@ def _tangle_segments(f: TangleFormula) -> tuple:
 def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
     """World set of a tangle-language formula: the compiled segments of f
-    run in order over one value list.  Diamond and box steps share a memo
-    per call, keyed by the argument mask; tangle steps read the model's
+    run in order over one value list.  Diamond and box steps read the
+    model's modal memos, keyed by the argument mask, and fill them through
+    `_dia_mask`/`_box_mask` on a miss; tangle steps read the model's tangle
     memo.  A given `cache` is a value store (node -> mask) for this model:
     if f is in it, its value is returned; otherwise every node of f's
     program is computed, shared nodes already in it too, and stored in it."""
@@ -539,11 +573,9 @@ def eval_tangle(model: KripkeModel, f: TangleFormula,
     segments, names, nodes = _tangle_segments(f)
     v = [0] * len(nodes)
     val, full = model.val, model.full_mask
-    dia_memo: dict = {}
-    box_memo: dict = {}
     _, tangle_memo = _tangle_cache(model)
     for segment in segments:
-        segment(v, model, val, names, full, dia_memo, box_memo, tangle_memo)
+        segment(v, model, val, names, full, model._dia, model._box, tangle_memo)
     if cache is not None:
         cache.update(zip(nodes, v))
     return v[-1]

@@ -55,7 +55,6 @@ Scaling notes, all semantically transparent:
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional
 
 from . import formulas as fm
@@ -747,14 +746,24 @@ class Translator:
         whole profile."""
         self.build()
         i = self._member_index[self.rep_of[self.sigma.member_of(phi)]]
-        finals = [(c.root, c) for level in self.chains for c in level]
-        semis = ((pair, None) for d in range(1, len(self.cells))
-                 for pair in self.cell_pairs(d) if not pair.final)
         triples = []
-        for pair, chain in itertools.chain(finals, semis):
-            for val, _ in pair.cluster.entries:
-                if pair.truths[frozenset(val)] >> i & 1:
-                    triples.append((frozenset(val), chain, pair.theta))
+
+        def add(cluster: CanonicalCluster, truths: dict, chain: Optional[Chain],
+                theta: int) -> None:
+            for val, _ in cluster.entries:
+                if truths[frozenset(val)] >> i & 1:
+                    triples.append((frozenset(val), chain, theta))
+
+        for level in self.chains:
+            for c in level:
+                add(c.root.cluster, c.root.truths, c, c.root.theta)
+        # the semi-final cells, read from the block memo
+        for d in range(1, len(self.cells)):
+            for theta, _, sky in self._profiles(d):
+                for cluster in self.clusters:
+                    truths, is_final, _ = self._root_block(cluster, sky)
+                    if not is_final:
+                        add(cluster, truths, None, theta)
         return triples
 
     def characteristic(self, phi: MuFormula) -> TangleFormula:

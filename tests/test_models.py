@@ -314,3 +314,33 @@ class TestSerialization:
         sub = cycle_model.restrict(0b10)
         assert sub.labels == ("1",)
         assert sub.val_mask("o") == 1
+
+
+class TestModalMemos:
+    def test_models_of_one_frame_share_memos(self):
+        by_frame: dict = {}
+        for m in enumerate_models(["p"], 3):
+            by_frame.setdefault(m.succ, []).append(m)
+        memos = set()
+        for models in by_frame.values():
+            first = models[0]
+            assert first._dia is not first._box
+            assert all(m._dia is first._dia and m._box is first._box for m in models)
+            memos.add(id(first._dia))
+        assert len(memos) == len(by_frame) == 2 + 10 + 54
+
+    def test_enumerations_and_other_models_do_not_share(self):
+        one = list(enumerate_models(["p"], 2))
+        two = list(enumerate_models(["p"], 2))
+        assert [m.succ for m in one] == [m.succ for m in two]
+        assert all(a._dia is not b._dia and a._box is not b._box
+                   for a, b in zip(one, two))
+        m = one[-1]
+        copies = [KripkeModel(m.labels, (), _masks=(m.succ, m.val)), m.close(),
+                  m.restrict(m.full_mask)]
+        assert all(c._dia is not m._dia and c._box is not m._box for c in copies)
+
+    def test_full_mask_is_an_attribute(self):
+        m = KripkeModel(["a", "b", "c"], [(0, 1)])
+        assert m.full_mask == 0b111 == vars(m)["full_mask"]
+        assert KripkeModel([], ()).full_mask == 0

@@ -6,6 +6,7 @@ from tanglekit import formulas as fm
 from tanglekit import semantics as sem
 from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel,
                               enumerate_models, random_model)
+from tanglekit.translate import translate
 from tests.conftest import random_formula
 
 
@@ -546,3 +547,51 @@ class TestWeakTransitivityAxiom:
         for seed in range(200):
             m = random_model(["p"], 6, seed)
             assert sem.eval_mu(m, axiom) == m.full_mask
+
+
+# The three fuzz-equiv benchmark shapes, with atoms and polarities filled
+# in, and two one-binder formulas.
+MEMO_FORMULAS = [
+    "nu x. mu y. ((p & <> x) | (q & [] y))",
+    "mu x. nu y. ((~q | [] x) & (p | <> y))",
+    "nu x. <> mu y. ((~p & x) | (q & <> y))",
+    "nu x.(p & <> x)",
+    "[] <> q",
+]
+
+
+class TestModalMemo:
+    def test_shared_memos_match_fresh_models_and_the_oracle(self):
+        formulas = [p(text) for text in MEMO_FORMULAS]
+        count = 0
+        for model in enumerate_models(("p", "q"), 3):
+            fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+            for f in formulas:
+                shared = sem.eval_mu(model, f)
+                own = sem.eval_mu(fresh, f)
+                exact = sem.eval_mu_exact(model, f)
+                assert shared == own == exact, (
+                    f"first mismatch: {model.to_dict()} on {fm.print_mu(f)}: "
+                    f"shared memo {shared}, fresh model {own}, oracle {exact}")
+            count += 1
+        assert count == 2848
+
+    def test_oracle_reads_no_memo(self, cycle_model):
+        f = p("<> e")
+        right = sem.eval_mu_exact(cycle_model, f)
+        assert sem.eval_mu(cycle_model, f) == right
+        cycle_model._dia[cycle_model.val["e"]] = right ^ cycle_model.full_mask
+        assert sem.eval_mu(cycle_model, f) == right ^ cycle_model.full_mask
+        assert sem.eval_mu_exact(cycle_model, f) == right
+
+    def test_tangle_steps_agree_with_a_memo_filled_by_eval_mu(self):
+        phi = p("<> p")
+        chi, _ = translate(phi)
+        for model in enumerate_models(("p",), 3):
+            fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+            sem.eval_mu(model, phi)
+            assert model._dia
+            filled: dict = {}
+            empty: dict = {}
+            assert sem.eval_tangle(model, chi, filled) == sem.eval_tangle(fresh, chi, empty)
+            assert filled == empty
