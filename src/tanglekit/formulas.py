@@ -745,6 +745,7 @@ class TangleFormula:
 
     __slots__ = ("kind", "name", "left", "right", "arg", "members",
                  "_key", "_size", "_program", "_segments")
+    _freevars = frozenset()  # read by free_vars: tangle formulas are closed
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  members=None):

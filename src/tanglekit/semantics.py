@@ -6,68 +6,57 @@ World sets are bitmasks.  The helpers that take a `cache` dict expect it to
 be private to one model; passing the same dict across calls makes repeated
 evaluation on that model incremental.
 
-Both languages run compiled code, built by one segment compiler
-(`_compile_segments`): a list of step sources is split into runs of at
-most `SEGMENT_STEPS` steps, and each run becomes one Python function,
-generated with `compile`/`exec` over a fixed scope.  The compiler's memory
-grows with the size of the function compiled, so one function for a
-program of tens of thousands of steps would cost tens of megabytes at
-compile time.  Each step is a line or a short block over one per-call value
-list `v`, with integer indices and fixed local names only: atom names, free
-variable names and algebra keys are passed in tuples and never written into
-the source.
+Both languages go through one pipeline, each stage done once per root and
+kept on it; tangle formulas are read as the mu sublanguage they are, with
+NOT and TANGLE as two more step kinds.  `mu_program` lists a formula as a
+flat post-order program of `(key, kind, operand)` steps by an iterative
+walk.  A closed node, and so every tangle node, is keyed by itself; an open
+one by an int that is the same wherever its free variables are bound by the
+same binders.  A fixed-point step carries its body's steps, and each step
+sits in the body of the innermost binder whose variable is free in it, so
+work that does not depend on a variable runs outside that variable's loop.
+`_mu_segments` compiles the top level and each binder's body into segments
+of their own: runs of at most `SEGMENT_STEPS` step sources, each one Python
+function generated with `compile`/`exec`.  Compiling costs memory that
+grows with the size of the function, hence the split.  A step is a line or
+a short block over one per-call value list `v`, with integer indices and
+fixed local names only: atom names, free variable names and algebra keys
+are read by index from lists of the root and never written into the source.  A fixed-point step
+iterates `v[i] = x`, its body's segments, and a compare of the body's
+result with `x`, so no function nests blocks more than three deep; running
+recurses once per nested binder only, and nothing else recurses.
 
-Mu-calculus formulas are compiled in two stages, each done once and kept on
-the root node.  `mu_program` turns a formula into a flat post-order program
-(`MuFormula._program`).  A closed node is keyed by itself; an open one by an
-int that is the same wherever its free variables are bound by the same
-binders.  A fixed-point step carries its body's steps, and each step sits
-in the body of the innermost binder whose variable is free in it, so work
-that does not depend on a variable runs outside that variable's loop.
-`_mu_segments` then compiles the top level and each binder's body into
-segments of their own (`MuFormula._segments`); a fixed-point step iterates
-`v[i] = x`, its body's segments, and a compare of the body's result with
-`x`.  So no function nests blocks more than three deep, however deep the
-binders nest, and running recurses once per nested binder only; compiling
-does not recurse.  `run_mu` runs the segments over a world-set algebra: the
-model gives the valuation and `full` (the set of all its worlds) gives top,
-and `dia(model, s, key)`/`box(model, s, key)`, called with the argument's
-key, give the modalities.  `eval_mu` uses `_dia_mask`/`_box_mask`; the
-translator uses a root cluster whose modalities first read what holds
-above it.  A free variable missing from `env` raises
+`run_program` runs the segments over a world-set algebra: the model gives
+the valuation and `full` (the set of all its worlds) gives top.  A diamond
+step reads the memo `D` by its argument mask and on a miss calls
+`dia(model, s, key)` with the argument's key; box steps read `B` and call
+`box` alike.  `eval_mu` and `eval_tangle` pass `_dia_mask`/`_box_mask` and
+the model's own memos.  The translator's root blocks pass empty memos and
+modalities that first read what holds above the cluster.  Tangle steps read
+a per-model cache (`KripkeModel._tangle`): the cluster geometry and a memo
+from member masks to result, built the first time a program with a tangle
+step runs on the model.  A free variable missing from `env` raises
 `UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
 recurses over the formula and enumerates exact fixed points.
 
 Modal images are memoised per frame.  `_dia_mask(model, s)` and
-`_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict, keyed by
-the argument mask, and on a miss compute the image with the memo-free
-`dia_image`/`box_image` over `model.succ` and store it.  An image depends
-on `succ` alone, which never changes, so an entry is valid for the model's
-life.  Every fast path goes through these two: `eval_mu`, the translator's
-root blocks (each realized cluster has a memo of its own) and the diamond
-and box steps of `eval_tangle`.  Models enumerated on one frame share one
-pair of memos (see `models.enumerate_models`); any other model has its own.
-No memo outlives its models.  `eval_mu_exact` calls `dia_image`/`box_image`
-directly, so the oracle shares nothing with the fast path.
+`_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict and on a
+miss compute the image with the memo-free `dia_image`/`box_image` over
+`model.succ` and store it.  An image depends on `succ` alone, which never
+changes, so an entry is valid for the model's life.  Models enumerated on
+one frame share one pair of memos (see `models.enumerate_models`); any
+other model has its own, and no memo outlives its models.  The translator's
+root blocks fill their realized cluster's memo through the same two.
+`eval_mu_exact` calls `dia_image`/`box_image` directly, so the oracle
+shares nothing with the fast path.
 
-A mu `cache` is the value store of the run.  If the root is in it, its
-value is returned.  Closed top-level nodes already in it are guarded in the
-compiled code and never recomputed, while open nodes, whose values depend on
-`env` and on the binders' iterates, are always recomputed, so calls with
-different `env` values can share it.  Every value computed, open keys
-included, is stored back; with no cache, nothing is kept.
-
-For `eval_tangle`, the formula's DAG is first listed as a flat post-order
-program by an iterative walk (`_tangle_program`, kept in
-`TangleFormula._program`).  Once per root, that program is compiled into
-segments, kept in `TangleFormula._segments`.  Neither compiling nor running
-recurses.  A given dict is a value store (node -> mask), so it must only
-ever hold values for one model.  If the root is in it, its value is
-returned; otherwise every node of the root's program is computed, shared
-nodes already in the store too, and stored in it.  Diamond and box steps
-read the model's modal memos.  Tangle nodes read a per-model cache
-(`KripkeModel._tangle`): the cluster geometry and a memo from member masks
-to result.  It is built on first use and lives and dies with the model.
+A `cache` is the value store of the run, one store rule for both
+languages.  If the root is in it, its value is returned.  A closed
+top-level fixed point already in it is not iterated again.  Every other
+step is recomputed, open ones because their values depend on `env` and on
+the binders' iterates, so calls with different `env` values can share the
+store.  Every value computed, open keys included, is stored back; with no
+cache, nothing is kept.
 """
 
 from __future__ import annotations
@@ -155,14 +144,15 @@ def _step_key(g: MuFormula, scope: dict):
     return key
 
 
-def mu_program(f: MuFormula) -> list[tuple]:
-    """The steps that evaluate f, compiled once by an iterative walk and
-    kept on f.  A step is `(key, kind, operand)`; the operand is the name,
-    the argument key, the `(left, right)` keys, or for a fixed point its
-    body's steps and the key of the body's result.  Each step sits in the
-    body of the innermost binder whose variable is free in it, so work that
-    does not depend on a variable runs once, outside that variable's loop;
-    steps of variables left free (read from `env`) sit at the top."""
+def mu_program(f: MuFormula | TangleFormula) -> list[tuple]:
+    """The steps that evaluate f, a mu or a tangle formula, listed once by
+    an iterative walk and kept on f.  A step is `(key, kind, operand)`; the
+    operand is the name, the argument key, the `(left, right)` keys, the
+    member keys of a tangle, or for a fixed point its body's steps and the
+    key of the body's result.  Each step sits in the body of the innermost
+    binder whose variable is free in it, so work that does not depend on a
+    variable runs once, outside that variable's loop; steps of variables
+    left free (read from `env`) sit at the top."""
     if f._program is not None:
         return f._program
     top: list = []
@@ -197,8 +187,10 @@ def mu_program(f: MuFormula) -> list[tuple]:
             continue
         if kind in (fm.AND, fm.OR):
             operand = (_step_key(g.left, scope), _step_key(g.right, scope))
-        elif kind in (fm.DIA, fm.BOX):
+        elif kind in (fm.DIA, fm.BOX, fm.NOT):
             operand = _step_key(g.arg, scope)
+        elif kind == fm.TANGLE:
+            operand = g.members  # a tangle node is closed: its own key
         else:
             operand = g.name
         stack.append((None, (home, (key, kind, operand))))
@@ -213,17 +205,16 @@ def mu_program(f: MuFormula) -> list[tuple]:
 SEGMENT_STEPS = 128
 
 
-def _compile_segments(head: str, steps: list[str], scope: dict,
-                      filename: str) -> list:
+def _compile_segments(steps: list[str], scope: dict) -> list:
     """Split the step sources into runs of at most `SEGMENT_STEPS` and
-    compile each run, under `head`, into one function whose globals are a
+    compile each run, under `_HEAD`, into one function whose globals are a
     copy of `scope`."""
     segments = []
     for start in range(0, len(steps), SEGMENT_STEPS):
         body = "\n".join(steps[start:start + SEGMENT_STEPS])
-        source = head + "    " + body.replace("\n", "\n    ") + "\n"
+        source = _HEAD + "    " + body.replace("\n", "\n    ") + "\n"
         namespace = dict(scope)
-        exec(compile(source, filename, "exec"), namespace)
+        exec(compile(source, "<segment>", "exec"), namespace)
         segments.append(namespace["segment"])
     return segments
 
@@ -232,28 +223,43 @@ def _unbound(name: str):
     raise UnboundVariableError(f"unbound variable {name!r}")
 
 
-# The signature of every mu segment.  Besides these names its source uses
-# only the local `x` and the global `unbound`.  `names` holds atom and free
-# variable names, `K` the keys passed to `dia`/`box`, `F` every segment of
-# the root's program.
-_MU_HEAD = "def segment(v, model, val, names, full, env, dia, box, K, F):\n"
-_MU_CALL = "F[{}](v, model, val, names, full, env, dia, box, K, F)"
+# The signature of every segment.  `D`, `B` and `T` are the diamond, box
+# and tangle memos read inline.  Besides these names its source uses only
+# the locals `x` and `k` and the globals of its root: `names` (atom and
+# free variable names), `K` (the keys passed to `dia`/`box`), `F` (every
+# segment of the root's program), `unbound` and `tangle`.
+_HEAD = "def segment(v, model, val, full, env, dia, box, D, B, T):\n"
+_CALL = "F[{}](v, model, val, full, env, dia, box, D, B, T)"
 
 
-def _mu_step_source(i: int, kind: str, operand, index: dict, names: list,
-                    algebra: list, calls: Iterable[int]) -> str:
-    """The source of step i over the value list `v`; names and algebra keys
-    go into `names` and `algebra` and the source reads them by index.  A
-    fixed point iterates its body, whose segments are `F[j]` for j in
+def _step_source(i: int, kind: str, operand, index: dict, names: list,
+                 algebra: list, calls: Iterable[int]) -> str:
+    """The source of step i over the value list `v`: it reads earlier
+    steps' values by index and writes its own to `v[i]`.  Names and algebra
+    keys go into `names` and `algebra` and the source reads them by index.
+    A fixed point iterates its body, whose segments are `F[j]` for j in
     `calls`."""
     if kind == AND:
         return f"v[{i}] = v[{index[operand[0]]}] & v[{index[operand[1]]}]"
     if kind == OR:
         return f"v[{i}] = v[{index[operand[0]]}] | v[{index[operand[1]]}]"
+    if kind == NOT:
+        return f"v[{i}] = full & ~v[{index[operand]}]"
     if kind in (DIA, BOX):
         algebra.append(operand)
-        op = "dia" if kind == DIA else "box"
-        return f"v[{i}] = {op}(model, v[{index[operand]}], K[{len(algebra) - 1}])"
+        memo, op = ("D", "dia") if kind == DIA else ("B", "box")
+        a = index[operand]
+        return (f"x = {memo}.get(v[{a}])\n"
+                "if x is None:\n"
+                f"    x = {op}(model, v[{a}], K[{len(algebra) - 1}])\n"
+                f"v[{i}] = x")
+    if kind == TANGLE:
+        members = ", ".join(f"v[{index[m]}]" for m in operand)
+        return (f"k = ({members},)\n"
+                "x = T.get(k)\n"
+                "if x is None:\n"
+                "    x = tangle(model, k)\n"
+                f"v[{i}] = x")
     if kind == TOP:
         return f"v[{i}] = full"
     if kind == BOT:
@@ -263,7 +269,7 @@ def _mu_step_source(i: int, kind: str, operand, index: dict, names: list,
         return "\n".join([f"x = {'0' if kind == MU else 'full'}",
                           "while True:",
                           f"    v[{i}] = x",
-                          *("    " + _MU_CALL.format(j) for j in calls),
+                          *("    " + _CALL.format(j) for j in calls),
                           f"    if v[{result}] == x:",
                           "        break",
                           f"    x = v[{result}]"])
@@ -277,30 +283,36 @@ def _mu_step_source(i: int, kind: str, operand, index: dict, names: list,
     return f"v[{i}] = env[names[{j}]] if names[{j}] in env else unbound(names[{j}])"
 
 
-def _mu_segments(f: MuFormula) -> tuple:
-    """`(top, F, keys, root, names, K)` for f, compiled once from its
-    program and kept on f.  `keys` lists every step's key in the order of
-    the value list; the top-level steps come first, the root's (at index
-    `root`) last among them.  Each body (the top level, then the binders'
-    bodies in order of discovery) becomes segments of its own, all in `F`;
-    `top` is the top level's.  Closed top-level steps are guarded, so that
-    a value taken from the store is kept."""
+def _mu_segments(f: MuFormula | TangleFormula) -> tuple:
+    """`(top, keys, root, fixed, tangles, names)` for f, compiled once
+    from its program and kept on f.  `keys` lists every step's key in the
+    order of the value list; the top-level steps come first, the root's (at
+    index `root`) last among them.  Each body (the top level, then the
+    binders' bodies in order of discovery) becomes segments of its own;
+    `top` is the top level's.  `fixed` indexes the closed top-level fixed
+    points: each is guarded, so that a value taken from the store is not
+    iterated again.  `tangles` says whether any step is a tangle."""
     if f._segments is None:
         bodies = [mu_program(f)]
         keys = []
+        tangles = False
         for steps in bodies:  # grows as binders are found
             for key, kind, operand in steps:
                 keys.append(key)
                 if kind in (MU, NU):
                     bodies.append(operand[0])
+                elif kind == TANGLE:
+                    tangles = True
         index = {key: i for i, key in enumerate(keys)}
         starts = [0]
         for steps in bodies:
             starts.append(starts[-1] + (len(steps) + SEGMENT_STEPS - 1) // SEGMENT_STEPS)
         names: list = []
         algebra: list = []
-        scope = {"unbound": _unbound}
-        segments = []
+        segments: list = []
+        scope = {"unbound": _unbound, "tangle": _tangle_mask,
+                 "names": names, "K": algebra, "F": segments}
+        fixed = []
         found = 1
         for b, steps in enumerate(bodies):
             sources = []
@@ -310,41 +322,50 @@ def _mu_segments(f: MuFormula) -> tuple:
                 if kind in (MU, NU):
                     calls = range(starts[found], starts[found + 1])
                     found += 1
-                source = _mu_step_source(i, kind, operand, index, names,
-                                         algebra, calls)
-                if b == 0 and type(key) is not int:
+                source = _step_source(i, kind, operand, index, names,
+                                      algebra, calls)
+                if b == 0 and kind in (MU, NU) and type(key) is not int:
+                    fixed.append(i)
                     source = (f"if v[{i}] is None:\n    "
                               + source.replace("\n", "\n    "))
                 sources.append(source)
-            segments += _compile_segments(_MU_HEAD, sources, scope, "<mu segment>")
-        f._segments = (tuple(segments[:starts[1]]), tuple(segments), tuple(keys),
-                       len(bodies[0]) - 1, tuple(names), tuple(algebra))
+            segments += _compile_segments(sources, scope)
+        f._segments = (tuple(segments[:starts[1]]), tuple(keys),
+                       len(bodies[0]) - 1, tuple(fixed), tangles, tuple(names))
     return f._segments
 
 
-def run_mu(model: KripkeModel, f: MuFormula, values: Optional[dict], dia, box,
-           env: Optional[Mapping[str, int]] = None) -> int:
-    """World set of f under the algebra `dia`/`box` on `model`: the
-    compiled segments of f run over one value list.  `dia(model, s, key)`
-    and `box(model, s, key)` are the modal operations; `key` is the
-    argument's key.  `values` is the value store: if f is in it, its value
-    is returned; closed nodes already in it are not recomputed, open ones
-    always are, and every value computed is stored in it.  With None,
-    nothing is stored."""
-    top, segments, keys, root, names, algebra = f._segments or _mu_segments(f)
+def run_program(model: KripkeModel, f: MuFormula | TangleFormula,
+                values: Optional[dict], dia, box,
+                D: Mapping[int, int], B: Mapping[int, int],
+                env: Optional[Mapping[str, int]] = None) -> int:
+    """World set of f, a mu or a tangle formula, under the algebra
+    `dia`/`box` on `model`: the compiled segments of f run over one value
+    list.  A diamond step reads the memo `D` by its argument mask and on a
+    miss calls `dia(model, s, key)`, with `key` the argument's key; box
+    steps read `B` and call `box` alike.  Tangle steps read the model's
+    tangle memo, fetched only if f has one.  `values` is the value store:
+    if f is in it, its value is returned; a closed top-level fixed point
+    already in it is not iterated again, every other step is recomputed,
+    and every value computed is stored in it.  With None, nothing is
+    stored."""
+    top, keys, root, fixed, tangles, _ = f._segments or _mu_segments(f)
     if values:
         got = values.get(f)
         if got is not None:
             return got
-        v = list(map(values.get, keys))
+        v = [None] * len(keys)
+        for i in fixed:
+            v[i] = values.get(keys[i])
     else:
         v = [None] * len(keys)
+    T = _tangle_cache(model)[1] if tangles else None
     val, full = model.val, model.full_mask
     env = env or {}
     for segment in top:
-        segment(v, model, val, names, full, env, dia, box, algebra, segments)
+        segment(v, model, val, full, env, dia, box, D, B, T)
     if values is not None:
-        if None in v:  # the body of a fixed point whose value was given
+        if fixed and None in v:  # the body of a fixed point whose value was given
             values.update((key, x) for key, x in zip(keys, v) if x is not None)
         else:
             values.update(zip(keys, v))
@@ -355,18 +376,26 @@ def eval_mu(model: KripkeModel, f: MuFormula,
             env: Optional[Mapping[str, int]] = None,
             cache: Optional[dict] = None) -> int:
     """World set of an NNF formula; fixed points by monotone iteration."""
-    return run_mu(model, f, cache, _dia_mask, _box_mask, env)
+    return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
+                       model._box, env)
 
 
 def eval_mu_exact(model: KripkeModel, f: MuFormula,
                   env: Optional[Mapping[str, int]] = None) -> int:
     """Fixed points as the intersection (union) of all exact fixed points,
     enumerated over the full powerset.  Only sensible on tiny models.  It
-    computes every modal image afresh and reads no memo."""
+    computes every modal image afresh and reads no modal memo; within one
+    call, the value of a subformula is memoised on the values of its free
+    variables, on which alone it depends."""
     env = dict(env) if env else {}
     full = model.full_mask
+    memo: dict = {}
 
     def go(g: MuFormula, env: dict) -> int:
+        key = (g, *map(env.get, fm.free_vars(g)))
+        out = memo.get(key)
+        if out is not None:
+            return out
         kind = g.kind
         if kind in (fm.MU, fm.NU):
             exact = []
@@ -383,26 +412,28 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
                 out = 0
                 for x in exact:
                     out |= x
-            return out
-        if kind == fm.AND:
-            return go(g.left, env) & go(g.right, env)
-        if kind == fm.OR:
-            return go(g.left, env) | go(g.right, env)
-        if kind == fm.DIA:
-            return dia_image(model.succ, go(g.arg, env))
-        if kind == fm.BOX:
-            return box_image(model.succ, go(g.arg, env))
-        if kind == fm.TOP:
-            return full
-        if kind == fm.BOT:
-            return 0
-        if kind == fm.PROP:
-            return model.val_mask(g.name)
-        if kind == fm.NEGPROP:
-            return full & ~model.val_mask(g.name)
-        if g.name not in env:
+        elif kind == fm.AND:
+            out = go(g.left, env) & go(g.right, env)
+        elif kind == fm.OR:
+            out = go(g.left, env) | go(g.right, env)
+        elif kind == fm.DIA:
+            out = dia_image(model.succ, go(g.arg, env))
+        elif kind == fm.BOX:
+            out = box_image(model.succ, go(g.arg, env))
+        elif kind == fm.TOP:
+            out = full
+        elif kind == fm.BOT:
+            out = 0
+        elif kind == fm.PROP:
+            out = model.val_mask(g.name)
+        elif kind == fm.NEGPROP:
+            out = full & ~model.val_mask(g.name)
+        elif g.name in env:
+            out = env[g.name]
+        else:
             raise UnboundVariableError(f"unbound variable {g.name!r}")
-        return env[g.name]
+        memo[key] = out
+        return out
 
     return go(f, env)
 
@@ -474,111 +505,12 @@ def eval_tangle_direct(model: KripkeModel, members: Sequence[MuFormula],
     return _tangle_mask(model, masks)
 
 
-def _tangle_program(f: TangleFormula) -> list[tuple]:
-    """The DAG of f in post-order, one `(node, kind, operand)` entry per
-    distinct node; the operand is the name, the child, the `(left, right)`
-    pair or the member tuple.  Built once by an iterative walk and kept on f."""
-    if f._program is None:
-        program = []
-        seen = set()
-        stack = [(f, False)]
-        while stack:
-            g, ready = stack.pop()
-            kind = g.kind
-            if ready:
-                if kind == fm.PROP:
-                    operand = g.name
-                elif kind in (fm.AND, fm.OR):
-                    operand = (g.left, g.right)
-                elif kind == fm.TANGLE:
-                    operand = g.members
-                else:
-                    operand = g.arg
-                program.append((g, kind, operand))
-            elif g not in seen:
-                seen.add(g)
-                stack.append((g, True))
-                stack.extend((c, False) for c in g.children() if c not in seen)
-        f._program = program
-    return f._program
-
-
-# The signature of every tangle segment.  Besides these names its source
-# uses only the locals `x` and `k` and the globals `dia`, `box` and `tangle`.
-_SEGMENT_HEAD = "def segment(v, model, val, names, full, D, B, T):\n"
-
-
-def _step_source(i: int, kind: str, operand, index: dict, names: list) -> str:
-    """The source of step i: it reads earlier steps' values from `v` by
-    index and writes its own to `v[i]`.  An atom name goes into `names` and
-    the source reads it from there by index."""
-    if kind == AND:
-        return f"v[{i}] = v[{index[operand[0]]}] & v[{index[operand[1]]}]"
-    if kind == OR:
-        return f"v[{i}] = v[{index[operand[0]]}] | v[{index[operand[1]]}]"
-    if kind == NOT:
-        return f"v[{i}] = full & ~v[{index[operand]}]"
-    if kind == PROP:
-        names.append(operand)
-        return f"v[{i}] = val.get(names[{len(names) - 1}], 0)"
-    if kind in (DIA, BOX):
-        memo, op = ("D", "dia") if kind == DIA else ("B", "box")
-        a = index[operand]
-        return (f"x = {memo}.get(v[{a}])\n"
-                f"if x is None:\n"
-                f"    x = {op}(model, v[{a}])\n"
-                f"v[{i}] = x")
-    if kind == TANGLE:
-        members = ", ".join(f"v[{index[m]}]" for m in operand)
-        return (f"k = ({members},)\n"
-                f"x = T.get(k)\n"
-                f"if x is None:\n"
-                f"    x = tangle(model, k)\n"
-                f"v[{i}] = x")
-    return f"v[{i}] = full"  # TOP
-
-
-def _tangle_segments(f: TangleFormula) -> tuple:
-    """`(segments, names, nodes)` for f, compiled once from its program and
-    kept on f.  Each segment is a generated function that runs at most
-    `SEGMENT_STEPS` consecutive steps over the value list `v`; `names` holds
-    the atom names the segments read, `nodes` the program's nodes in the
-    order of `v`."""
-    if f._segments is None:
-        program = _tangle_program(f)
-        index = {node: i for i, (node, _, _) in enumerate(program)}
-        names: list = []
-        steps = [_step_source(i, kind, operand, index, names)
-                 for i, (_, kind, operand) in enumerate(program)]
-        scope = {"dia": _dia_mask, "box": _box_mask, "tangle": _tangle_mask}
-        segments = _compile_segments(_SEGMENT_HEAD, steps, scope, "<tangle segment>")
-        f._segments = (tuple(segments), tuple(names),
-                       tuple(node for node, _, _ in program))
-    return f._segments
-
-
 def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
-    """World set of a tangle-language formula: the compiled segments of f
-    run in order over one value list.  Diamond and box steps read the
-    model's modal memos, keyed by the argument mask, and fill them through
-    `_dia_mask`/`_box_mask` on a miss; tangle steps read the model's tangle
-    memo.  A given `cache` is a value store (node -> mask) for this model:
-    if f is in it, its value is returned; otherwise every node of f's
-    program is computed, shared nodes already in it too, and stored in it."""
-    if cache is not None:
-        got = cache.get(f)
-        if got is not None:
-            return got
-    segments, names, nodes = _tangle_segments(f)
-    v = [0] * len(nodes)
-    val, full = model.val, model.full_mask
-    _, tangle_memo = _tangle_cache(model)
-    for segment in segments:
-        segment(v, model, val, names, full, model._dia, model._box, tangle_memo)
-    if cache is not None:
-        cache.update(zip(nodes, v))
-    return v[-1]
+    """World set of a tangle-language formula, by the compiled program of
+    f; a given `cache` is a value store for this model (see `run_program`)."""
+    return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
+                       model._box)
 
 
 # ---------------------------------------------------------------------------

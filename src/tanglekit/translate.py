@@ -425,8 +425,9 @@ class Translator:
         block = cluster.realize()
         floors = [self.sigma.floors[m] for m in self.members]
         values: dict = {}
+        no_memo: dict = {}  # so that every modal step reaches the sky
         for f in floors:
-            sem.run_mu(block, f, values, dia, box)
+            sem.run_program(block, f, values, dia, box, no_memo, no_memo)
         sky = sky_above
         for k, i in bit.items():
             if values[k]:

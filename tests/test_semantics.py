@@ -105,7 +105,7 @@ class TestTangleFormulaEval:
             cache: dict = {}
             for t in roots:
                 assert sem.eval_tangle(model, t, cache) == sem.eval_tangle(model, t)
-                assert all(node in cache for node, _, _ in sem._tangle_program(t))
+                assert all(node in cache for node, _, _ in sem.mu_program(t))
 
     def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
         size = sem.SEGMENT_STEPS
@@ -118,7 +118,7 @@ class TestTangleFormulaEval:
                      if i + 1 < len(level) else level[i]
                      for i in range(0, len(level), 2)]
         root = level[0]
-        program = sem._tangle_program(root)
+        program = sem.mu_program(root)
         index = {node: i for i, (node, _, _) in enumerate(program)}
         assert len(program) > 2 * size
         assert any(index[c] // size < i // size - 1
@@ -137,10 +137,25 @@ class TestTangleFormulaEval:
                             {name: [1], "q": [2]})
         atom = fm.t_prop(name)
         assert sem.eval_tangle(model, atom) == model.val[name]
+        # one store shared by both languages over the same atoms
+        store: dict = {}
         for t in (fm.t_dia(atom), fm.t_tangle([atom, fm.t_dia(atom)]),
                   fm.t_and(fm.t_not(atom), fm.t_tangle([atom, fm.t_prop("q")]))):
-            assert sem.eval_tangle(model, t) == sem.eval_mu(model, fm.to_mu(t))
-            assert name in sem._tangle_segments(t)[1]
+            image = fm.to_mu(t)
+            assert sem.eval_tangle(model, t) == sem.eval_mu(model, image)
+            assert name in sem._mu_segments(t)[-1]
+            assert sem.eval_mu(model, image, None, store) == sem.eval_mu(model, image)
+            assert sem.eval_tangle(model, t, store) == sem.eval_tangle(model, t)
+
+    def test_tangle_geometry_is_built_only_for_tangle_steps(self):
+        model = KripkeModel(["0", "1"], [(0, 1), (1, 0)], {"p": [0]})
+        sem.eval_mu(model, p("nu x. (p & <> <> x)"))
+        plain = fm.t_box(fm.t_or(fm.t_not(fm.t_prop("p")), fm.t_dia(fm.t_prop("p"))))
+        assert sem.eval_tangle(model, plain) == sem.eval_mu(model, fm.to_mu(plain))
+        assert model._tangle is None
+        t = fm.t_and(plain, fm.t_tangle([fm.t_prop("p"), fm.t_not(fm.t_prop("p"))]))
+        assert sem.eval_tangle(model, t) == sem.eval_mu(model, fm.to_mu(t)) != 0
+        assert model._tangle is not None
 
     def test_deep_chain(self, cycle_model):
         # far beyond the interpreter's recursion limit
@@ -327,10 +342,16 @@ class TestCompiledMu:
                     fm.conj(free, fm.box(fm.disj(atom, fm.prop("q")))),
                     fm.nu("y", fm.conj(free, fm.diamond(fm.var("y")))),
                     fm.mu(name, fm.disj(fm.prop("q"), fm.diamond(free)))]
-        for f in formulas:
+        # one store shared by both languages over the same atoms
+        store: dict = {}
+        tangles = [fm.t_dia(fm.t_prop(name)),
+                   fm.t_tangle([fm.t_prop(name), fm.t_not(fm.t_prop("q"))])]
+        for f, t in zip(formulas, tangles * len(formulas)):
             assert sem.eval_mu(model, f, env) == sem.eval_mu_exact(model, f, env)
             if name in fm.free_vars(f) | fm.prop_names(f):
-                assert name in sem._mu_segments(f)[4]
+                assert name in sem._mu_segments(f)[-1]
+            assert sem.eval_mu(model, f, env, store) == sem.eval_mu(model, f, env)
+            assert sem.eval_tangle(model, t, store) == sem.eval_tangle(model, t)
         assert sem.eval_mu(model, atom) == model.val[name]
         with pytest.raises(sem.UnboundVariableError, match="unbound variable"):
             sem.eval_mu(model, formulas[4])
@@ -348,7 +369,8 @@ class TestCompiledMu:
 
         def run(f, values):
             calls.clear()
-            got = sem.run_mu(cycle_model, f, values, dia, box)
+            # empty memos, so that every modal step calls the algebra
+            got = sem.run_program(cycle_model, f, values, dia, box, {}, {})
             assert got == sem.eval_mu(cycle_model, f)
             return list(calls)
 
@@ -356,17 +378,20 @@ class TestCompiledMu:
         looped = p("nu x. (<> e & [] x)")
         values: dict = {}
         assert run(inner, values) == [("dia", p("e"))]
-        # `<> e` is taken from the store; `[] x` reruns per round, keyed by
-        # its argument, the bound x, which reads its binder's slot
+        # `<> e` is in the store but recomputed; `[] x` reruns per round,
+        # keyed by its argument, the bound x, which reads its binder's slot
         x_calls = run(looped, values)
-        assert x_calls == [("box", looped)] * 3
+        assert x_calls == [("dia", p("e"))] + [("box", looped)] * 3
         assert values[looped] == sem.eval_mu(cycle_model, looped)
         assert all(key in values for key, _, _ in sem.mu_program(looped))
-        # a closed fixed point in the store is not iterated again
-        assert run(fm.disj(looped, p("[] o")), values) == [("box", p("o"))]
+        # a closed fixed point in the store is not iterated again, while the
+        # steps outside it are recomputed
+        assert run(fm.disj(looped, p("[] o")), values) == [("box", p("o")),
+                                                           ("dia", p("e"))]
+        # the root in the store is returned at once
         assert run(looped, values) == []
         # without a store every node is computed and nothing is kept
-        assert run(looped, None) == [("dia", p("e"))] + x_calls
+        assert run(looped, None) == x_calls
 
 
 class TestBisimulation:
