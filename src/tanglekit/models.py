@@ -13,6 +13,14 @@ the same frame.  A model gets fresh memos unless `_masks` hands it a pair as
 a third element.  `enumerate_models` does that: one pair per frame and call,
 shared by every model it yields on that frame, and freed with them.
 
+The models enumerated on one frame are also the copies of one
+`ModelFamily`, their disjoint union packed into wide ints: model j's worlds
+are bits j*n .. j*n+n-1.  A model keeps its family in `_family` and its
+copy index j in `_copy`; every other model has `_family = None`.  The
+family is built once the frame's valuations are listed, before its first
+model is yielded, and holds the memos of the packed evaluation
+(`semantics.eval_mu`/`eval_tangle`), so they too are freed with the models.
+
 `enumerate_models` yields every model up to isomorphism.  Its frames come
 from `_wk4_canonical(n)`, which extends each canonical (n-1)-world frame by
 one world with every out-mask (self bit included) and in-mask, keeps the
@@ -74,33 +82,42 @@ class KripkeModel:
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]],
                  valuation: Optional[Mapping[str, Iterable[int]]] = None,
                  _masks: Optional[tuple] = None):
-        self.labels = tuple(labels)
-        self.n = len(self.labels)
-        if len(set(self.labels)) != self.n:
+        labels = tuple(labels)
+        if len(set(labels)) != len(labels):
             raise ModelFormatError("duplicate world labels")
         memos = None
         if _masks is not None:
             succ, val, *memos = _masks
-            self.succ = tuple(succ)
-            self.val = dict(val)
+            val = dict(val)
         else:
-            succ = [0] * self.n
+            succ = [0] * len(labels)
             for a, b in edges:
                 succ[a] |= 1 << b
-            self.succ = tuple(succ)
-            self.val = {}
+            val = {}
             for name, worlds in (valuation or {}).items():
                 mask = 0
                 for w in worlds:
                     mask |= 1 << w
-                self.val[name] = mask
+                val[name] = mask
+        self._fill(labels, tuple(succ), val, memos[0] if memos else ({}, {}))
+
+    def _fill(self, labels: tuple, succ: tuple, val: dict, memos: tuple,
+              family: Optional["ModelFamily"] = None, copy: int = 0) -> None:
+        """Set every attribute, always in this order, so that all models
+        share one key table for their attribute dicts."""
+        self.labels = labels
+        self.n = len(labels)
+        self.succ = succ
+        self.val = val
         self.full_mask = (1 << self.n) - 1
-        self._dia, self._box = memos[0] if memos else ({}, {})
+        self._dia, self._box = memos
         self._pred = None
         self._clusters = None
         self._cluster_id = None
         self._above = None
         self._tangle = None
+        self._family = family
+        self._copy = copy
 
     # -- basic views ---------------------------------------------------
 
@@ -501,24 +518,64 @@ def _wk4_canonical(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...],
     return _wk4_cache[n]
 
 
+class ModelFamily:
+    """The models `enumerate_models` yields on one frame, as one disjoint
+    union: copy j holds model j's worlds at bits j*n .. j*n+n-1 of every
+    world-set int.  No edge joins two copies, so a world's truth value is
+    the one it has in its own model.  It holds the packed valuation `val`,
+    `full_mask`, the periodic mask `p0` (bit j*n set for every copy j), the
+    frame (`frame`, a model with no valuation, and its successor lists
+    `rows`), the diamond, box and tangle memos of the packed algebra, and
+    `results`, the packed value of each root evaluated so far."""
+
+    __slots__ = ("frame", "rows", "val", "full_mask", "p0", "_dia", "_box",
+                 "_tangle", "results")
+
+    def __init__(self, frame: KripkeModel, props: Sequence[str],
+                 valuations: Sequence[tuple[int, ...]]):
+        n = frame.n
+        self.frame = frame
+        self.rows = tuple(tuple(iter_bits(row)) for row in frame.succ)
+        packed = [0] * len(props)
+        for j, masks in enumerate(valuations):
+            for i, mask in enumerate(masks):
+                packed[i] |= mask << j * n
+        self.val = dict(zip(props, packed))
+        self.full_mask = (1 << len(valuations) * n) - 1
+        # (2**(c*n) - 1) / (2**n - 1) is the sum of 2**(j*n) for j < c
+        self.p0 = self.full_mask // frame.full_mask
+        self._dia: dict[int, int] = {}
+        self._box: dict[int, int] = {}
+        self._tangle = None
+        self.results: dict = {}
+
+
 def enumerate_models(props: Iterable[str], max_worlds: int,
                      guard: int = 5) -> Iterator[KripkeModel]:
     """All weakly transitive models with 1..max_worlds worlds over the given
     atoms, up to isomorphism.  Deterministic order: frames by canonical
     relation, then valuations as the least tuple of their orbit.  The
-    models of one frame share one pair of modal memos."""
+    models of one frame share one pair of modal memos and one
+    `ModelFamily`; model j of the frame is copy j of the family.  They are
+    filled in without `KripkeModel.__init__`'s checks and copies."""
     props = tuple(sorted(props))
     if max_worlds > guard:
         raise ClusterEnumerationError(
             f"exhaustive enumeration capped at {guard} worlds")
+    new = object.__new__
     for n in range(1, max_worlds + 1):
         labels = tuple(str(i) for i in range(n))
         for succ, tables in _wk4_canonical(n):
-            memos = ({}, {})
-            for masks in itertools.product(range(1 << n), repeat=len(props)):
-                if any(tuple(map(table.__getitem__, masks)) < masks for table in tables):
-                    continue
-                yield KripkeModel(labels, (), _masks=(succ, dict(zip(props, masks)), memos))
+            valuations = [
+                masks for masks in itertools.product(range(1 << n), repeat=len(props))
+                if not any(tuple(map(table.__getitem__, masks)) < masks for table in tables)]
+            frame = KripkeModel(labels, (), _masks=(succ, {}))
+            memos = frame._dia, frame._box
+            family = ModelFamily(frame, props, valuations)
+            for j, masks in enumerate(valuations):
+                model = new(KripkeModel)
+                model._fill(labels, succ, dict(zip(props, masks)), memos, family, j)
+                yield model
 
 
 def _edges_of(succ: Sequence[int]) -> list[tuple[int, int]]:

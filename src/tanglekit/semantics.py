@@ -33,11 +33,12 @@ step reads the memo `D` by its argument mask and on a miss calls
 `box` alike.  `eval_mu` and `eval_tangle` pass `_dia_mask`/`_box_mask` and
 the model's own memos.  The translator's root blocks pass empty memos and
 modalities that first read what holds above the cluster.  Tangle steps read
-a per-model cache (`KripkeModel._tangle`): the cluster geometry and a memo
-from member masks to result, built the first time a program with a tangle
-step runs on the model.  A free variable missing from `env` raises
-`UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
-recurses over the formula and enumerates exact fixed points.
+a per-model cache (`KripkeModel._tangle`, or the family's): the cluster
+geometry and a memo from member masks to result, built the first time a
+program with a tangle step runs on the model.  A free variable missing
+from `env` raises `UnboundVariableError`.  `eval_mu_exact` is the
+independent oracle: it recurses over the formula and enumerates exact
+fixed points.
 
 Modal images are memoised per frame.  `_dia_mask(model, s)` and
 `_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict and on a
@@ -49,6 +50,23 @@ other model has its own, and no memo outlives its models.  The translator's
 root blocks fill their realized cluster's memo through the same two.
 `eval_mu_exact` calls `dia_image`/`box_image` directly, so the oracle
 shares nothing with the fast path.
+
+A world's value depends only on the submodel it generates, so the models
+enumerated on one frame are evaluated together, as the disjoint union
+`models.ModelFamily` packs them into.  `eval_mu` or `eval_tangle` on such
+a model, with no `env` and no `cache`, reads the root in the family's
+`results`; on a miss it runs the same segments once on the family, with
+`_wide_dia`/`_wide_box` and the family's memos, and keeps the packed
+value.  Model j's value is its slice, `value >> j*n & full_mask`.
+The packed algebra works on every copy at once: with `p0` the mask of
+every copy's first bit, `dia(S) = OR_u ((OR_{v in succ u} S >> v) & p0) << u`
+and box is the same with AND; a tangle step finds, over the members, the
+points with at most one member lacking a witness inside their cluster and
+satisfying that one, and spreads each cluster all of whose points qualify
+over its down-set.  Every other call (random or file models, the models
+`restrict` and `close` make, calls with `env` or `cache`, the translator's
+root blocks) runs on the one model, and this per-model path is the oracle
+of the packed one.  The family's memos live as long as its models.
 
 A `cache` is the value store of the run, one store rule for both
 languages.  If the root is in it, its value is returned.  A closed
@@ -68,7 +86,7 @@ from . import formulas as fm
 from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
                        TANGLE, TOP, MuFormula, TangleFormula)
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
-                     _cluster_heights, iter_bits)
+                     ModelFamily, _cluster_heights, iter_bits)
 
 EMBED_STRICT = "strict"
 EMBED_BISIMILAR = "bisimilar"
@@ -335,7 +353,7 @@ def _mu_segments(f: MuFormula | TangleFormula) -> tuple:
     return f._segments
 
 
-def run_program(model: KripkeModel, f: MuFormula | TangleFormula,
+def run_program(model: KripkeModel | ModelFamily, f: MuFormula | TangleFormula,
                 values: Optional[dict], dia, box,
                 D: Mapping[int, int], B: Mapping[int, int],
                 env: Optional[Mapping[str, int]] = None) -> int:
@@ -372,10 +390,60 @@ def run_program(model: KripkeModel, f: MuFormula | TangleFormula,
     return v[root]
 
 
+def _packed_dia(rows: Sequence[Sequence[int]], p0: int, s: int) -> int:
+    """Diamond image of s over successor lists `rows`, in every copy of a
+    packed world set at once: u's bit of a copy is set iff the copy has a
+    bit at some v in rows[u]."""
+    out = 0
+    for u, row in enumerate(rows):
+        if row:
+            got = 0
+            for v in row:
+                got |= s >> v
+            out |= (got & p0) << u
+    return out
+
+
+def _wide_dia(family: ModelFamily, s: int, key=None) -> int:
+    """The diamond image of s in every copy of the family at once, stored
+    in the family's memo `_dia`."""
+    got = family._dia[s] = _packed_dia(family.rows, family.p0, s)
+    return got
+
+
+def _wide_box(family: ModelFamily, s: int, key=None) -> int:
+    """The box image of s in every copy of the family at once, stored in
+    the family's memo `_box`."""
+    p0 = family.p0
+    out = 0
+    for u, row in enumerate(family.rows):
+        got = p0
+        for v in row:
+            got &= s >> v
+        out |= got << u
+    family._box[s] = out
+    return out
+
+
+def _family_value(model: KripkeModel, f: MuFormula | TangleFormula) -> int:
+    """f on an enumerated model, read from its copy in the packed value of f
+    on the model's family; the family is evaluated at most once per root."""
+    family = model._family
+    got = family.results.get(f)
+    if got is None:
+        got = family.results[f] = run_program(family, f, None, _wide_dia, _wide_box,
+                                              family._dia, family._box)
+    return got >> model._copy * model.n & model.full_mask
+
+
 def eval_mu(model: KripkeModel, f: MuFormula,
             env: Optional[Mapping[str, int]] = None,
             cache: Optional[dict] = None) -> int:
-    """World set of an NNF formula; fixed points by monotone iteration."""
+    """World set of an NNF formula; fixed points by monotone iteration.  On
+    an enumerated model, with no `env` and no `cache`, it is read from the
+    value on the model's family."""
+    if model._family is not None and env is None and cache is None:
+        return _family_value(model, f)
     return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
                        model._box, env)
 
@@ -442,11 +510,15 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
 # tangle evaluation
 
 
-def _tangle_cache(model: KripkeModel) -> tuple[tuple, dict]:
+def _tangle_cache(model: KripkeModel | ModelFamily) -> tuple[tuple, dict]:
     """The model's cluster geometry and its tangle memo, built on first use.
     Per cluster the geometry holds `cluster mask | worlds that see into it`
-    and `(1 << u, succ[u] & cluster mask)` for each point u."""
+    and `(1 << u, succ[u] & cluster mask)` for each point u.  A family's
+    geometry is `_family_geometry`."""
     if model._tangle is None:
+        if type(model) is ModelFamily:
+            model._tangle = (_family_geometry(model), {})
+            return model._tangle
         geometry = []
         for cluster in model.clusters():
             cmask = 0
@@ -462,7 +534,51 @@ def _tangle_cache(model: KripkeModel) -> tuple[tuple, dict]:
     return model._tangle
 
 
-def _tangle_mask(model: KripkeModel, member_masks: Sequence[int]) -> int:
+def _family_geometry(family: ModelFamily) -> tuple:
+    """The frame's cluster geometry as world lists: each world's successors
+    inside its cluster, each cluster's points and down-set, and a memo from
+    a member mask to the points with a witness for it inside their
+    cluster."""
+    inside = [()] * family.frame.n
+    clusters = []
+    for down, points in _tangle_cache(family.frame)[0]:
+        for bit, seen in points:
+            inside[bit.bit_length() - 1] = tuple(iter_bits(seen))
+        clusters.append((tuple(bit.bit_length() - 1 for bit, _ in points),
+                         tuple(iter_bits(down))))
+    return tuple(inside), tuple(clusters), {}
+
+
+def _wide_tangle(family: ModelFamily, geometry: tuple, key: tuple) -> int:
+    """`_tangle_mask` in every copy of the family at once.  Over the
+    members, `none` holds the points that see a witness inside their
+    cluster for every member so far, `one` those that lack one for exactly
+    one member and satisfy it; a repeated member counts once per
+    occurrence.  A cluster is good in a copy where all its points are in
+    either, and the copy's result holds its down-set."""
+    inside, clusters, witnessed = geometry
+    p0 = family.p0
+    none, one = family.full_mask, 0
+    for m in key:
+        seen = witnessed.get(m)
+        if seen is None:
+            seen = witnessed[m] = _packed_dia(inside, p0, m)
+        one = one & seen | none & m & ~seen
+        none &= seen
+    good = none | one
+    result = 0
+    for points, down in clusters:
+        here = p0
+        for u in points:
+            here &= good >> u
+        if here:
+            for w in down:
+                result |= here << w
+    return result
+
+
+def _tangle_mask(model: KripkeModel | ModelFamily,
+                 member_masks: Sequence[int]) -> int:
     """Worlds weakly below a maximal cluster in which the member multiset is
     recurrently satisfied: each cluster point either sees witnesses for every
     member inside the cluster, or satisfies one member itself and sees
@@ -471,6 +587,9 @@ def _tangle_mask(model: KripkeModel, member_masks: Sequence[int]) -> int:
     key = tuple(member_masks)
     got = memo.get(key)
     if got is not None:
+        return got
+    if type(model) is ModelFamily:
+        got = memo[key] = _wide_tangle(model, geometry, key)
         return got
     result = 0
     for down, points in geometry:
@@ -508,7 +627,11 @@ def eval_tangle_direct(model: KripkeModel, members: Sequence[MuFormula],
 def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
     """World set of a tangle-language formula, by the compiled program of
-    f; a given `cache` is a value store for this model (see `run_program`)."""
+    f; a given `cache` is a value store for this model (see `run_program`).
+    On an enumerated model with no `cache` it is read from the value on the
+    model's family."""
+    if model._family is not None and cache is None:
+        return _family_value(model, f)
     return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
                        model._box)
 
@@ -630,12 +753,16 @@ def sigma_depth(model: KripkeModel, sigma: fm.SigmaClosure,
 def eval_depth_modality(model: KripkeModel, sigma: fm.SigmaClosure, n: int,
                         phi: MuFormula, cache: Optional[dict] = None) -> int:
     """Worlds with a final world of depth exactly n weakly above them
-    satisfying phi.  phi must be a closure member (or T)."""
+    satisfying phi.  phi must be a closure member (or T).  The world depths
+    are computed once per sigma and kept in `cache`."""
     if phi.kind != fm.TOP:
         phi = sigma.member_of(phi)
     if cache is None:
         cache = {}
-    depths, final = sigma_world_depths(model, sigma, cache)
+    key = (sigma_world_depths, sigma)
+    if key not in cache:
+        cache[key] = sigma_world_depths(model, sigma, cache)
+    depths, final = cache[key]
     sat = eval_mu(model, sigma.floors.get(phi, phi), None, cache)
     targets = 0
     for v in iter_bits(final & sat):

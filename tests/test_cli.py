@@ -159,7 +159,20 @@ class TestFuzz:
                      "--size", "2", "--props", "o,p"])
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["model"]["worlds"]
+        assert payload == {"left": ["0"], "right": [], "world": "0",
+                           "model": {"worlds": ["0"], "edges": [], "val": {"p": ["0"]}}}
+
+    def test_exhaustive_counterexample_is_pinned(self, capsys):
+        # the first differing model in enumeration order, and its lowest
+        # differing world
+        code = main(["fuzz-equiv", "<> <> p", "<> p", "--exhaustive", "--size", "4",
+                     "--props", "p"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert json.loads(out) == {
+            "left": [], "right": ["1"], "world": "1",
+            "model": {"worlds": ["0", "1"], "edges": [["1", "0"]], "val": {"p": ["0"]}}}
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     def test_needs_second_formula_or_chi(self, capsys):
         assert main(["fuzz-equiv", "p"]) == 2

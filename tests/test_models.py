@@ -340,6 +340,38 @@ class TestModalMemos:
                   m.restrict(m.full_mask)]
         assert all(c._dia is not m._dia and c._box is not m._box for c in copies)
 
+    def test_enumerated_models_match_constructed_ones(self):
+        count = 0
+        for m in enumerate_models(["p", "q"], 3):
+            edges = [(a, b) for a in range(m.n) for b in range(m.n) if m.succ[a] >> b & 1]
+            val = {name: [w for w in range(m.n) if mask >> w & 1]
+                   for name, mask in m.val.items()}
+            built = KripkeModel(m.labels, edges, val)
+            assert type(m) is KripkeModel
+            assert m.to_dict() == built.to_dict()
+            assert (m.succ, m.val, m.full_mask) == (built.succ, built.val, built.full_mask)
+            assert m.clusters() == built.clusters() and m.pred() == built.pred()
+            count += 1
+        assert count == 2848
+
+    def test_models_of_one_frame_are_the_copies_of_one_family(self):
+        by_frame: dict = {}
+        for m in enumerate_models(["p", "q"], 3):
+            by_frame.setdefault(m.succ, []).append(m)
+        for models in by_frame.values():
+            family = models[0]._family
+            n = models[0].n
+            assert family.full_mask == (1 << len(models) * n) - 1
+            assert family.p0 == sum(1 << j * n for j in range(len(models)))
+            for j, m in enumerate(models):
+                assert m._family is family and m._copy == j
+                assert all(family.val[name] >> j * n & m.full_mask == mask
+                           for name, mask in m.val.items())
+        m = models[-1]
+        assert all(c._family is None for c in (
+            KripkeModel(m.labels, (), _masks=(m.succ, m.val)), m.close(),
+            m.restrict(m.full_mask), KripkeModel.from_dict(m.to_dict())))
+
     def test_full_mask_is_an_attribute(self):
         m = KripkeModel(["a", "b", "c"], [(0, 1)])
         assert m.full_mask == 0b111 == vars(m)["full_mask"]

@@ -551,6 +551,28 @@ class TestDepthModality:
                     bits = {got >> w & 1 for w in cluster}
                     assert len(bits) == 1
 
+    def test_world_depths_computed_once_per_cache(self, monkeypatch):
+        sigma = fm.sigma_closure(p("p"))
+        other = fm.sigma_closure(p("<> p"))
+        queries = [(s, n, m) for s in (sigma, other) for n in (0, 1, 2)
+                   for m in [fm.top(), *s]]
+        models = list(enumerate_models(["p"], 2))
+        want = [[sem.eval_depth_modality(model, s, n, m, {}) for s, n, m in queries]
+                for model in models]
+        calls = []
+        depths = sem.sigma_world_depths
+
+        def counted(model, s, cache=None):
+            calls.append((model, s))
+            return depths(model, s, cache)
+
+        monkeypatch.setattr(sem, "sigma_world_depths", counted)
+        for model, expected in zip(models, want):
+            cache: dict = {}
+            assert [sem.eval_depth_modality(model, s, n, m, cache)
+                    for s, n, m in queries] == expected
+        assert calls == [(model, s) for model in models for s in (sigma, other)]
+
 
 class TestPruning:
     def test_full_model_identity(self, cycle_model):
@@ -593,13 +615,72 @@ class TestModalMemo:
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
             for f in formulas:
                 shared = sem.eval_mu(model, f)
+                assert f in model._family.results
                 own = sem.eval_mu(fresh, f)
                 exact = sem.eval_mu_exact(model, f)
                 assert shared == own == exact, (
                     f"first mismatch: {model.to_dict()} on {fm.print_mu(f)}: "
-                    f"shared memo {shared}, fresh model {own}, oracle {exact}")
+                    f"family {shared}, fresh model {own}, oracle {exact}")
             count += 1
         assert count == 2848
+
+    def test_family_tangles_match_fresh_models_and_the_mu_image(self):
+        a, b = fm.t_prop("p"), fm.t_prop("q")
+        hand = [fm.t_tangle([a]), fm.t_tangle([a, a]), fm.t_tangle([a, fm.t_not(a)]),
+                fm.t_tangle([a, a, fm.t_not(a)]), fm.t_tangle([fm.t_dia(a), b, b]),
+                fm.t_dia(fm.t_tangle([fm.t_not(b), fm.t_dia(a)])),
+                fm.t_and(fm.t_not(fm.t_tangle([b, fm.t_not(a)])),
+                         fm.t_box(fm.t_tangle([a, b, a])))]
+        chis = [translate(p(text))[0] for text in ("F", "p", "mu x.(p | <> x)")]
+        images = {t: fm.to_mu(t) for t in hand + chis}
+        count = 0
+        for props, size in ((("p",), 4), (("p", "q"), 3)):
+            for model in enumerate_models(props, size):
+                fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+                for t in hand + chis:
+                    family = sem.eval_tangle(model, t)
+                    own = sem.eval_tangle(fresh, t)
+                    # the mu images of the larger chis are checked on the
+                    # smaller models only, to keep the test short
+                    image = (sem.eval_mu(fresh, images[t])
+                             if t in hand or model.n < size else own)
+                    assert family == own == image, (
+                        f"first mismatch: {model.to_dict()} on {fm.print_tangle(t)[:200]}: "
+                        f"family {family}, fresh model {own}, mu image {image}")
+                count += 1
+        assert count == 5089 + 2848
+
+    def test_calls_with_env_or_cache_and_derived_models_agree(self):
+        f = p("nu x. mu y. ((p & <> x) | (q & [] y))")
+        t = fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_not(fm.t_prop("q")))])
+        opened = fm.mu("y", fm.disj(fm.conj(fm.prop("p"), fm.diamond(fm.var("z"))),
+                                    fm.conj(fm.prop("q"), fm.box(fm.var("y")))))
+        for model in enumerate_models(("p", "q"), 3):
+            want_f, want_t = sem.eval_mu(model, f), sem.eval_tangle(model, t)
+            assert sem.eval_mu(model, f, None, {}) == want_f
+            assert sem.eval_mu(model, f, {}) == want_f
+            assert sem.eval_tangle(model, t, {}) == want_t
+            z = sem.eval_mu(model, p("<> q"))
+            assert fm.free_vars(opened) == {"z"}
+            assert sem.eval_mu(model, opened, {"z": z}) == sem.eval_mu_exact(
+                model, opened, {"z": z})
+            assert opened not in model._family.results
+            for derived in (model.close(), model.restrict(model.full_mask)):
+                assert derived._family is None
+                assert sem.eval_mu(derived, f) == want_f
+                assert sem.eval_tangle(derived, t) == want_t
+
+    def test_unbound_variable_raises_the_same_error(self):
+        f = fm.mu("y", fm.disj(fm.var("z"), fm.diamond(fm.var("y"))))
+        model = next(enumerate_models(("p",), 2))
+        fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+        errors = []
+        for m in (model, model, fresh):
+            with pytest.raises(sem.UnboundVariableError) as info:
+                sem.eval_mu(m, f)
+            errors.append(str(info.value))
+        assert errors == ["unbound variable 'z'"] * 3
+        assert f not in model._family.results
 
     def test_oracle_reads_no_memo(self, cycle_model):
         f = p("<> e")
@@ -614,7 +695,9 @@ class TestModalMemo:
         chi, _ = translate(phi)
         for model in enumerate_models(("p",), 3):
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
-            sem.eval_mu(model, phi)
+            # a call with a cache takes the per-model path, which fills the
+            # frame's memo; a call without one reads the model's family
+            sem.eval_mu(model, phi, None, {})
             assert model._dia
             filled: dict = {}
             empty: dict = {}
