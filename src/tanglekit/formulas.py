@@ -99,15 +99,30 @@ class MuFormula:
 
 
 _mu_table: dict[tuple, MuFormula] = {}
+_NO_VARS: frozenset = frozenset()  # the free variables of every closed node
 
 
 def _mk(kind, name=None, left=None, right=None, arg=None, var=None, body=None) -> MuFormula:
+    """The interned node; a new one gets its free variables from its
+    children's, so `free_vars` never walks."""
     key = (kind, name, left, right, arg, var, body)
     node = _mu_table.get(key)
     if node is None:
-        node = MuFormula(kind, name=name, left=left, right=right, arg=arg,
-                         var=var, body=body)
-        _mu_table[key] = node
+        node = _mu_table[key] = MuFormula(kind, name, left, right, arg, var, body)
+        if kind == VAR:
+            fv = frozenset((name,))
+        elif left is not None:
+            a, b = left._freevars, right._freevars
+            fv = a | b if a and b else a or b
+        elif arg is not None:
+            fv = arg._freevars
+        elif body is not None:
+            fv = body._freevars
+            if var in fv:
+                fv = fv - {var} or _NO_VARS
+        else:
+            fv = _NO_VARS
+        node._freevars = fv
     return node
 
 
@@ -193,19 +208,6 @@ def _unfilled(f, slot: str) -> list:
 
 def free_vars(f: MuFormula) -> frozenset[str]:
     """Free fixed-point variable names (Var nodes not captured by a binder)."""
-    if f._freevars is None:
-        for g in _unfilled(f, "_freevars"):
-            kind = g.kind
-            if kind in (AND, OR):
-                g._freevars = g.left._freevars | g.right._freevars
-            elif kind in (DIA, BOX):
-                g._freevars = g.arg._freevars
-            elif kind in (MU, NU):
-                g._freevars = g.body._freevars - {g.var}
-            elif kind == VAR:
-                g._freevars = frozenset((g.name,))
-            else:
-                g._freevars = frozenset()
     return f._freevars
 
 
@@ -248,7 +250,7 @@ def size(f) -> int:
 # negation and substitution
 
 
-_negate_memo: dict = {}
+_negate_memo: dict[MuFormula, MuFormula] = {}
 
 
 def negate(f: MuFormula) -> MuFormula:
@@ -256,43 +258,52 @@ def negate(f: MuFormula) -> MuFormula:
 
     Fixed-point duality re-negates the bound variable, which cancels out; a
     free Var occurrence cannot be negated in NNF and raises NegationError.
-    """
-    return _negate(f, frozenset(), _negate_memo)
-
-
-def _negate(f: MuFormula, keep: frozenset, memo: dict) -> MuFormula:
-    mkey = (f, keep & free_vars(f))
-    got = memo.get(mkey)
+    Inside a closed formula the dual of a node does not depend on where it
+    sits, so the memo is keyed by node; negation is an involution, so each
+    entry is stored both ways.  An iterative post-order walk, so deep
+    formulas do not recurse."""
+    if f._freevars:
+        raise NegationError(
+            f"cannot negate free occurrence of variable {min(f._freevars)!r}")
+    memo = _negate_memo
+    got = memo.get(f)
     if got is not None:
         return got
-    kind = f.kind
-    if kind == TOP:
-        out = bot()
-    elif kind == BOT:
-        out = top()
-    elif kind == PROP:
-        out = neg_prop(f.name)
-    elif kind == NEGPROP:
-        out = prop(f.name)
-    elif kind == VAR:
-        if f.name in keep:
-            out = f
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in memo:
+            continue
+        kind = g.kind
+        if kind in (AND, OR):
+            left, right = memo.get(g.left), memo.get(g.right)
+            if left is None or right is None:
+                stack += (g, g.left, g.right)
+                continue
+            out = disj(left, right) if kind == AND else conj(left, right)
+        elif kind in (DIA, BOX):
+            arg = memo.get(g.arg)
+            if arg is None:
+                stack += (g, g.arg)
+                continue
+            out = box(arg) if kind == DIA else diamond(arg)
+        elif kind in (MU, NU):
+            body = memo.get(g.body)
+            if body is None:
+                stack += (g, g.body)
+                continue
+            out = nu(g.var, body) if kind == MU else mu(g.var, body)
+        elif kind == VAR:
+            out = g  # bound above, since the root is closed
+        elif kind == PROP:
+            out = neg_prop(g.name)
+        elif kind == NEGPROP:
+            out = prop(g.name)
         else:
-            raise NegationError(f"cannot negate free occurrence of variable {f.name!r}")
-    elif kind == AND:
-        out = disj(_negate(f.left, keep, memo), _negate(f.right, keep, memo))
-    elif kind == OR:
-        out = conj(_negate(f.left, keep, memo), _negate(f.right, keep, memo))
-    elif kind == DIA:
-        out = box(_negate(f.arg, keep, memo))
-    elif kind == BOX:
-        out = diamond(_negate(f.arg, keep, memo))
-    elif kind == NU:
-        out = mu(f.var, _negate(f.body, keep | {f.var}, memo))
-    else:  # MU
-        out = nu(f.var, _negate(f.body, keep | {f.var}, memo))
-    memo[mkey] = out
-    return out
+            out = bot() if kind == TOP else top()
+        memo[g] = out
+        memo[out] = g
+    return memo[f]
 
 
 def substitute(f: MuFormula, name: str, repl: MuFormula) -> MuFormula:
@@ -625,27 +636,58 @@ def sigma_closure(seed: MuFormula, cap: int = 20000) -> SigmaClosure:
 
 
 def alternation_free(f: MuFormula) -> bool:
-    """No least fixed point depends on a greatest one or vice versa: a binder
-    never contains an opposite-kind binder with the outer variable free in it.
-    """
-    memo: dict[tuple, bool] = {}
+    """No least fixed point depends on a greatest one or vice versa: no
+    binder's variable occurs, unshadowed, free in an opposite-kind binder
+    inside its body (Emerson & Lei, LICS 1986).
 
-    def walk(g: MuFormula, active: tuple) -> bool:
-        fv = free_vars(g)
-        key = (g, tuple(item for item in active if item[0] in fv))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if g.kind in (MU, NU):
-            out = all(kind == g.kind or v not in fv for v, kind in active)
-            if out:
-                out = walk(g.body, active + ((g.var, g.kind),))
+    Checked in one iterative post-order walk: for each node it keeps the
+    pair (free variables that occur under a mu binder inside the node,
+    those that occur under a nu binder)."""
+    under: dict[MuFormula, tuple] = {}
+    none = (_NO_VARS, _NO_VARS)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in under:
+            continue
+        kind = g.kind
+        if kind in (AND, OR):
+            left, right = under.get(g.left), under.get(g.right)
+            if left is None or right is None:
+                stack += (g, g.left, g.right)
+                continue
+            if right is none or right is left:
+                out = left
+            elif left is none:
+                out = right
+            else:
+                (lm, ln), (rm, rn) = left, right
+                out = (lm | rm if lm and rm else lm or rm,
+                       ln | rn if ln and rn else ln or rn)
+        elif kind in (DIA, BOX):
+            out = under.get(g.arg)
+            if out is None:
+                stack += (g, g.arg)
+                continue
+        elif kind in (MU, NU):
+            body = under.get(g.body)
+            if body is None:
+                stack += (g, g.body)
+                continue
+            x = g.var
+            in_mu, in_nu = body
+            if x in (in_nu if kind == MU else in_mu):
+                return False
+            # every free variable of a binder occurs under it; the binder's
+            # own variable is not free outside it
+            if kind == MU:
+                out = (g._freevars, in_nu - {x} if x in in_nu else in_nu)
+            else:
+                out = (in_mu - {x} if x in in_mu else in_mu, g._freevars)
         else:
-            out = all(walk(c, active) for c in g.children())
-        memo[key] = out
-        return out
-
-    return walk(f, ())
+            out = none
+        under[g] = out
+    return True
 
 
 def _tangle_members_of_nu(f: MuFormula) -> Optional[list[MuFormula]]:
@@ -661,9 +703,14 @@ def _tangle_members_of_nu(f: MuFormula) -> Optional[list[MuFormula]]:
 
     def flatten(g, kind):
         # stop at sugar shapes so a reflexive diamond is not torn apart
-        if g.kind == kind and sugar_shape(g) is None:
-            return flatten(g.left, kind) + flatten(g.right, kind)
-        return [g]
+        out, stack = [], [g]
+        while stack:
+            h = stack.pop()
+            if h.kind == kind and sugar_shape(h) is None:
+                stack += (h.right, h.left)
+            else:
+                out.append(h)
+        return out
 
     def member_of(g):
         # <> (m & x) with x the bound variable and m not mentioning it
@@ -709,30 +756,31 @@ def _tangle_members_of_nu(f: MuFormula) -> Optional[list[MuFormula]]:
 def in_tangle_fragment(f: MuFormula) -> bool:
     """True iff the formula is an image of the tangle language: binder-free
     except for fixed points that are exactly (possibly negated) tangle
-    expansions over fragment members.
-    """
-    memo: dict[MuFormula, bool] = {}
-
-    def go(g: MuFormula) -> bool:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if g.kind == MU:
-            try:
-                out = go(negate(g))
-            except NegationError:
-                out = False
-        elif g.kind == NU:
-            members = _tangle_members_of_nu(g)
-            out = members is not None and all(go(m) for m in members)
-        elif g.kind == VAR:
-            out = False  # the tangle language has no variables
+    expansions over fragment members.  The formula is one iff every node
+    reachable from it, through children, tangle members and the duals of
+    least fixed points, is allowed; an iterative walk visits each once."""
+    seen = {f}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        kind = g.kind
+        if kind == MU:
+            if g._freevars:
+                return False  # its dual is not in NNF
+            nexts = (negate(g),)
+        elif kind == NU:
+            nexts = _tangle_members_of_nu(g)
+            if nexts is None:
+                return False
+        elif kind == VAR:
+            return False  # the tangle language has no variables
         else:
-            out = all(go(c) for c in g.children())
-        memo[g] = out
-        return out
-
-    return go(f)
+            nexts = g.children()
+        for c in nexts:
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +793,7 @@ class TangleFormula:
 
     __slots__ = ("kind", "name", "left", "right", "arg", "members",
                  "_key", "_size", "_program", "_segments")
-    _freevars = frozenset()  # read by free_vars: tangle formulas are closed
+    _freevars = _NO_VARS  # read by free_vars: tangle formulas are closed
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  members=None):
@@ -878,34 +926,41 @@ def t_implies(premise: TangleFormula, conclusion: TangleFormula) -> TangleFormul
 
 
 def to_mu(f: TangleFormula) -> MuFormula:
-    """Mu-calculus image of a tangle formula (negations pushed into NNF)."""
+    """Mu-calculus image of a tangle formula (negations pushed into NNF),
+    built by an iterative post-order walk."""
     memo: dict[TangleFormula, MuFormula] = {}
-
-    def go(g: TangleFormula) -> MuFormula:
-        got = memo.get(g)
-        if got is not None:
-            return got
+    # On the stack, a tuple is the children of the node under it, whose
+    # image it completes.
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is not tuple:
+            if g not in memo:
+                children = g.children()
+                stack += (g, children)
+                stack += [c for c in children if c not in memo]
+            continue
+        children = g
+        g = stack.pop()
         kind = g.kind
         if kind == TOP:
             out = top()
         elif kind == PROP:
             out = prop(g.name)
         elif kind == NOT:
-            out = negate(go(g.arg))
+            out = negate(memo[g.arg])
         elif kind == AND:
-            out = conj(go(g.left), go(g.right))
+            out = conj(memo[g.left], memo[g.right])
         elif kind == OR:
-            out = disj(go(g.left), go(g.right))
+            out = disj(memo[g.left], memo[g.right])
         elif kind == DIA:
-            out = diamond(go(g.arg))
+            out = diamond(memo[g.arg])
         elif kind == BOX:
-            out = box(go(g.arg))
+            out = box(memo[g.arg])
         else:  # TANGLE
-            out = expand_tangle([go(m) for m in g.members])
+            out = expand_tangle([memo[m] for m in children])
         memo[g] = out
-        return out
-
-    return go(f)
+    return memo[f]
 
 
 def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:

@@ -566,9 +566,7 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     for n in range(1, max_worlds + 1):
         labels = tuple(str(i) for i in range(n))
         for succ, tables in _wk4_canonical(n):
-            valuations = [
-                masks for masks in itertools.product(range(1 << n), repeat=len(props))
-                if not any(tuple(map(table.__getitem__, masks)) < masks for table in tables)]
+            valuations = _orbit_leaders(n, len(props), tables)
             frame = KripkeModel(labels, (), _masks=(succ, {}))
             memos = frame._dia, frame._box
             family = ModelFamily(frame, props, valuations)
@@ -576,6 +574,23 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
                 model = new(KripkeModel)
                 model._fill(labels, succ, dict(zip(props, masks)), memos, family, j)
                 yield model
+
+
+def _orbit_leaders(n: int, atoms: int,
+                   tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The valuation tuples (one world mask per atom) that are the least of
+    their orbit under the automorphisms whose mask-image `tables` are
+    given, in tuple order.  Product order is tuple order, so the first
+    member met of each orbit is its least; it is kept and its images are
+    marked, which skips the rest of the orbit."""
+    marked = set()
+    leaders = []
+    for masks in itertools.product(range(1 << n), repeat=atoms):
+        if masks not in marked:
+            leaders.append(masks)
+            for table in tables:
+                marked.add(tuple(map(table.__getitem__, masks)))
+    return leaders
 
 
 def _edges_of(succ: Sequence[int]) -> list[tuple[int, int]]:

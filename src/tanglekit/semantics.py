@@ -276,7 +276,7 @@ def _step_source(i: int, kind: str, operand, index: dict, names: list,
         return (f"k = ({members},)\n"
                 "x = T.get(k)\n"
                 "if x is None:\n"
-                "    x = tangle(model, k)\n"
+                "    x = T[k] = tangle(model, k)\n"
                 f"v[{i}] = x")
     if kind == TOP:
         return f"v[{i}] = full"
@@ -328,7 +328,7 @@ def _mu_segments(f: MuFormula | TangleFormula) -> tuple:
         names: list = []
         algebra: list = []
         segments: list = []
-        scope = {"unbound": _unbound, "tangle": _tangle_mask,
+        scope = {"unbound": _unbound, "tangle": _tangle_compute,
                  "names": names, "K": algebra, "F": segments}
         fixed = []
         found = 1
@@ -582,15 +582,23 @@ def _tangle_mask(model: KripkeModel | ModelFamily,
     """Worlds weakly below a maximal cluster in which the member multiset is
     recurrently satisfied: each cluster point either sees witnesses for every
     member inside the cluster, or satisfies one member itself and sees
-    witnesses for all the others."""
-    geometry, memo = _tangle_cache(model)
+    witnesses for all the others.  Read from, or stored in, the model's
+    tangle memo."""
+    memo = _tangle_cache(model)[1]
     key = tuple(member_masks)
     got = memo.get(key)
-    if got is not None:
-        return got
+    if got is None:
+        got = memo[key] = _tangle_compute(model, key)
+    return got
+
+
+def _tangle_compute(model: KripkeModel | ModelFamily, key: tuple) -> int:
+    """`_tangle_mask` of the member masks `key`, computed without the memo;
+    the model's geometry must be built.  Compiled tangle steps call this
+    on a memo miss and store the result themselves."""
+    geometry = model._tangle[0]
     if type(model) is ModelFamily:
-        got = memo[key] = _wide_tangle(model, geometry, key)
-        return got
+        return _wide_tangle(model, geometry, key)
     result = 0
     for down, points in geometry:
         for bit, inside in points:
@@ -607,7 +615,6 @@ def _tangle_mask(model: KripkeModel | ModelFamily,
             break
         else:
             result |= down
-    memo[key] = result
     return result
 
 

@@ -103,6 +103,45 @@ class TestNegate:
         f = random_formula(random.Random(seed), ["p", "q"], depth)
         assert fm.negate(fm.negate(f)) is f
 
+    def test_matches_recursive_dual(self):
+        # negate's memo holds each pair both ways, so the involution tests
+        # read it back; this compares with a dual built afresh
+        rng = random.Random(11)
+        for _ in range(2000):
+            f = random_formula(rng, ["p", "q"], rng.randint(0, 6), names=["x", "y"])
+            assert fm.negate(f) is _dual(f)
+
+    def test_open_formula_rejected_after_its_closure_was_negated(self):
+        f = p("nu x. (p & <> x)")
+        fm.negate(f)
+        with pytest.raises(fm.NegationError):
+            fm.negate(f.body)
+        with pytest.raises(fm.NegationError):
+            fm.negate(fm.var("x"))
+
+
+def _dual(f):
+    kind = f.kind
+    if kind == fm.TOP:
+        return fm.bot()
+    if kind == fm.BOT:
+        return fm.top()
+    if kind == fm.PROP:
+        return fm.neg_prop(f.name)
+    if kind == fm.NEGPROP:
+        return fm.prop(f.name)
+    if kind == fm.VAR:
+        return f
+    if kind == fm.AND:
+        return fm.disj(_dual(f.left), _dual(f.right))
+    if kind == fm.OR:
+        return fm.conj(_dual(f.left), _dual(f.right))
+    if kind == fm.DIA:
+        return fm.box(_dual(f.arg))
+    if kind == fm.BOX:
+        return fm.diamond(_dual(f.arg))
+    return (fm.nu if kind == fm.MU else fm.mu)(f.var, _dual(f.body))
+
 
 class TestTangleExpansion:
     def test_singleton(self):
@@ -249,6 +288,35 @@ class TestMeasures:
         f = p("mu y. (<> y | nu x. (p & <> x))")
         assert fm.alternation_free(f)
 
+    @pytest.mark.parametrize("text", ["mu z. nu z. nu u. (z & <> u)",
+                                      "nu z. mu z. mu u. (z | <> u)"])
+    def test_alternation_vacuous_outer_binder_is_shadowed(self, text):
+        # the inner binder rebinds z, so the outer one binds nothing
+        assert fm.alternation_free(p(text))
+
+    def test_alternation_under_shadowing_binder(self):
+        assert not fm.alternation_free(p("mu z. nu z. mu u. (z | <> u)"))
+
+    def test_alternation_matches_innermost_binder_oracle(self):
+        rng = random.Random(13)
+        answers = set()
+        for _ in range(3000):
+            f = random_formula(rng, ["p", "q"], rng.randint(1, 6), names=["x", "y", "z"])
+            want = _alternation_free_oracle(f, {})
+            assert fm.alternation_free(f) is want, fm.print_mu(f)
+            answers.add(want)
+        assert answers == {True, False}
+
+    def test_free_vars_match_recursive_oracle(self):
+        rng = random.Random(17)
+        for _ in range(1000):
+            f = random_formula(rng, ["p"], rng.randint(1, 6), names=["x", "y", "z"])
+            stack = [f]
+            while stack:
+                g = stack.pop()
+                assert fm.free_vars(g) == _free_vars_oracle(g)
+                stack.extend(g.children())
+
     def test_tangle_fragment_recognizer(self):
         g = fm.expand_tangle([fm.prop("p"), p("~q")])
         assert fm.in_tangle_fragment(g)
@@ -276,3 +344,66 @@ class TestMeasures:
         # member order is canonical (hash-based), not alphabetical
         assert fm.print_tangle(t2) in ("<inf>{o, p}", "<inf>{p, o}")
         assert fm.t_tangle([fm.t_prop("p"), fm.t_prop("o")]) is t2
+
+
+def _alternation_free_oracle(f, binders):
+    """`binders` maps each variable to the kind of its innermost binder
+    above f; a binder fails if a variable free in it is bound outside it
+    by the opposite kind."""
+    if f.kind in (fm.MU, fm.NU):
+        if any(binders.get(v, f.kind) != f.kind for v in fm.free_vars(f)):
+            return False
+        return _alternation_free_oracle(f.body, {**binders, f.var: f.kind})
+    return all(_alternation_free_oracle(c, binders) for c in f.children())
+
+
+def _free_vars_oracle(f):
+    if f.kind == fm.VAR:
+        return {f.name}
+    if f.kind in (fm.MU, fm.NU):
+        return _free_vars_oracle(f.body) - {f.var}
+    return set().union(*map(_free_vars_oracle, f.children()))
+
+
+class TestDeepFormulas:
+    """Nesting far beyond Python's recursion limit."""
+
+    DEPTH = 5000
+
+    def test_to_mu_of_negated_diamonds(self):
+        # ~<> over and over: each image is a box of the dual of the last
+        t = fm.t_tangle([fm.t_prop("p"), fm.t_prop("q")])
+        pos = fm.to_mu(t)
+        neg = fm.negate(pos)
+        for _ in range(self.DEPTH):
+            t = fm.t_not(fm.t_dia(t))
+            pos, neg = fm.box(neg), fm.diamond(pos)
+        image = fm.to_mu(t)
+        assert image is pos
+        assert fm.to_mu(t) is image
+        assert fm.negate(image) is neg
+        assert fm.in_tangle_fragment(image)
+        assert fm.alternation_free(image)
+
+    def test_nested_diamonds(self):
+        f, dual = fm.prop("p"), fm.neg_prop("p")
+        for _ in range(self.DEPTH):
+            f, dual = fm.diamond(f), fm.box(dual)
+        assert fm.negate(f) is dual
+        assert fm.in_tangle_fragment(f)
+        assert fm.alternation_free(f)
+        assert fm.free_vars(f) == frozenset()
+        assert not fm.in_tangle_fragment(_wrap_diamonds(p("mu x.(p | <> x)"), self.DEPTH))
+
+    def test_alternation_deep_below_binder(self):
+        # nu y. (x & <> y), with x free
+        body = fm.nu("y", fm.conj(fm.var("x"), fm.diamond(fm.var("y"))))
+        f = fm.mu("x", _wrap_diamonds(body, self.DEPTH))
+        assert not fm.alternation_free(f)
+        assert fm.alternation_free(fm.nu("x", _wrap_diamonds(body, self.DEPTH)))
+
+
+def _wrap_diamonds(f, depth):
+    for _ in range(depth):
+        f = fm.diamond(f)
+    return f

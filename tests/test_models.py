@@ -227,6 +227,17 @@ class TestEnumeration:
         # 2,902 five-world frames, checked once against the brute force
         assert sum(1 for _ in enumerate_models([], 5)) == 3327
 
+    @pytest.mark.parametrize("atoms", [1, 2])
+    def test_orbit_leaders_match_least_image_filter(self, atoms):
+        # the filter that keeps a valuation unless some automorphism maps
+        # it to a smaller tuple
+        for n in range(1, 5):
+            for _, tables in km._wk4_canonical(n):
+                want = [masks for masks in itertools.product(range(1 << n), repeat=atoms)
+                        if not any(tuple(map(table.__getitem__, masks)) < masks
+                                   for table in tables)]
+                assert km._orbit_leaders(n, atoms, tables) == want
+
 
 def _permute_mask(mask, perm):
     out = 0
