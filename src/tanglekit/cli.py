@@ -14,8 +14,8 @@ from . import semantics as sem
 from .models import (ClusterEnumerationError, KripkeModel, ModelFormatError,
                      enumerate_models, iter_bits, random_model, validate_wk4)
 from .translate import (TranslationGuardError, TranslationGuards,
-                        format_tangle_dag, size_bound_exponent, size_bound_ok,
-                        translate)
+                        decimal_digits, format_tangle_dag, size_bound_exponent,
+                        size_bound_ok, translate)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -82,7 +82,8 @@ def cmd_translate(args) -> int:
                                max_thetas=args.max_thetas)
     chi, translator = translate(formula, guards)
     report = translator.report(chi)
-    report["size_bound_exponent_digits"] = len(str(size_bound_exponent(formula)))
+    report["size_bound_exponent_digits"] = decimal_digits(
+        size_bound_exponent(formula))[0]
     report["size_bound_ok"] = size_bound_ok(formula, chi)
     image = fm.to_mu(chi)
     report["tangle_fragment"] = fm.in_tangle_fragment(image)
@@ -121,6 +122,7 @@ def cmd_fuzz(args) -> int:
     if args.models < 1:
         raise UsageError(f"--models must be at least 1, got {args.models}")
     left = _parse_formula(args.formula_a)
+    atoms = fm.prop_names(left)
     if args.chi:
         if args.formula_b is not None:
             raise UsageError("give either a second formula or --chi, not both")
@@ -128,12 +130,12 @@ def cmd_fuzz(args) -> int:
         right_eval = lambda model: sem.eval_tangle(model, chi)
     elif args.formula_b is not None:
         right = _parse_formula(args.formula_b)
+        atoms |= fm.prop_names(right)
         right_eval = lambda model: sem.eval_mu(model, right)
     else:
         raise UsageError("need a second formula or --chi")
     if not args.props:
-        names = sorted(fm.prop_names(left))
-        args.props = ",".join(names)
+        args.props = ",".join(sorted(atoms))
     checked = 0
     for model in _fuzz_models(args):
         checked += 1
@@ -176,10 +178,11 @@ def cmd_stats(args) -> int:
     sigma = fm.sigma_closure(formula)
     n = fm.size(formula)
     bound = size_bound_exponent(formula)
+    digits, lead = decimal_digits(bound)
     human = (f"size: {n}\nsigma members: {len(sigma)}\n"
-             f"log2 size bound: {bound if n <= 4 else str(bound)[:40] + '...'}")
+             f"log2 size bound: {bound if n <= 4 else lead + '...'}")
     _emit(args, human, {"size": n, "sigma_size": len(sigma),
-                        "log2_size_bound_digits": len(str(bound))})
+                        "log2_size_bound_digits": digits})
     return EXIT_OK
 
 

@@ -81,21 +81,25 @@ class MuFormula:
     def key(self) -> str:
         """Structural hash, stable across runs; used for deterministic order."""
         if self._key is None:
-            h = hashlib.sha256()
-            h.update(self.kind.encode())
-            if self.name is not None:
-                h.update(b"n" + self.name.encode())
-            if self.var is not None:
-                h.update(b"v" + self.var.encode())
-            for child in (self.left, self.right, self.arg, self.body):
-                if child is not None:
-                    h.update(child.key.encode())
-            self._key = h.hexdigest()
+            for g in _post_order(self, lambda g: g._key is not None):
+                h = hashlib.sha256(g.kind.encode())
+                if g.name is not None:
+                    h.update(b"n" + g.name.encode())
+                if g.var is not None:
+                    h.update(b"v" + g.var.encode())
+                for child in g.children():
+                    h.update(child._key.encode())
+                g._key = h.hexdigest()
         return self._key
 
     def children(self) -> tuple:
-        return tuple(c for c in (self.left, self.right, self.arg, self.body)
-                     if c is not None)
+        if self.left is not None:
+            return self.left, self.right
+        if self.arg is not None:
+            return self.arg,
+        if self.body is not None:
+            return self.body,
+        return ()
 
 
 _mu_table: dict[tuple, MuFormula] = {}
@@ -189,21 +193,33 @@ def sugar_shape(f: MuFormula) -> Optional[tuple[str, MuFormula]]:
     return None
 
 
-def _unfilled(f, slot: str) -> list:
-    """The nodes under f whose cached `slot` is unset, children before
-    parents, found by an iterative walk so deep formulas do not recurse."""
-    out = []
-    seen = set()
-    stack = [(f, False)]
+def _post_order(root, done: Callable, children: Optional[Callable] = None) -> Iterator:
+    """The distinct nodes under `root`, itself included, for which `done`
+    is false, each one after its children.  `children(g)` names the nodes
+    g's value is made from (`g.children()` by default); the walk does not
+    enter a node that is done.  Every fold over a formula is one loop over
+    this walk that makes each node done as it comes (fills its memo entry
+    or slot), so a node met again before it is done is one the walk is
+    still inside: a cycle, which raises RuntimeError.  The walk is
+    iterative, so any depth works."""
+    if done(root):
+        return
+    children = children or type(root).children
+    inside = {root}
+    stack = [(root, iter(children(root)))]
     while stack:
-        g, ready = stack.pop()
-        if ready:
-            out.append(g)
-        elif g not in seen:
-            seen.add(g)
-            stack.append((g, True))
-            stack.extend((c, False) for c in g.children() if getattr(c, slot) is None)
-    return out
+        g, todo = stack[-1]
+        for c in todo:
+            if not done(c):
+                if c in inside:
+                    raise RuntimeError("cyclic dependency")
+                inside.add(c)
+                stack.append((c, iter(children(c))))
+                break
+        else:
+            stack.pop()
+            inside.remove(g)
+            yield g
 
 
 def free_vars(f: MuFormula) -> frozenset[str]:
@@ -213,12 +229,11 @@ def free_vars(f: MuFormula) -> frozenset[str]:
 
 def prop_names(f: MuFormula) -> frozenset[str]:
     """Names of propositional constants occurring anywhere in the formula."""
-    if f._props is None:
-        for g in _unfilled(f, "_props"):
-            if g.kind in (PROP, NEGPROP):
-                g._props = frozenset((g.name,))
-            else:
-                g._props = frozenset().union(*(c._props for c in g.children()))
+    for g in _post_order(f, lambda g: g._props is not None):
+        if g.kind in (PROP, NEGPROP):
+            g._props = frozenset((g.name,))
+        else:
+            g._props = frozenset().union(*(c._props for c in g.children()))
     return f._props
 
 
@@ -228,21 +243,11 @@ def size(f) -> int:
     bound variable included).  Computed over the DAG, so shared subterms are
     counted as many times as the tree has them; exact for any size.
     """
-    if f._size is None:
-        # An iterative post-order walk: on the stack, a tuple is the
-        # children of the node under it, whose size it completes.
-        stack: list = [f]
-        while stack:
-            g = stack.pop()
-            if type(g) is tuple:
-                n = 1
-                for c in g:
-                    n += c._size
-                stack.pop()._size = n
-            elif g._size is None:
-                children = g.children()
-                stack += (g, children)
-                stack += [c for c in children if c._size is None]
+    for g in _post_order(f, lambda g: g._size is not None):
+        n = 1
+        for c in g.children():
+            n += c._size
+        g._size = n
     return f._size
 
 
@@ -260,39 +265,20 @@ def negate(f: MuFormula) -> MuFormula:
     free Var occurrence cannot be negated in NNF and raises NegationError.
     Inside a closed formula the dual of a node does not depend on where it
     sits, so the memo is keyed by node; negation is an involution, so each
-    entry is stored both ways.  An iterative post-order walk, so deep
-    formulas do not recurse."""
+    entry is stored both ways."""
     if f._freevars:
         raise NegationError(
             f"cannot negate free occurrence of variable {min(f._freevars)!r}")
     memo = _negate_memo
-    got = memo.get(f)
-    if got is not None:
-        return got
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in memo:
-            continue
+    for g in _post_order(f, memo.__contains__):
         kind = g.kind
         if kind in (AND, OR):
-            left, right = memo.get(g.left), memo.get(g.right)
-            if left is None or right is None:
-                stack += (g, g.left, g.right)
-                continue
+            left, right = memo[g.left], memo[g.right]
             out = disj(left, right) if kind == AND else conj(left, right)
         elif kind in (DIA, BOX):
-            arg = memo.get(g.arg)
-            if arg is None:
-                stack += (g, g.arg)
-                continue
-            out = box(arg) if kind == DIA else diamond(arg)
+            out = box(memo[g.arg]) if kind == DIA else diamond(memo[g.arg])
         elif kind in (MU, NU):
-            body = memo.get(g.body)
-            if body is None:
-                stack += (g, g.body)
-                continue
-            out = nu(g.var, body) if kind == MU else mu(g.var, body)
+            out = nu(g.var, memo[g.body]) if kind == MU else mu(g.var, memo[g.body])
         elif kind == VAR:
             out = g  # bound above, since the root is closed
         elif kind == PROP:
@@ -307,28 +293,26 @@ def negate(f: MuFormula) -> MuFormula:
 
 
 def substitute(f: MuFormula, name: str, repl: MuFormula) -> MuFormula:
-    """Replace free Var occurrences of `name` by the (closed) formula `repl`."""
+    """Replace free Var occurrences of `name` by the (closed) formula `repl`.
+    Only the nodes with `name` free are rebuilt; the others stay as they are."""
+    if name not in f._freevars:
+        return f
     memo: dict[MuFormula, MuFormula] = {}
-
-    def go(g: MuFormula) -> MuFormula:
-        if name not in free_vars(g):
-            return g
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if g.kind == VAR:
+    for g in _post_order(f, memo.__contains__,
+                         lambda g: [c for c in g.children() if name in c._freevars]):
+        kind = g.kind
+        if kind == VAR:
             out = repl
-        elif g.kind in (MU, NU):
+        elif kind in (MU, NU):
             # name is free in g, so g.var != name
-            out = _mk(g.kind, var=g.var, body=go(g.body))
-        elif g.kind in (AND, OR):
-            out = _mk(g.kind, left=go(g.left), right=go(g.right))
+            out = _mk(kind, var=g.var, body=memo[g.body])
+        elif kind in (AND, OR):
+            out = _mk(kind, left=memo.get(g.left, g.left),
+                      right=memo.get(g.right, g.right))
         else:  # DIA, BOX
-            out = _mk(g.kind, arg=go(g.arg))
+            out = _mk(kind, arg=memo[g.arg])
         memo[g] = out
-        return out
-
-    return go(f)
+    return memo[f]
 
 
 # ---------------------------------------------------------------------------
@@ -488,40 +472,36 @@ def sub_star(f: MuFormula) -> frozenset[MuFormula]:
 
 
 def floor(f: MuFormula) -> MuFormula:
-    """Close a formula by recursively substituting fresh constants with the
-    fixed points they name (negated occurrences get the negated fixed point).
-    """
+    """Close a formula by substituting, again and again, fresh constants with
+    the fixed points they name (negated occurrences get the negated fixed
+    point).  A constant whose fixed point mentions it, which only a user
+    atom named like a fresh constant can make, raises RuntimeError."""
     memo: dict[MuFormula, MuFormula] = {}
-    active: set[MuFormula] = set()
 
-    def go(g: MuFormula) -> MuFormula:
-        got = memo.get(g)
-        if got is not None:
-            return got
+    def parts(g: MuFormula) -> tuple:
+        if g.kind in (PROP, NEGPROP):
+            owner = _fresh_by_name.get(g.name)
+            return () if owner is None else (owner,)
+        return g.children()
+
+    for g in _post_order(f, memo.__contains__, parts):
         kind = g.kind
         if kind in (PROP, NEGPROP):
             owner = _fresh_by_name.get(g.name)
             if owner is None:
                 out = g
             else:
-                if owner in active:
-                    raise RuntimeError("cyclic fresh-constant dependency")
-                active.add(owner)
-                closed = go(owner)
-                active.discard(owner)
-                out = closed if kind == PROP else negate(closed)
+                out = memo[owner] if kind == PROP else negate(memo[owner])
         elif kind in (TOP, BOT, VAR):
             out = g
         elif kind in (AND, OR):
-            out = _mk(kind, left=go(g.left), right=go(g.right))
+            out = _mk(kind, left=memo[g.left], right=memo[g.right])
         elif kind in (DIA, BOX):
-            out = _mk(kind, arg=go(g.arg))
+            out = _mk(kind, arg=memo[g.arg])
         else:
-            out = _mk(kind, var=g.var, body=go(g.body))
+            out = _mk(kind, var=g.var, body=memo[g.body])
         memo[g] = out
-        return out
-
-    return go(f)
+    return memo[f]
 
 
 # -- canonical members: formulas are decomposed into a prefix word over the
@@ -640,22 +620,15 @@ def alternation_free(f: MuFormula) -> bool:
     binder's variable occurs, unshadowed, free in an opposite-kind binder
     inside its body (Emerson & Lei, LICS 1986).
 
-    Checked in one iterative post-order walk: for each node it keeps the
-    pair (free variables that occur under a mu binder inside the node,
-    those that occur under a nu binder)."""
+    Checked in one post-order fold: for each node it keeps the pair (free
+    variables that occur under a mu binder inside the node, those that
+    occur under a nu binder)."""
     under: dict[MuFormula, tuple] = {}
     none = (_NO_VARS, _NO_VARS)
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g in under:
-            continue
+    for g in _post_order(f, under.__contains__):
         kind = g.kind
         if kind in (AND, OR):
-            left, right = under.get(g.left), under.get(g.right)
-            if left is None or right is None:
-                stack += (g, g.left, g.right)
-                continue
+            left, right = under[g.left], under[g.right]
             if right is none or right is left:
                 out = left
             elif left is none:
@@ -665,17 +638,10 @@ def alternation_free(f: MuFormula) -> bool:
                 out = (lm | rm if lm and rm else lm or rm,
                        ln | rn if ln and rn else ln or rn)
         elif kind in (DIA, BOX):
-            out = under.get(g.arg)
-            if out is None:
-                stack += (g, g.arg)
-                continue
+            out = under[g.arg]
         elif kind in (MU, NU):
-            body = under.get(g.body)
-            if body is None:
-                stack += (g, g.body)
-                continue
             x = g.var
-            in_mu, in_nu = body
+            in_mu, in_nu = under[g.body]
             if x in (in_nu if kind == MU else in_mu):
                 return False
             # every free variable of a binder occurs under it; the binder's
@@ -814,19 +780,21 @@ class TangleFormula:
     @property
     def key(self) -> str:
         if self._key is None:
-            h = hashlib.sha256()
-            h.update(b"t" + self.kind.encode())
-            if self.name is not None:
-                h.update(self.name.encode())
-            for child in self.children():
-                h.update(child.key.encode())
-            self._key = h.hexdigest()
+            for g in _post_order(self, lambda g: g._key is not None):
+                h = hashlib.sha256(b"t" + g.kind.encode())
+                if g.name is not None:
+                    h.update(g.name.encode())
+                for child in g.children():
+                    h.update(child._key.encode())
+                g._key = h.hexdigest()
         return self._key
 
     def children(self) -> tuple:
         if self.members is not None:
             return self.members
-        return tuple(c for c in (self.left, self.right, self.arg) if c is not None)
+        if self.left is not None:
+            return self.left, self.right
+        return () if self.arg is None else (self.arg,)
 
 
 _tangle_table: dict[tuple, TangleFormula] = {}
@@ -926,22 +894,9 @@ def t_implies(premise: TangleFormula, conclusion: TangleFormula) -> TangleFormul
 
 
 def to_mu(f: TangleFormula) -> MuFormula:
-    """Mu-calculus image of a tangle formula (negations pushed into NNF),
-    built by an iterative post-order walk."""
+    """Mu-calculus image of a tangle formula (negations pushed into NNF)."""
     memo: dict[TangleFormula, MuFormula] = {}
-    # On the stack, a tuple is the children of the node under it, whose
-    # image it completes.
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is not tuple:
-            if g not in memo:
-                children = g.children()
-                stack += (g, children)
-                stack += [c for c in children if c not in memo]
-            continue
-        children = g
-        g = stack.pop()
+    for g in _post_order(f, memo.__contains__):
         kind = g.kind
         if kind == TOP:
             out = top()
@@ -958,7 +913,7 @@ def to_mu(f: TangleFormula) -> MuFormula:
         elif kind == BOX:
             out = box(memo[g.arg])
         else:  # TANGLE
-            out = expand_tangle([memo[m] for m in children])
+            out = expand_tangle([memo[m] for m in g.members])
         memo[g] = out
     return memo[f]
 
@@ -1121,84 +1076,106 @@ def parse_mu(text: str) -> MuFormula:
 
 # ---------------------------------------------------------------------------
 # printing (canonical: re-sugars reflexive modalities, minimal parentheses;
-# parse(print_mu(f)) is f for every formula)
+# parse(print_mu(f)) is f for every formula).  Each printer is one fold that
+# gives every node its text and the precedence of its outermost operator; a
+# parent puts parentheses around a child whose precedence is below what the
+# child's position needs.
 
+_PREC_BINDER = 0  # a binder swallows everything to its right
 _PREC_OR = 1
 _PREC_AND = 2
 _PREC_UNARY = 3
+_PREC_ATOM = 4
+_INFIX = {OR: (" | ", _PREC_OR), AND: (" & ", _PREC_AND)}
+_PREFIX = {DIA: "<> ", BOX: "[] ", NOT: "~", "d": "<.> ", "b": "[.] "}
+
+
+def _parens(entry: tuple, prec: int) -> str:
+    text, own = entry
+    return text if own >= prec else f"({text})"
+
+
+def _operator_text(op: str, entries: list) -> tuple:
+    """(text, precedence) of an AND, OR, DIA, BOX or NOT node, or of a
+    reflexive diamond ("d") or box ("b"), from its children's entries."""
+    if op in _INFIX:
+        infix, prec = _INFIX[op]
+        return (_parens(entries[0], prec) + infix
+                + _parens(entries[1], prec + 1), prec)
+    return _PREFIX[op] + _parens(entries[0], _PREC_UNARY), _PREC_UNARY
+
+
+def _print(f, parts: Callable, entry: Callable) -> str:
+    """The printing fold.  `parts(g)` are the nodes whose texts g's text is
+    made from, and `entry(g, texts)` is g's (text, precedence), read from
+    theirs in `texts`.  A node claims its parts when the walk enters it, and
+    a text is dropped once every claim on it is met, so only texts still
+    awaited are kept."""
+    texts: dict = {}
+    claims: dict = {}
+    claimed: dict = {}
+
+    def claim(g) -> tuple:
+        nodes = claimed[g] = parts(g)
+        for c in nodes:
+            claims[c] = claims.get(c, 0) + 1
+        return nodes
+
+    for g in _post_order(f, texts.__contains__, claim):
+        texts[g] = entry(g, texts)
+        for c in claimed.pop(g):
+            claims[c] -= 1
+            if not claims[c]:
+                del texts[c], claims[c]
+    return texts[f][0]
+
+
+def _mu_parts(g: MuFormula) -> tuple:
+    # a reflexive diamond or box prints from its argument alone
+    shape = sugar_shape(g)
+    return g.children() if shape is None else (shape[1],)
+
+
+def _mu_entry(g: MuFormula, texts: dict) -> tuple:
+    kind = g.kind
+    if kind in (PROP, VAR):
+        return g.name, _PREC_ATOM
+    if kind == NEGPROP:
+        return "~" + g.name, _PREC_ATOM
+    if kind in (TOP, BOT):
+        return "T" if kind == TOP else "F", _PREC_ATOM
+    if kind in (MU, NU):
+        return f"{kind} {g.var}. {texts[g.body][0]}", _PREC_BINDER
+    shape = sugar_shape(g)
+    if shape is None:
+        return _operator_text(kind, [texts[c] for c in g.children()])
+    return _operator_text(shape[0], [texts[shape[1]]])
 
 
 def print_mu(f: MuFormula) -> str:
-    return _pp_mu(f, 0)
-
-
-def _pp_mu(f: MuFormula, prec: int) -> str:
-    kind = f.kind
-    if kind == TOP:
-        return "T"
-    if kind == BOT:
-        return "F"
-    if kind in (PROP, VAR):
-        return f.name
-    if kind == NEGPROP:
-        return "~" + f.name
-    shape = sugar_shape(f)
-    if shape is not None:
-        op = "<.>" if shape[0] == "d" else "[.]"
-        s = f"{op} {_pp_mu(shape[1], _PREC_UNARY)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if kind == AND:
-        s = f"{_pp_mu(f.left, _PREC_AND)} & {_pp_mu(f.right, _PREC_AND + 1)}"
-        return f"({s})" if prec > _PREC_AND else s
-    if kind == OR:
-        s = f"{_pp_mu(f.left, _PREC_OR)} | {_pp_mu(f.right, _PREC_OR + 1)}"
-        return f"({s})" if prec > _PREC_OR else s
-    if kind == DIA:
-        s = f"<> {_pp_mu(f.arg, _PREC_UNARY)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if kind == BOX:
-        s = f"[] {_pp_mu(f.arg, _PREC_UNARY)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    # binders swallow everything to their right, so any operator context
-    # needs parentheses around them
-    kw = "mu" if kind == MU else "nu"
-    s = f"{kw} {f.var}. {_pp_mu(f.body, 0)}"
-    return f"({s})" if prec > 0 else s
+    return _print(f, _mu_parts, _mu_entry)
 
 
 def print_tangle(f: TangleFormula,
                  names: Optional[Mapping[TangleFormula, str]] = None) -> str:
     """Canonical text of a tangle formula.  With `names`, every proper
-    subterm that has a name prints as that name."""
-    return _pp_tangle(f, 0, names or {}, f)
+    subterm that has a name prints as that name, so the walk stops there."""
+    names = names or {}
+    bottom = t_bot()
 
+    def parts(g: TangleFormula) -> list:
+        return [c for c in g.children() if c not in names]
 
-def _pp_tangle(f: TangleFormula, prec: int, names: Mapping, root: TangleFormula) -> str:
-    if f is not root and f in names:
-        return names[f]
-    kind = f.kind
-    if kind == TOP:
-        return "T"
-    if f is t_bot():
-        return "F"
-    if kind == PROP:
-        return f.name
-    if kind == NOT:
-        s = f"~{_pp_tangle(f.arg, _PREC_UNARY, names, root)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if kind == AND:
-        s = (f"{_pp_tangle(f.left, _PREC_AND, names, root)} & "
-             f"{_pp_tangle(f.right, _PREC_AND + 1, names, root)}")
-        return f"({s})" if prec > _PREC_AND else s
-    if kind == OR:
-        s = (f"{_pp_tangle(f.left, _PREC_OR, names, root)} | "
-             f"{_pp_tangle(f.right, _PREC_OR + 1, names, root)}")
-        return f"({s})" if prec > _PREC_OR else s
-    if kind == DIA:
-        s = f"<> {_pp_tangle(f.arg, _PREC_UNARY, names, root)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    if kind == BOX:
-        s = f"[] {_pp_tangle(f.arg, _PREC_UNARY, names, root)}"
-        return f"({s})" if prec > _PREC_UNARY else s
-    inner = ", ".join(_pp_tangle(m, 0, names, root) for m in f.members)
-    return "<inf>{" + inner + "}"
+    def entry(g: TangleFormula, texts: dict) -> tuple:
+        kind = g.kind
+        if kind in (TOP, PROP):
+            return "T" if kind == TOP else g.name, _PREC_ATOM
+        if g is bottom:
+            return "F", _PREC_ATOM
+        entries = [texts[c] if c in texts else (names[c], _PREC_ATOM)
+                   for c in g.children()]
+        if kind == TANGLE:
+            return "<inf>{" + ", ".join(text for text, _ in entries) + "}", _PREC_ATOM
+        return _operator_text(kind, entries)
+
+    return _print(f, parts, entry)

@@ -800,7 +800,7 @@ class Translator:
             tree = fm.size(chi)
             out["dag_nodes"] = fm.tangle_dag_nodes(chi)
             out["log2_tree_size"] = tree.bit_length() - 1
-            out["tree_size_digits"] = len(str(tree))
+            out["tree_size_digits"] = decimal_digits(tree)[0]
         return out
 
 
@@ -821,6 +821,17 @@ def size_bound_exponent(phi: MuFormula) -> int:
     """Upper bound on log2 of the translation's tree size: (14n+1)*2^(14n+6)."""
     n = fm.size(phi)
     return (14 * n + 1) << (14 * n + 6)
+
+
+def decimal_digits(n: int) -> tuple[int, str]:
+    """The number of decimal digits of an int n >= 0 and its first 40
+    digits, both exact.  Only an int of at most 40 digits is turned into
+    text, since `str()` refuses ints of more than 4,300 digits."""
+    # 0.30102999566 is just below log10(2), so the start is never too high
+    digits = max(1, int((n.bit_length() - 1) * 0.30102999566))
+    while 10 ** digits <= n:
+        digits += 1
+    return digits, str(n // 10 ** max(0, digits - 40))
 
 
 def size_bound_ok(phi: MuFormula, chi: TangleFormula) -> bool:

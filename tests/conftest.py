@@ -45,3 +45,20 @@ def random_formula(rng: random.Random, props, depth: int,
     v = rng.choice(names) if names else f"v{len(bound)}"
     body = random_formula(rng, props, depth - 1, bound + (v,), allow_binders, names)
     return fm.mu(v, body) if kind == "mu" else fm.nu(v, body)
+
+
+def random_tangle_dag(rng: random.Random, steps: int) -> list:
+    """Tangle formulas over p and q, each built from earlier ones, so later
+    nodes share subterms; tangles have 1-4 members, possibly repeated."""
+    pool = [fm.t_prop("p"), fm.t_prop("q"), fm.t_top()]
+    for _ in range(steps):
+        kind = rng.choice(["not", "and", "or", "dia", "box", "tangle", "tangle"])
+        if kind == "tangle":
+            pool.append(fm.t_tangle(rng.choices(pool, k=rng.randint(1, 4))))
+        elif kind in ("and", "or"):
+            build = fm.t_and if kind == "and" else fm.t_or
+            pool.append(build(rng.choice(pool), rng.choice(pool)))
+        else:
+            build = {"not": fm.t_not, "dia": fm.t_dia, "box": fm.t_box}[kind]
+            pool.append(build(rng.choice(pool)))
+    return pool

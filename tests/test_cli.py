@@ -174,6 +174,15 @@ class TestFuzz:
             "model": {"worlds": ["0", "1"], "edges": [["1", "0"]], "val": {"p": ["0"]}}}
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["p", "p | q", "--size", "3", "--models", "50"],
+        ["p", "p | q", "--exhaustive", "--size", "2"],
+        ["F", "q", "--exhaustive", "--size", "2"]])
+    def test_default_atoms_are_those_of_both_formulas(self, argv, capsys):
+        # without --props the models range over the atoms of A and of B
+        assert main(["fuzz-equiv", *argv]) == 1
+        assert "q" in json.loads(capsys.readouterr().out)["model"]["val"]
+
     def test_needs_second_formula_or_chi(self, capsys):
         assert main(["fuzz-equiv", "p"]) == 2
 
@@ -222,6 +231,19 @@ class TestListings:
         path.write_text("[" * 100000 + "]" * 100000)
         assert main(["check", str(path), "p"]) == 2
         assert "model file is nested too deeply" in capsys.readouterr().err
+
+    def test_stats_beyond_int_string_limit(self, capsys):
+        # tree size 2,047: the size bound's exponent has 8,634 decimal
+        # digits, past what str() converts
+        text = "p"
+        for _ in range(10):
+            text = f"({text}) & ({text})"
+        assert main(["stats", text]) == 0
+        out = capsys.readouterr().out
+        assert "size: 2047" in out
+        assert "log2 size bound: 1517248597879956542824682156563358486942..." in out
+        assert main(["--format", "structured", "stats", text]) == 0
+        assert json.loads(capsys.readouterr().out)["log2_size_bound_digits"] == 8634
 
     def test_stats_structured(self, capsys):
         assert main(["--format", "structured", "stats", "<> p"]) == 0

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tanglekit import formulas as fm
-from tests.conftest import random_formula
+from tanglekit.translate import format_tangle_dag
+from tests.conftest import random_formula, random_tangle_dag
 
 
 def p(text):
@@ -79,6 +81,37 @@ class TestPrinting:
         a = p("p & <> p")
         b = fm.conj(fm.prop("p"), fm.diamond(fm.prop("p")))
         assert a is b
+
+
+class TestPinnedText:
+    """sha256 of printed text and keys over seeded corpora, as first
+    recorded with the recursive printers and keys.  Fresh-constant names and
+    `t_tangle` member order come from keys, so any change of text or key
+    fails here; `test_pinned_output` pins `format_tangle_dag` the same way."""
+
+    def test_mu_text_and_keys(self):
+        rng = random.Random(20261019)
+        h = hashlib.sha256()
+        for i in range(2000):
+            f = random_formula(rng, ["p", "q", "r"], rng.randint(0, 7),
+                               names=["x", "y", "z"])
+            if i % 5 == 0:  # reflexive sugar, re-sugared by the printer
+                f = fm.dot_box(fm.dot_diamond(f))
+            h.update(f"{fm.print_mu(f)}\n{f.key}\n".encode())
+        assert h.hexdigest() == (
+            "5579477efb66be0ef5607c93748bf0aee494769f4c8485b01dcdd608ea55ab32")
+
+    def test_tangle_text_and_keys(self):
+        rng = random.Random(140)
+        h = hashlib.sha256()
+        for _ in range(25):
+            pool = random_tangle_dag(rng, 40)
+            names = {g: f"n{i}" for i, g in enumerate(pool) if i % 3 == 0}
+            for g in pool:
+                h.update(f"{fm.print_tangle(g)}\n{fm.print_tangle(g, names)}\n"
+                         f"{g.key}\n".encode())
+        assert h.hexdigest() == (
+            "e6acdf68234f10fdc81e0894333d577ff8a34edbefe41584eb64945be286f111")
 
 
 class TestNegate:
@@ -222,6 +255,18 @@ class TestFloor:
         assert fm.free_vars(got) == frozenset()
         result = fm.floor(got)
         assert result is got  # already closed
+
+    def test_cyclic_fresh_constant_raises(self):
+        # a user atom that reads as a fresh constant naming a fixed point
+        # around itself
+        name = "x_cyclic"
+        binder = fm.nu("x", fm.conj(fm.prop(name), fm.diamond(fm.var("x"))))
+        fm._fresh_by_name[name] = binder
+        try:
+            with pytest.raises(RuntimeError, match="cyclic"):
+                fm.floor(fm.diamond(fm.neg_prop(name)))
+        finally:
+            del fm._fresh_by_name[name]
 
     def test_floor_commutes_with_negation_on_closure(self):
         sigma = fm.sigma_closure(p("nu x.(p & <> x)"))
@@ -393,6 +438,7 @@ class TestDeepFormulas:
         assert fm.in_tangle_fragment(f)
         assert fm.alternation_free(f)
         assert fm.free_vars(f) == frozenset()
+        assert fm.prop_names(f) == {"p"}
         assert not fm.in_tangle_fragment(_wrap_diamonds(p("mu x.(p | <> x)"), self.DEPTH))
 
     def test_alternation_deep_below_binder(self):
@@ -401,6 +447,58 @@ class TestDeepFormulas:
         f = fm.mu("x", _wrap_diamonds(body, self.DEPTH))
         assert not fm.alternation_free(f)
         assert fm.alternation_free(fm.nu("x", _wrap_diamonds(body, self.DEPTH)))
+
+    def test_print_mu_and_repr(self):
+        f = _wrap_diamonds(fm.prop("p"), self.DEPTH)
+        text = "<> " * self.DEPTH + "p"
+        assert fm.print_mu(f) == text
+        assert repr(f) == f"MuFormula({text!r})"
+        g, text = fm.prop("p"), "p"
+        for _ in range(self.DEPTH):
+            g = fm.conj(fm.prop("q"), fm.disj(g, fm.prop("r")))
+            text = f"q & ({text} | r)"
+        assert fm.print_mu(g) == text
+
+    def test_print_tangle_and_format_dag(self):
+        t = fm.t_prop("p")
+        for _ in range(self.DEPTH):
+            t = fm.t_not(fm.t_dia(t))
+        text = "~<> " * self.DEPTH + "p"
+        assert fm.print_tangle(t) == text
+        assert repr(t) == f"TangleFormula({text!r})"
+        assert format_tangle_dag(t) == "chi = " + text
+
+    def test_mu_key(self):
+        f = _wrap_diamonds(fm.prop("p"), self.DEPTH)
+        key = hashlib.sha256(b"propnp").hexdigest()
+        for _ in range(self.DEPTH):
+            key = hashlib.sha256(b"dia" + key.encode()).hexdigest()
+        assert f.key == key
+
+    def test_tangle_key_and_member_order(self):
+        t = fm.t_prop("p")
+        for _ in range(self.DEPTH):
+            t = fm.t_dia(t)
+        key = hashlib.sha256(b"tpropp").hexdigest()
+        for _ in range(self.DEPTH):
+            key = hashlib.sha256(b"tdia" + key.encode()).hexdigest()
+        q = fm.t_prop("q")
+        assert fm.t_tangle([t, q]).members == tuple(sorted([t, q], key=lambda m: m.key))
+        assert t.key == key
+
+    def test_floor(self):
+        binder = fm.nu("x", fm.conj(fm.prop("p"), _wrap_diamonds(fm.var("x"), self.DEPTH)))
+        name = fm.fresh_constant_name(binder)
+        f = _wrap_diamonds(fm.prop(name), self.DEPTH)
+        assert fm.floor(f) is _wrap_diamonds(binder, self.DEPTH)
+        assert fm.floor(fm.neg_prop(name)) is fm.negate(binder)
+
+    def test_substitute_and_unfold(self):
+        binder = fm.nu("x", fm.conj(fm.prop("p"), _wrap_diamonds(fm.var("x"), self.DEPTH)))
+        assert fm.unfold_fixpoint(binder) is fm.conj(
+            fm.prop("p"), _wrap_diamonds(binder, self.DEPTH))
+        assert fm.substitute(binder.body, "x", fm.top()) is fm.conj(
+            fm.prop("p"), _wrap_diamonds(fm.top(), self.DEPTH))
 
 
 def _wrap_diamonds(f, depth):

@@ -7,7 +7,7 @@ from tanglekit import semantics as sem
 from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel,
                               enumerate_models, random_model)
 from tanglekit.translate import translate
-from tests.conftest import random_formula
+from tests.conftest import random_formula, random_tangle_dag
 
 
 def p(text):
@@ -93,14 +93,14 @@ class TestTangleFormulaEval:
 
     def test_random_dags_match_mu_image(self, models_pq3):
         rng = random.Random(31)
-        roots = [root for _ in range(6) for root in _random_tangle_dag(rng, 10)[-3:]]
+        roots = [root for _ in range(6) for root in random_tangle_dag(rng, 10)[-3:]]
         images = [fm.to_mu(t) for t in roots]
         for model in models_pq3:
             for t, image in zip(roots, images):
                 assert sem.eval_tangle(model, t) == sem.eval_mu(model, image)
 
     def test_shared_cache_is_filled_and_agrees(self, models_pq3):
-        roots = _random_tangle_dag(random.Random(5), 16)[-6:]
+        roots = random_tangle_dag(random.Random(5), 16)[-6:]
         for model in models_pq3[::7]:
             cache: dict = {}
             for t in roots:
@@ -109,7 +109,7 @@ class TestTangleFormulaEval:
 
     def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
         size = sem.SEGMENT_STEPS
-        pool = _random_tangle_dag(random.Random(61), 3 * size)
+        pool = random_tangle_dag(random.Random(61), 3 * size)
         # One root over the whole pool, joined pairwise, so its program holds
         # every node and late steps read operands from early segments.
         level = pool
@@ -174,23 +174,6 @@ class TestTangleFormulaEval:
 @pytest.fixture(scope="module")
 def models_pq3():
     return list(enumerate_models(["p", "q"], 3))
-
-
-def _random_tangle_dag(rng: random.Random, steps: int) -> list:
-    """Tangle formulas over p and q, each built from earlier ones, so later
-    nodes share subterms; tangles have 1-4 members, possibly repeated."""
-    pool = [fm.t_prop("p"), fm.t_prop("q"), fm.t_top()]
-    for _ in range(steps):
-        kind = rng.choice(["not", "and", "or", "dia", "box", "tangle", "tangle"])
-        if kind == "tangle":
-            pool.append(fm.t_tangle(rng.choices(pool, k=rng.randint(1, 4))))
-        elif kind in ("and", "or"):
-            build = fm.t_and if kind == "and" else fm.t_or
-            pool.append(build(rng.choice(pool), rng.choice(pool)))
-        else:
-            build = {"not": fm.t_not, "dia": fm.t_dia, "box": fm.t_box}[kind]
-            pool.append(build(rng.choice(pool)))
-    return pool
 
 
 class TestExactFixpoints:

@@ -1,4 +1,6 @@
 import hashlib
+import random
+import sys
 
 import pytest
 
@@ -7,7 +9,7 @@ from tanglekit import semantics as sem
 from tanglekit.models import SAT, enumerate_models, iter_bits
 from tanglekit.translate import (CHAIN_REFL, CHAIN_STRICT,
                                  TranslationGuardError, TranslationGuards,
-                                 Translator, format_tangle_dag,
+                                 Translator, decimal_digits, format_tangle_dag,
                                  size_bound_exponent, size_bound_ok, translate)
 
 
@@ -284,6 +286,23 @@ class TestSizeBound:
         for i in range(5000):
             chain = fm.t_not(chain) if i % 2 else fm.t_dia(chain)
         assert fm.size(chain) == 5001
+
+
+    def test_decimal_digits_exact_beyond_str_limit(self):
+        # str() of an int of more than 4,300 digits raises ValueError, so
+        # the reference text is made with the limit lifted
+        rng = random.Random(9)
+        values = [0, 1, 9, 10, 99, 100, 10 ** 39, 10 ** 40 - 1, 10 ** 40,
+                  10 ** 5000 - 1, 10 ** 5000, size_bound_exponent(p("p & p" + " & p" * 700))]
+        values += [rng.getrandbits(rng.randint(1, 40000)) for _ in range(40)]
+        values += [1 << k for k in range(0, 20000, 997)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = [(len(str(n)), str(n)[:40]) for n in values]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert [decimal_digits(n) for n in values] == want
 
 
 class TestDagOutput:
