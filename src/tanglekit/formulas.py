@@ -52,7 +52,7 @@ class MuFormula:
     """One interned node of an NNF mu-calculus formula."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "var", "body",
-                 "_key", "_size", "_freevars", "_props", "_program",
+                 "_key", "_size", "_freevars", "_alt", "_props", "_program",
                  "_segments")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
@@ -67,6 +67,7 @@ class MuFormula:
         self._key = None
         self._size = None
         self._freevars = None
+        self._alt = None
         self._props = None
         self._program = None
         self._segments = None
@@ -104,29 +105,62 @@ class MuFormula:
 
 _mu_table: dict[tuple, MuFormula] = {}
 _NO_VARS: frozenset = frozenset()  # the free variables of every closed node
+_NO_ALT = (_NO_VARS, _NO_VARS)  # the pair of every closed, alternation-free node
 
 
 def _mk(kind, name=None, left=None, right=None, arg=None, var=None, body=None) -> MuFormula:
-    """The interned node; a new one gets its free variables from its
-    children's, so `free_vars` never walks."""
+    """The interned node.  A new one gets its free variables and its
+    alternation pair from its children's, so neither `free_vars` nor
+    `alternation_free` walks.
+
+    The alternation pair is (free variables that occur under a mu binder
+    inside the node, those that occur under a nu binder), or None once a
+    binder inside the node has its own variable under a binder of the
+    opposite kind.  Every empty set is `_NO_VARS` and every empty pair is
+    `_NO_ALT`, so the pairs of closed nodes share one tuple."""
     key = (kind, name, left, right, arg, var, body)
     node = _mu_table.get(key)
     if node is None:
         node = _mu_table[key] = MuFormula(kind, name, left, right, arg, var, body)
+        alt = _NO_ALT
         if kind == VAR:
             fv = frozenset((name,))
         elif left is not None:
             a, b = left._freevars, right._freevars
             fv = a | b if a and b else a or b
+            a, b = left._alt, right._alt
+            if a is None or b is None:
+                alt = None
+            elif b is _NO_ALT or b is a:
+                alt = a
+            elif a is _NO_ALT:
+                alt = b
+            else:
+                alt = (a[0] | b[0] if a[0] and b[0] else a[0] or b[0],
+                       a[1] | b[1] if a[1] and b[1] else a[1] or b[1])
         elif arg is not None:
             fv = arg._freevars
+            alt = arg._alt
         elif body is not None:
             fv = body._freevars
             if var in fv:
                 fv = fv - {var} or _NO_VARS
+            # every free variable of a binder occurs under it, and the
+            # binder's own variable is not free outside it
+            if body._alt is None:
+                alt = None
+            else:
+                in_mu, in_nu = body._alt
+                if var in (in_nu if kind == MU else in_mu):
+                    alt = None
+                elif kind == MU and (fv or in_nu):
+                    alt = (fv, in_nu)
+                elif kind == NU and (fv or in_mu):
+                    alt = (in_mu, fv)
         else:
             fv = _NO_VARS
         node._freevars = fv
+        node._alt = alt
     return node
 
 
@@ -241,7 +275,8 @@ def size(f) -> int:
     """Tree size of a mu-calculus or tangle formula: one per connective,
     modality, constant, variable occurrence and binder (binder counts as one,
     bound variable included).  Computed over the DAG, so shared subterms are
-    counted as many times as the tree has them; exact for any size.
+    counted as many times as the tree has them; exact for any size.  A
+    tangle node gets its size when it is interned, so there is no walk.
     """
     for g in _post_order(f, lambda g: g._size is not None):
         n = 1
@@ -383,11 +418,12 @@ def expand_tangle(members: Sequence[MuFormula]) -> MuFormula:
     if not members:
         raise ValueError("tangle of an empty multiset")
     x = var(_fresh_bound_name(members))
+    steps = [conj(m, x) for m in members]
+    dias = [diamond(step) for step in steps]
     disjuncts = []
-    for i, m in enumerate(members):
-        parts = [dot_diamond(conj(m, x))]
-        parts.extend(diamond(conj(other, x))
-                     for j, other in enumerate(members) if j != i)
+    for i, step in enumerate(steps):
+        parts = [disj(step, dias[i])]  # the reflexive diamond of step i
+        parts.extend(dia for j, dia in enumerate(dias) if j != i)
         disjuncts.append(big_and(parts))
     return nu(x.name, big_or(disjuncts))
 
@@ -476,6 +512,8 @@ def floor(f: MuFormula) -> MuFormula:
     the fixed points they name (negated occurrences get the negated fixed
     point).  A constant whose fixed point mentions it, which only a user
     atom named like a fresh constant can make, raises RuntimeError."""
+    if _fresh_by_name.keys().isdisjoint(prop_names(f)):
+        return f
     memo: dict[MuFormula, MuFormula] = {}
 
     def parts(g: MuFormula) -> tuple:
@@ -618,42 +656,9 @@ def sigma_closure(seed: MuFormula, cap: int = 20000) -> SigmaClosure:
 def alternation_free(f: MuFormula) -> bool:
     """No least fixed point depends on a greatest one or vice versa: no
     binder's variable occurs, unshadowed, free in an opposite-kind binder
-    inside its body (Emerson & Lei, LICS 1986).
-
-    Checked in one post-order fold: for each node it keeps the pair (free
-    variables that occur under a mu binder inside the node, those that
-    occur under a nu binder)."""
-    under: dict[MuFormula, tuple] = {}
-    none = (_NO_VARS, _NO_VARS)
-    for g in _post_order(f, under.__contains__):
-        kind = g.kind
-        if kind in (AND, OR):
-            left, right = under[g.left], under[g.right]
-            if right is none or right is left:
-                out = left
-            elif left is none:
-                out = right
-            else:
-                (lm, ln), (rm, rn) = left, right
-                out = (lm | rm if lm and rm else lm or rm,
-                       ln | rn if ln and rn else ln or rn)
-        elif kind in (DIA, BOX):
-            out = under[g.arg]
-        elif kind in (MU, NU):
-            x = g.var
-            in_mu, in_nu = under[g.body]
-            if x in (in_nu if kind == MU else in_mu):
-                return False
-            # every free variable of a binder occurs under it; the binder's
-            # own variable is not free outside it
-            if kind == MU:
-                out = (g._freevars, in_nu - {x} if x in in_nu else in_nu)
-            else:
-                out = (in_mu - {x} if x in in_mu else in_mu, g._freevars)
-        else:
-            out = none
-        under[g] = out
-    return True
+    inside its body (Emerson & Lei, LICS 1986).  Read from the alternation
+    pair `_mk` gives each node from its children's (see `_mk`)."""
+    return f._alt is not None
 
 
 def _tangle_members_of_nu(f: MuFormula) -> Optional[list[MuFormula]]:
@@ -801,21 +806,31 @@ _tangle_table: dict[tuple, TangleFormula] = {}
 
 
 def _tmk(kind, name=None, left=None, right=None, arg=None, members=None) -> TangleFormula:
+    """The interned node; a new one gets its tree size from its children's,
+    so `size` never walks a tangle formula."""
     key = (kind, name, left, right, arg, members)
     node = _tangle_table.get(key)
     if node is None:
         node = TangleFormula(kind, name=name, left=left, right=right, arg=arg,
                              members=members)
+        n = 1
+        for c in node.children():
+            n += c._size
+        node._size = n
         _tangle_table[key] = node
     return node
 
 
+_T_TOP = _tmk(TOP)
+_T_BOT = _tmk(NOT, arg=_T_TOP)
+
+
 def t_top() -> TangleFormula:
-    return _tmk(TOP)
+    return _T_TOP
 
 
 def t_bot() -> TangleFormula:
-    return _tmk(NOT, arg=t_top())
+    return _T_BOT
 
 
 def t_prop(name: str) -> TangleFormula:
@@ -837,7 +852,7 @@ def t_or(left: TangleFormula, right: TangleFormula) -> TangleFormula:
 
 
 def t_dia(f: TangleFormula) -> TangleFormula:
-    if f is t_bot():
+    if f is _T_BOT:
         return f
     return _tmk(DIA, arg=f)
 
@@ -861,7 +876,7 @@ def t_dot_dia(f: TangleFormula) -> TangleFormula:
 
 def t_big_and(items: Iterable[TangleFormula]) -> TangleFormula:
     out, seen = [], set()
-    bottom = t_bot()
+    bottom = _T_BOT
     for it in items:
         if it is bottom:
             return bottom
@@ -870,13 +885,13 @@ def t_big_and(items: Iterable[TangleFormula]) -> TangleFormula:
         seen.add(it)
         out.append(it)
     if not out:
-        return t_top()
+        return _T_TOP
     return _fold(out, t_and)
 
 
 def t_big_or(items: Iterable[TangleFormula]) -> TangleFormula:
     out, seen = [], set()
-    bottom = t_bot()
+    bottom = _T_BOT
     for it in items:
         if it.kind == TOP:
             return it
@@ -1156,26 +1171,26 @@ def print_mu(f: MuFormula) -> str:
     return _print(f, _mu_parts, _mu_entry)
 
 
+def tangle_entry(g: TangleFormula, texts: Mapping, names: Mapping) -> tuple:
+    """(text, precedence) of tangle node g, the one step of every tangle
+    printer: a child with a name in `names` prints as that name, any other
+    child as its entry in `texts`."""
+    kind = g.kind
+    if kind in (TOP, PROP):
+        return "T" if kind == TOP else g.name, _PREC_ATOM
+    if g is _T_BOT:
+        return "F", _PREC_ATOM
+    entries = [(names[c], _PREC_ATOM) if c in names else texts[c]
+               for c in g.children()]
+    if kind == TANGLE:
+        return "<inf>{" + ", ".join(text for text, _ in entries) + "}", _PREC_ATOM
+    return _operator_text(kind, entries)
+
+
 def print_tangle(f: TangleFormula,
                  names: Optional[Mapping[TangleFormula, str]] = None) -> str:
     """Canonical text of a tangle formula.  With `names`, every proper
     subterm that has a name prints as that name, so the walk stops there."""
     names = names or {}
-    bottom = t_bot()
-
-    def parts(g: TangleFormula) -> list:
-        return [c for c in g.children() if c not in names]
-
-    def entry(g: TangleFormula, texts: dict) -> tuple:
-        kind = g.kind
-        if kind in (TOP, PROP):
-            return "T" if kind == TOP else g.name, _PREC_ATOM
-        if g is bottom:
-            return "F", _PREC_ATOM
-        entries = [texts[c] if c in texts else (names[c], _PREC_ATOM)
-                   for c in g.children()]
-        if kind == TANGLE:
-            return "<inf>{" + ", ".join(text for text, _ in entries) + "}", _PREC_ATOM
-        return _operator_text(kind, entries)
-
-    return _print(f, parts, entry)
+    return _print(f, lambda g: [c for c in g.children() if c not in names],
+                  lambda g, texts: tangle_entry(g, texts, names))

@@ -44,9 +44,10 @@ Scaling notes, all semantically transparent:
   depends on fact sets, they are sorted by the ascending tuple of their
   bit positions, which is the sorted `(depth, index)` order; that key is
   memoised per fact set.
-- `format_tangle_dag` names a shared node only if it has at least
-  `min_size` distinct nodes; that walk stops as soon as it has seen
-  `min_size`, so printing stays linear in the DAG.
+- `format_tangle_dag` prints every node once, in one pass over the DAG's
+  post-order, and names a shared node only if it has at least `min_size`
+  distinct nodes; that walk stops as soon as it has seen `min_size`, so
+  printing stays linear in the DAG.
 - Semi-rooted chains are not materialized one by one: their contribution to
   the split formula is grouped per (prefix chain, root cluster), with the
   disjunction over root-fact sets collapsed through the fact formulas, which
@@ -172,6 +173,7 @@ class Translator:
         self._a_memo: dict = {}
         self._slice_memo: dict = {}
         self._alpha_memo: dict = {}
+        self._facts_memo: dict = {}
         self._delta_memo: dict = {}
         self._depth_memo: dict = {}
         self._split_memo: dict = {}
@@ -285,10 +287,14 @@ class Translator:
                 "pairs", f"{n} pairs at depth {d}, more than {self.guards.max_pairs}")
         self.cells.append({theta: self._shrink_recipe(theta, lattice[theta])
                            for theta in thetas})
-        self.pairs.append({(cluster, theta): self._make_pair(cluster, theta, d, recipe, sky)
-                           for theta, recipe, sky in self._profiles(d)
-                           for cluster in self.clusters
-                           if self._root_block(cluster, sky)[1]})
+        finals: dict[int, list[CanonicalCluster]] = {}  # per sky above
+        table = {}
+        for theta, recipe, sky in self._profiles(d):
+            if sky not in finals:
+                finals[sky] = [c for c in self.clusters if self._root_block(c, sky)[1]]
+            for cluster in finals[sky]:
+                table[cluster, theta] = self._make_pair(cluster, theta, d, recipe, sky)
+        self.pairs.append(table)
         self._build_chains(d)
 
     def _profiles(self, d: int) -> Iterable[tuple[int, tuple[SatPair, ...], int]]:
@@ -638,13 +644,17 @@ class Translator:
         out = []
         ir_base = (not collapse) and self._ir_parts(parent, cluster, base)
         if semis > (ir_base and base_semi):
-            width = self._width
-            parts = [self.depth_formula(b // width, self.members[b % width])
-                     for b in iter_bits(base)]
             excluded = finals + [base] if collapse or ir_base else finals
-            parts.extend(fm.t_not(self.a_formula(t))
-                         for t in sorted(set(excluded), key=self._theta_key))
-            facts = fm.t_big_and(parts)
+            # many (parent, cluster) cells share one fact description
+            key = (base, tuple(excluded))
+            facts = self._facts_memo.get(key)
+            if facts is None:
+                width = self._width
+                parts = [self.depth_formula(b // width, self.members[b % width])
+                         for b in iter_bits(base)]
+                parts.extend(fm.t_not(self.a_formula(t))
+                             for t in sorted(set(excluded), key=self._theta_key))
+                facts = self._facts_memo[key] = fm.t_big_and(parts)
             out.append(self._alpha_shape(cluster, facts, parent, False))
         if ir_base and base_semi:
             out.append(self._alpha_shape(cluster, self.a_formula(base),
@@ -869,14 +879,25 @@ def format_tangle_dag(f: TangleFormula, min_size: int = 3) -> str:
                 counts[c] = counts.get(c, 0) + 1
             stack += (g, None)
             stack += reversed(children)
+    # one pass over the post-order: a node's text is made from its
+    # children's, and a child's text is dropped once its last parent has
+    # read it; a named node's text goes to its `let` line, and its parents
+    # print its name
     names: dict[TangleFormula, str] = {}
+    texts: dict[TangleFormula, tuple] = {}
+    lines = []
+    bottom = fm.t_bot()
     for g in order:
-        if g is f or counts[g] < 2 or g.kind in (fm.TOP, fm.PROP) or g is fm.t_bot():
-            continue
-        if fm.tangle_dag_nodes(g, limit=min_size) < min_size:
-            continue
-        names[g] = f"d{len(names)}"
-    lines = [f"let {names[g]} = {fm.print_tangle(g, names)}"
-             for g in order if g in names]
-    lines.append(f"chi = {fm.print_tangle(f, names)}")
+        entry = fm.tangle_entry(g, texts, names)
+        for c in g.children():
+            counts[c] -= 1
+            if not counts[c]:
+                texts.pop(c, None)
+        if (counts[g] < 2 or g.kind in (fm.TOP, fm.PROP) or g is bottom
+                or fm.tangle_dag_nodes(g, limit=min_size) < min_size):
+            texts[g] = entry
+        else:
+            names[g] = f"d{len(names)}"
+            lines.append(f"let {names[g]} = {entry[0]}")
+    lines.append(f"chi = {texts[f][0]}")
     return "\n".join(lines)

@@ -238,6 +238,18 @@ class TestFloor:
         f = p("p & <> q")
         assert fm.floor(f) is f
 
+    def test_identity_without_fresh_builds_nothing(self, monkeypatch):
+        # no fresh constant in the formula: floor returns it without a walk
+        f = p("nu x.(p & <> x) | [] (q & <> ~p)")
+        interned = len(fm._mu_table)
+
+        def build(*args, **kwargs):
+            raise AssertionError("floor rebuilt a node")
+
+        monkeypatch.setattr(fm, "_mk", build)
+        assert fm.floor(f) is f
+        assert len(fm._mu_table) == interned
+
     def test_single_fresh(self):
         binder = p("nu x. <> x")
         name = fm.fresh_constant_name(binder)
@@ -352,6 +364,29 @@ class TestMeasures:
             answers.add(want)
         assert answers == {True, False}
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 7))
+    def test_alternation_pairs_match_bottom_up_walk(self, seed, depth):
+        # every node, open bodies under the root's binders included; the
+        # binder names repeat, so binders shadow one another
+        f = random_formula(random.Random(seed), ["p", "q"], depth,
+                           names=["x", "y", "z"])
+        for g in _nodes(f):
+            want = _alternation_walk(g)
+            assert g._alt == want, fm.print_mu(g)
+            assert fm.alternation_free(g) is (want is not None)
+            if want is not None:
+                # empty sets and pairs are the shared constants
+                assert all(part or part is fm._NO_VARS for part in g._alt)
+                assert any(g._alt) or g._alt is fm._NO_ALT
+
+    def test_tangle_size_matches_walk_count(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            for g in random_tangle_dag(rng, 40):
+                assert g._size == _tangle_tree_size(g)
+                assert fm.size(g) == g._size
+
     def test_free_vars_match_recursive_oracle(self):
         rng = random.Random(17)
         for _ in range(1000):
@@ -402,6 +437,56 @@ def _alternation_free_oracle(f, binders):
     return all(_alternation_free_oracle(c, binders) for c in f.children())
 
 
+def _alternation_walk(f):
+    """The bottom-up fold `alternation_free` once ran over each formula,
+    kept as the oracle of the alternation pairs interned with each node:
+    f's pair (free variables that occur under a mu binder inside it, those
+    that occur under a nu binder), or None when a binder inside f has its
+    own variable under a binder of the opposite kind."""
+    under: dict = {}
+    none = (frozenset(), frozenset())
+    for g in fm._post_order(f, under.__contains__):
+        kind = g.kind
+        if kind in (fm.AND, fm.OR):
+            left, right = under[g.left], under[g.right]
+            if left is None or right is None:
+                out = None
+            else:
+                out = (left[0] | right[0], left[1] | right[1])
+        elif kind in (fm.DIA, fm.BOX):
+            out = under[g.arg]
+        elif kind in (fm.MU, fm.NU):
+            x = g.var
+            inner = under[g.body]
+            if inner is None or x in (inner[1] if kind == fm.MU else inner[0]):
+                out = None
+            elif kind == fm.MU:
+                out = (fm.free_vars(g), inner[1] - {x})
+            else:
+                out = (inner[0] - {x}, fm.free_vars(g))
+        else:
+            out = none
+        under[g] = out
+    return under[f]
+
+
+def _nodes(f) -> list:
+    seen, stack = {f}, [f]
+    while stack:
+        for c in stack.pop().children():
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return list(seen)
+
+
+def _tangle_tree_size(f) -> int:
+    sizes: dict = {}
+    for g in fm._post_order(f, sizes.__contains__):
+        sizes[g] = 1 + sum(sizes[c] for c in g.children())
+    return sizes[f]
+
+
 def _free_vars_oracle(f):
     if f.kind == fm.VAR:
         return {f.name}
@@ -446,7 +531,13 @@ class TestDeepFormulas:
         body = fm.nu("y", fm.conj(fm.var("x"), fm.diamond(fm.var("y"))))
         f = fm.mu("x", _wrap_diamonds(body, self.DEPTH))
         assert not fm.alternation_free(f)
-        assert fm.alternation_free(fm.nu("x", _wrap_diamonds(body, self.DEPTH)))
+        assert _alternation_walk(f) is None
+        g = fm.nu("x", _wrap_diamonds(body, self.DEPTH))
+        assert fm.alternation_free(g)
+        assert g._alt is fm._NO_ALT
+        assert _alternation_walk(g) == fm._NO_ALT
+        # the open body: x is free under the nu binder
+        assert g.body._alt == _alternation_walk(g.body) == (frozenset(), {"x"})
 
     def test_print_mu_and_repr(self):
         f = _wrap_diamonds(fm.prop("p"), self.DEPTH)

@@ -11,6 +11,7 @@ from tanglekit.translate import (CHAIN_REFL, CHAIN_STRICT,
                                  TranslationGuardError, TranslationGuards,
                                  Translator, decimal_digits, format_tangle_dag,
                                  size_bound_exponent, size_bound_ok, translate)
+from tests.conftest import random_tangle_dag
 
 
 def p(text):
@@ -124,6 +125,11 @@ class TestChains:
         assert report["pairs"] == [[8, 0], [37, 91], [51, 3717], [0, 20576]]
         assert report["chains"] == [[8, 0], [79, 393], [168, 66986], [0, 461188]]
         assert report["block_inputs"] == 224
+        # one merged semi-final fact description per distinct (base facts,
+        # excluded profiles), each built once
+        assert len(translator._facts_memo) == 118
+        assert len({(base, frozenset(excluded))
+                    for base, excluded in translator._facts_memo}) == 118
 
     def test_chain_order(self, tr_p):
         for chain in tr_p.chains[0]:
@@ -316,6 +322,14 @@ class TestDagOutput:
         chi = tr_p.characteristic(fm.prop("p"))
         assert format_tangle_dag(chi) == format_tangle_dag(chi)
 
+    def test_one_pass_matches_per_name_printer(self):
+        rng = random.Random(1515)
+        for _ in range(25):
+            pool = random_tangle_dag(rng, 40)
+            for f in pool[-5:]:
+                for min_size in (1, 2, 3, 5):
+                    assert format_tangle_dag(f, min_size) == _format_dag_per_name(f, min_size)
+
     # sha256 of the DAG text as first recorded for the benchmark; the
     # output must stay byte-identical
     @pytest.mark.parametrize("text, digest", [
@@ -332,3 +346,30 @@ class TestDagOutput:
         chi, _ = translate(p(text))
         text_out = format_tangle_dag(chi)
         assert hashlib.sha256(text_out.encode()).hexdigest() == digest
+        assert text_out == _format_dag_per_name(chi)
+
+
+def _format_dag_per_name(f, min_size=3):
+    """`format_tangle_dag` as it once was, one `print_tangle(g, names)` fold
+    per `let` line: the oracle of the one-pass printer.  A node is named
+    when it has two or more parents (a repeated tangle member counts
+    twice), at least `min_size` distinct nodes, and is neither the root, a
+    constant nor F; names go in post-order."""
+    order: list = []
+    done: set = set()
+    for g in fm._post_order(f, done.__contains__):
+        done.add(g)
+        order.append(g)
+    parents: dict = {}
+    for g in order:
+        for c in g.children():
+            parents[c] = parents.get(c, 0) + 1
+    names = {}
+    for g in order:
+        if (parents.get(g, 0) >= 2 and g.kind not in (fm.TOP, fm.PROP)
+                and g is not fm.t_bot()
+                and fm.tangle_dag_nodes(g, limit=min_size) >= min_size):
+            names[g] = f"d{len(names)}"
+    lines = [f"let {name} = {fm.print_tangle(g, names)}" for g, name in names.items()]
+    lines.append(f"chi = {fm.print_tangle(f, names)}")
+    return "\n".join(lines)
