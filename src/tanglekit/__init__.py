@@ -21,6 +21,8 @@ from .semantics import (bisimilar, cluster_embeds, eval_depth_modality,
                         sigma_world_depths)
 from .translate import (Chain, SatPair, TranslationGuardError,
                         TranslationGuards, Translator, format_tangle_dag,
-                        size_bound_exponent, size_bound_ok, translate)
+                        size_bound_exponent, size_bound_ok)
+# `tanglekit.translate` is the submodule; the function is `translate_formula`.
+from .translate import translate as translate_formula
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,13 +13,14 @@ the same frame.  A model gets fresh memos unless `_masks` hands it a pair as
 a third element.  `enumerate_models` does that: one pair per frame and call,
 shared by every model it yields on that frame, and freed with them.
 
-The models enumerated on one frame are also the copies of one
-`ModelFamily`, their disjoint union packed into wide ints: model j's worlds
-are bits j*n .. j*n+n-1.  A model keeps its family in `_family` and its
-copy index j in `_copy`; every other model has `_family = None`.  The
-family is built once the frame's valuations are listed, before its first
-model is yielded, and holds the memos of the packed evaluation
-(`semantics.eval_mu`/`eval_tangle`), so they too are freed with the models.
+The models enumerated on a run of consecutive frames of one world count
+are also the copies of one `ModelBatch`, their disjoint union packed into
+wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own).
+The models of one frame share a `ModelFamily`, a view of the batch: a
+model keeps it in `_family` and its copy index in `_copy`; every other
+model has `_family = None`.  A batch is built before its first model is
+yielded and holds the packed value of each root evaluated on it
+(`semantics.eval_mu`/`eval_tangle`), so these are freed with the models.
 
 `enumerate_models` yields every model up to isomorphism.  Its frames come
 from `_wk4_canonical(n)`, which extends each canonical (n-1)-world frame by
@@ -38,6 +39,7 @@ before the first six-world model, so the enumeration is capped at five.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -518,35 +520,65 @@ def _wk4_canonical(n: int) -> list[tuple[tuple[int, ...], tuple[tuple[int, ...],
     return _wk4_cache[n]
 
 
-class ModelFamily:
-    """The models `enumerate_models` yields on one frame, as one disjoint
-    union: copy j holds model j's worlds at bits j*n .. j*n+n-1 of every
+# Bits per packed batch.  A batch spans consecutive frames of one world
+# count; a frame whose copies alone are wider makes a batch of its own.
+BATCH_BITS = 2048
+
+
+class ModelBatch:
+    """The models `enumerate_models` yields on a run of consecutive frames
+    of one world count n, as one disjoint union: copy j, counted across the
+    frames, holds its model's worlds at bits j*n .. j*n+n-1 of every
     world-set int.  No edge joins two copies, so a world's truth value is
-    the one it has in its own model.  It holds the packed valuation `val`,
-    `full_mask`, the periodic mask `p0` (bit j*n set for every copy j), the
-    frame (`frame`, a model with no valuation, and its successor lists
-    `rows`), the diamond, box and tangle memos of the packed algebra, and
-    `results`, the packed value of each root evaluated so far."""
+    the one it has in its own model.  Relations are masks of the copies'
+    first bits, as rows of pairs `(v, mask)` per world u, zero masks left
+    out: `dia_rows` marks the copies whose frame has u -> v, `cluster_rows`
+    those where u and v share a cluster, `inside_rows` both, `down_rows`
+    either.  `results` holds each root's packed value; `_dia`, `_box` and
+    `_tangle` are the memos of the run in progress, None between runs."""
 
-    __slots__ = ("frame", "rows", "val", "full_mask", "p0", "_dia", "_box",
-                 "_tangle", "results")
+    __slots__ = ("val", "full_mask", "dia_rows", "cluster_rows",
+                 "inside_rows", "down_rows", "_dia", "_box", "_tangle", "results")
 
-    def __init__(self, frame: KripkeModel, props: Sequence[str],
-                 valuations: Sequence[tuple[int, ...]]):
-        n = frame.n
-        self.frame = frame
-        self.rows = tuple(tuple(iter_bits(row)) for row in frame.succ)
-        packed = [0] * len(props)
-        for j, masks in enumerate(valuations):
-            for i, mask in enumerate(masks):
-                packed[i] |= mask << j * n
-        self.val = dict(zip(props, packed))
-        self.full_mask = (1 << len(valuations) * n) - 1
-        # (2**(c*n) - 1) / (2**n - 1) is the sum of 2**(j*n) for j < c
-        self.p0 = self.full_mask // frame.full_mask
-        self._dia: dict[int, int] = {}
-        self._box: dict[int, int] = {}
-        self._tangle = None
+    def __init__(self, frames: Sequence[KripkeModel], props: Sequence[str],
+                 valuations: Sequence[Sequence[tuple[int, ...]]]):
+        n = frames[0].n
+        val = [0] * len(props)
+        succ, same = ([[0] * n for _ in range(n)] for _ in range(2))
+        offset = 0
+        for frame, vals in zip(frames, valuations):
+            # pack the frame's copies on small ints, then shift them into place
+            width = len(vals) * n
+            for i, column in enumerate(zip(*vals)):
+                val[i] |= sum(map(operator.lshift, column, range(0, width, n))) << offset
+            # (2**(c*n) - 1) / (2**n - 1) is the sum of 2**(j*n) for j < c
+            first = ((1 << width) - 1) // frame.full_mask << offset
+            for u, row in enumerate(frame.succ):
+                for table, seen in ((succ, row), (same, frame.cluster_mask(u))):
+                    for v in iter_bits(seen):
+                        table[u][v] |= first
+            offset += width
+        self.val = dict(zip(props, val))
+        self.full_mask = (1 << offset) - 1
+        self.dia_rows, self.cluster_rows, self.inside_rows, self.down_rows = (
+            tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in table)
+            for table in (succ, same,
+                          [[r & c for r, c in zip(*rows)] for rows in zip(succ, same)],
+                          [[r | c for r, c in zip(*rows)] for rows in zip(succ, same)]))
+        self._dia = self._box = self._tangle = None
+        self.results: dict = {}
+
+
+class ModelFamily:
+    """The models `enumerate_models` yields on one frame, as a view of
+    their batch: model j is the copy at bit `offset + j*n`, `full_mask`
+    covers the frame's copies, and `results` holds their slice of each root."""
+
+    __slots__ = ("batch", "frame", "offset", "full_mask", "results")
+
+    def __init__(self, batch: ModelBatch, frame: KripkeModel, offset: int, copies: int):
+        self.batch, self.frame, self.offset = batch, frame, offset
+        self.full_mask = (1 << copies * frame.n) - 1
         self.results: dict = {}
 
 
@@ -556,7 +588,8 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     atoms, up to isomorphism.  Deterministic order: frames by canonical
     relation, then valuations as the least tuple of their orbit.  The
     models of one frame share one pair of modal memos and one
-    `ModelFamily`; model j of the frame is copy j of the family.  They are
+    `ModelFamily`, a view of the `ModelBatch` of a run of consecutive
+    frames, built before the run's first model is yielded.  They are
     filled in without `KripkeModel.__init__`'s checks and copies."""
     props = tuple(sorted(props))
     if max_worlds > guard:
@@ -565,15 +598,33 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     new = object.__new__
     for n in range(1, max_worlds + 1):
         labels = tuple(str(i) for i in range(n))
-        for succ, tables in _wk4_canonical(n):
-            valuations = _orbit_leaders(n, len(props), tables)
-            frame = KripkeModel(labels, (), _masks=(succ, {}))
-            memos = frame._dia, frame._box
-            family = ModelFamily(frame, props, valuations)
-            for j, masks in enumerate(valuations):
-                model = new(KripkeModel)
-                model._fill(labels, succ, dict(zip(props, masks)), memos, family, j)
-                yield model
+        for group in _frame_runs(n, len(props)):
+            frames = [KripkeModel(labels, (), _masks=(succ, {})) for succ, _ in group]
+            batch = ModelBatch(frames, props, [vals for _, vals in group])
+            offset = 0
+            for frame, (succ, valuations) in zip(frames, group):
+                memos = frame._dia, frame._box
+                family = ModelFamily(batch, frame, offset, len(valuations))
+                offset += len(valuations) * n
+                for j, masks in enumerate(valuations):
+                    model = new(KripkeModel)
+                    model._fill(labels, succ, dict(zip(props, masks)), memos, family, j)
+                    yield model
+
+
+def _frame_runs(n: int, atoms: int) -> Iterator[list]:
+    """The canonical n-world frames with their valuation tuples, in order,
+    cut into runs of at most `BATCH_BITS` bits of copies (or one frame)."""
+    run, width = [], 0
+    for succ, tables in _wk4_canonical(n):
+        valuations = _orbit_leaders(n, atoms, tables)
+        if run and width + len(valuations) * n > BATCH_BITS:
+            yield run
+            run, width = [], 0
+        run.append((succ, valuations))
+        width += len(valuations) * n
+    if run:
+        yield run
 
 
 def _orbit_leaders(n: int, atoms: int,

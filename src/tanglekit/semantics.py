@@ -33,7 +33,7 @@ step reads the memo `D` by its argument mask and on a miss calls
 `box` alike.  `eval_mu` and `eval_tangle` pass `_dia_mask`/`_box_mask` and
 the model's own memos.  The translator's root blocks pass empty memos and
 modalities that first read what holds above the cluster.  Tangle steps read
-a per-model cache (`KripkeModel._tangle`, or the family's): the cluster
+a per-model cache (`KripkeModel._tangle`, or the batch's): the cluster
 geometry and a memo from member masks to result, built the first time a
 program with a tangle step runs on the model.  A free variable missing
 from `env` raises `UnboundVariableError`.  `eval_mu_exact` is the
@@ -51,22 +51,24 @@ root blocks fill their realized cluster's memo through the same two.
 `eval_mu_exact` calls `dia_image`/`box_image` directly, so the oracle
 shares nothing with the fast path.
 
-A world's value depends only on the submodel it generates, so the models
-enumerated on one frame are evaluated together, as the disjoint union
-`models.ModelFamily` packs them into.  `eval_mu` or `eval_tangle` on such
-a model, with no `env` and no `cache`, reads the root in the family's
-`results`; on a miss it runs the same segments once on the family, with
-`_wide_dia`/`_wide_box` and the family's memos, and keeps the packed
-value.  Model j's value is its slice, `value >> j*n & full_mask`.
-The packed algebra works on every copy at once: with `p0` the mask of
-every copy's first bit, `dia(S) = OR_u ((OR_{v in succ u} S >> v) & p0) << u`
-and box is the same with AND; a tangle step finds, over the members, the
-points with at most one member lacking a witness inside their cluster and
-satisfying that one, and spreads each cluster all of whose points qualify
-over its down-set.  Every other call (random or file models, the models
-`restrict` and `close` make, calls with `env` or `cache`, the translator's
-root blocks) runs on the one model, and this per-model path is the oracle
-of the packed one.  The family's memos live as long as its models.
+A world's value depends only on the submodel it generates, so enumerated
+models are evaluated together, as the disjoint union `models.ModelBatch`
+packs them into: one batch per run of consecutive frames of one world
+count.  `eval_mu` or `eval_tangle` on such a model, with no `env` and no
+`cache`, reads the root in its frame's `results`.  On a miss the batch
+runs the root's segments once, with `_wide_dia`/`_wide_box` and modal and
+tangle memos that live for that run only, and keeps the packed value; each
+frame cuts its slice from it once, and model j's value is its slice of the
+frame's, `value >> j*n & full_mask`.  The packed algebra works on every
+copy at once, over masks of the copies' first bits: with `R[u][v]` the
+copies whose frame has u -> v, `dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u`,
+and box is its dual.  A tangle step finds, by the same sum over the
+in-cluster masks, the points with at most one member lacking a witness
+inside their cluster and satisfying that one, and by the same-cluster and
+down-set masks spreads each cluster of such points over its down-set.
+Every other call (random or file models, the models `restrict` and `close`
+make, calls with `env` or `cache`, the translator's root blocks) runs on
+the one model, and this per-model path is the oracle of the packed one.
 
 A `cache` is the value store of the run, one store rule for both
 languages.  If the root is in it, its value is returned.  A closed
@@ -86,7 +88,7 @@ from . import formulas as fm
 from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
                        TANGLE, TOP, MuFormula, TangleFormula)
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
-                     ModelFamily, _cluster_heights, iter_bits)
+                     ModelBatch, _cluster_heights, iter_bits)
 
 EMBED_STRICT = "strict"
 EMBED_BISIMILAR = "bisimilar"
@@ -353,7 +355,7 @@ def _mu_segments(f: MuFormula | TangleFormula) -> tuple:
     return f._segments
 
 
-def run_program(model: KripkeModel | ModelFamily, f: MuFormula | TangleFormula,
+def run_program(model: KripkeModel | ModelBatch, f: MuFormula | TangleFormula,
                 values: Optional[dict], dia, box,
                 D: Mapping[int, int], B: Mapping[int, int],
                 env: Optional[Mapping[str, int]] = None) -> int:
@@ -390,49 +392,53 @@ def run_program(model: KripkeModel | ModelFamily, f: MuFormula | TangleFormula,
     return v[root]
 
 
-def _packed_dia(rows: Sequence[Sequence[int]], p0: int, s: int) -> int:
-    """Diamond image of s over successor lists `rows`, in every copy of a
-    packed world set at once: u's bit of a copy is set iff the copy has a
-    bit at some v in rows[u]."""
+def _spread(rows: Sequence[Sequence[tuple[int, int]]], s: int) -> int:
+    """`OR_u (OR_v (s >> v) & mask) << u` over the pairs `(v, mask)` of
+    `rows[u]`: u's bit of a copy is set iff some v whose mask marks the
+    copy has its bit set in s."""
+    shifted = [s >> v for v in range(len(rows))]
     out = 0
     for u, row in enumerate(rows):
         if row:
             got = 0
-            for v in row:
-                got |= s >> v
-            out |= (got & p0) << u
+            for v, mask in row:
+                got |= shifted[v] & mask
+            out |= got << u
     return out
 
 
-def _wide_dia(family: ModelFamily, s: int, key=None) -> int:
-    """The diamond image of s in every copy of the family at once, stored
-    in the family's memo `_dia`."""
-    got = family._dia[s] = _packed_dia(family.rows, family.p0, s)
+def _wide_dia(batch: ModelBatch, s: int, key=None) -> int:
+    """The diamond image of s in every copy of the batch at once, stored
+    in the batch's memo `_dia`."""
+    got = batch._dia[s] = _spread(batch.dia_rows, s)
     return got
 
 
-def _wide_box(family: ModelFamily, s: int, key=None) -> int:
-    """The box image of s in every copy of the family at once, stored in
-    the family's memo `_box`."""
-    p0 = family.p0
-    out = 0
-    for u, row in enumerate(family.rows):
-        got = p0
-        for v in row:
-            got &= s >> v
-        out |= got << u
-    family._box[s] = out
-    return out
+def _wide_box(batch: ModelBatch, s: int, key=None) -> int:
+    """The box image of s in every copy of the batch at once (the dual of
+    the diamond), stored in the batch's memo `_box`."""
+    full = batch.full_mask
+    got = batch._box[s] = full & ~_spread(batch.dia_rows, full & ~s)
+    return got
 
 
 def _family_value(model: KripkeModel, f: MuFormula | TangleFormula) -> int:
-    """f on an enumerated model, read from its copy in the packed value of f
-    on the model's family; the family is evaluated at most once per root."""
+    """f on an enumerated model, cut from its frame's slice of f's packed
+    value on the batch.  The batch runs each root once, with memos for that
+    run only; each frame cuts its slice once, so models cut small ints."""
     family = model._family
     got = family.results.get(f)
     if got is None:
-        got = family.results[f] = run_program(family, f, None, _wide_dia, _wide_box,
-                                              family._dia, family._box)
+        batch = family.batch
+        wide = batch.results.get(f)
+        if wide is None:
+            batch._dia, batch._box = D, B = {}, {}
+            try:
+                wide = batch.results[f] = run_program(batch, f, None, _wide_dia,
+                                                      _wide_box, D, B)
+            finally:
+                batch._dia = batch._box = batch._tangle = None
+        got = family.results[f] = wide >> family.offset & family.full_mask
     return got >> model._copy * model.n & model.full_mask
 
 
@@ -510,14 +516,15 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
 # tangle evaluation
 
 
-def _tangle_cache(model: KripkeModel | ModelFamily) -> tuple[tuple, dict]:
+def _tangle_cache(model: KripkeModel | ModelBatch) -> tuple[tuple, dict]:
     """The model's cluster geometry and its tangle memo, built on first use.
     Per cluster the geometry holds `cluster mask | worlds that see into it`
-    and `(1 << u, succ[u] & cluster mask)` for each point u.  A family's
-    geometry is `_family_geometry`."""
+    and `(1 << u, succ[u] & cluster mask)` for each point u.  A batch has
+    its geometry in its rows and gets in its place a memo from a member
+    mask to the points with a witness for it inside their cluster."""
     if model._tangle is None:
-        if type(model) is ModelFamily:
-            model._tangle = (_family_geometry(model), {})
+        if type(model) is ModelBatch:
+            model._tangle = ({}, {})
             return model._tangle
         geometry = []
         for cluster in model.clusters():
@@ -534,50 +541,26 @@ def _tangle_cache(model: KripkeModel | ModelFamily) -> tuple[tuple, dict]:
     return model._tangle
 
 
-def _family_geometry(family: ModelFamily) -> tuple:
-    """The frame's cluster geometry as world lists: each world's successors
-    inside its cluster, each cluster's points and down-set, and a memo from
-    a member mask to the points with a witness for it inside their
-    cluster."""
-    inside = [()] * family.frame.n
-    clusters = []
-    for down, points in _tangle_cache(family.frame)[0]:
-        for bit, seen in points:
-            inside[bit.bit_length() - 1] = tuple(iter_bits(seen))
-        clusters.append((tuple(bit.bit_length() - 1 for bit, _ in points),
-                         tuple(iter_bits(down))))
-    return tuple(inside), tuple(clusters), {}
-
-
-def _wide_tangle(family: ModelFamily, geometry: tuple, key: tuple) -> int:
-    """`_tangle_mask` in every copy of the family at once.  Over the
+def _wide_tangle(batch: ModelBatch, witnessed: dict, key: tuple) -> int:
+    """`_tangle_mask` in every copy of the batch at once.  Over the
     members, `none` holds the points that see a witness inside their
     cluster for every member so far, `one` those that lack one for exactly
     one member and satisfy it; a repeated member counts once per
     occurrence.  A cluster is good in a copy where all its points are in
     either, and the copy's result holds its down-set."""
-    inside, clusters, witnessed = geometry
-    p0 = family.p0
-    none, one = family.full_mask, 0
+    full = batch.full_mask
+    none, one = full, 0
     for m in key:
         seen = witnessed.get(m)
         if seen is None:
-            seen = witnessed[m] = _packed_dia(inside, p0, m)
+            seen = witnessed[m] = _spread(batch.inside_rows, m)
         one = one & seen | none & m & ~seen
         none &= seen
-    good = none | one
-    result = 0
-    for points, down in clusters:
-        here = p0
-        for u in points:
-            here &= good >> u
-        if here:
-            for w in down:
-                result |= here << w
-    return result
+    bad = full & ~(none | one)
+    return _spread(batch.down_rows, full & ~_spread(batch.cluster_rows, bad))
 
 
-def _tangle_mask(model: KripkeModel | ModelFamily,
+def _tangle_mask(model: KripkeModel | ModelBatch,
                  member_masks: Sequence[int]) -> int:
     """Worlds weakly below a maximal cluster in which the member multiset is
     recurrently satisfied: each cluster point either sees witnesses for every
@@ -592,12 +575,12 @@ def _tangle_mask(model: KripkeModel | ModelFamily,
     return got
 
 
-def _tangle_compute(model: KripkeModel | ModelFamily, key: tuple) -> int:
+def _tangle_compute(model: KripkeModel | ModelBatch, key: tuple) -> int:
     """`_tangle_mask` of the member masks `key`, computed without the memo;
     the model's geometry must be built.  Compiled tangle steps call this
     on a memo miss and store the result themselves."""
     geometry = model._tangle[0]
-    if type(model) is ModelFamily:
+    if type(model) is ModelBatch:
         return _wide_tangle(model, geometry, key)
     result = 0
     for down, points in geometry:

@@ -327,6 +327,11 @@ class TestSerialization:
         assert sub.val_mask("o") == 1
 
 
+def _row_masks(rows):
+    """A batch's rows as a map from (u, v) to the mask they hold."""
+    return {(u, v): mask for u, row in enumerate(rows) for v, mask in row}
+
+
 class TestModalMemos:
     def test_models_of_one_frame_share_memos(self):
         by_frame: dict = {}
@@ -366,22 +371,74 @@ class TestModalMemos:
         assert count == 2848
 
     def test_models_of_one_frame_are_the_copies_of_one_family(self):
+        # A frame's models are consecutive copies of its batch: each copy
+        # decodes to its model's own successor rows and valuation, and each
+        # relation mask marks the copy as the model's frame has it.
         by_frame: dict = {}
         for m in enumerate_models(["p", "q"], 3):
             by_frame.setdefault(m.succ, []).append(m)
         for models in by_frame.values():
             family = models[0]._family
-            n = models[0].n
+            batch, n = family.batch, models[0].n
+            assert family.frame.succ == models[0].succ
             assert family.full_mask == (1 << len(models) * n) - 1
-            assert family.p0 == sum(1 << j * n for j in range(len(models)))
+            masks = {name: _row_masks(getattr(batch, name)) for name in
+                     ("dia_rows", "cluster_rows", "inside_rows", "down_rows")}
             for j, m in enumerate(models):
                 assert m._family is family and m._copy == j
-                assert all(family.val[name] >> j * n & m.full_mask == mask
+                base = family.offset + j * n
+                assert all(batch.val[name] >> base & m.full_mask == mask
                            for name, mask in m.val.items())
+
+                def bit(name, u, v):
+                    return masks[name].get((u, v), 0) >> base & 1
+
+                assert tuple(sum(bit("dia_rows", u, v) << v for v in range(n))
+                             for u in range(n)) == m.succ
+                for u in range(n):
+                    mates = m.cluster_mask(u)
+                    for v in range(n):
+                        edge, mate = m.succ[u] >> v & 1, mates >> v & 1
+                        assert bit("cluster_rows", u, v) == mate
+                        assert bit("inside_rows", u, v) == edge & mate
+                        assert bit("down_rows", u, v) == edge | mate
+                        # masks hold first bits only
+                        assert all(masks[name].get((u, v), 0) >> base + 1 & m.full_mask >> 1 == 0
+                                   for name in masks)
         m = models[-1]
         assert all(c._family is None for c in (
             KripkeModel(m.labels, (), _masks=(m.succ, m.val)), m.close(),
             m.restrict(m.full_mask), KripkeModel.from_dict(m.to_dict())))
+
+    @pytest.mark.parametrize("cap", [1, 8, 64, None])
+    def test_batches_cut_between_frames_under_the_cap(self, monkeypatch, cap):
+        want = [(m.succ, m.val) for m in enumerate_models(["p"], 4)]
+        if cap is None:  # the module's own cap
+            cap = km.BATCH_BITS
+        monkeypatch.setattr(km, "BATCH_BITS", cap)
+        got, frames = [], {}
+        for m in enumerate_models(["p"], 4):
+            got.append((m.succ, m.val))
+            frames.setdefault(m._family.batch, {}).setdefault(m._family, []).append(m)
+        assert got == want
+        last = None
+        for families in frames.values():
+            # a batch spans consecutive whole frames of one world count
+            (n,) = {m.n for models in families.values() for m in models}
+            offset = 0
+            for family, models in families.items():
+                assert family.offset == offset
+                assert len(models) * n == family.full_mask.bit_length()
+                offset += family.full_mask.bit_length()
+            assert next(iter(families)).batch.full_mask.bit_length() == offset
+            assert offset <= cap or len(families) == 1
+            # the next frame of the same world count did not fit
+            if last is not None and last[0] == n:
+                first = next(iter(families)).full_mask.bit_length()
+                assert last[1] + first > cap
+            last = n, offset
+        # one frame per batch only under a cap below every frame's width
+        assert (max(len(f) for f in frames.values()) > 1) == (cap > 1)
 
     def test_full_mask_is_an_attribute(self):
         m = KripkeModel(["a", "b", "c"], [(0, 1)])

@@ -686,3 +686,44 @@ class TestModalMemo:
             empty: dict = {}
             assert sem.eval_tangle(model, chi, filled) == sem.eval_tangle(fresh, chi, empty)
             assert filled == empty
+
+
+def _batch_formulas():
+    """Mu and tangle roots for the batch tests: diamond and box, tangles
+    with repeated members, a tangle read as its mu image inside a fixed
+    point, and the three fuzz-equiv benchmark shapes."""
+    a, b = fm.t_prop("p"), fm.t_prop("q")
+    repeated = fm.t_tangle([a, a, fm.t_not(b)])
+    tangles = [fm.t_dia(a), fm.t_box(fm.t_or(a, b)), repeated,
+               fm.t_tangle([fm.t_dia(b), a, fm.t_dia(b)]),
+               fm.t_box(fm.t_tangle([a, fm.t_tangle([b, b])])),
+               fm.t_and(fm.t_dia(repeated), fm.t_not(fm.t_tangle([fm.t_not(a)])))]
+    mus = [p("<> p"), p("[] p"), p("<> [] (p | q)"), p("[] <> ~p"),
+           fm.mu("x", fm.disj(fm.to_mu(repeated), fm.diamond(fm.var("x")))),
+           fm.nu("x", fm.conj(fm.to_mu(fm.t_tangle([a, fm.t_dia(b)])),
+                              fm.box(fm.var("x"))))]
+    return mus + [p(text) for text in MEMO_FORMULAS[:3]], tangles
+
+
+class TestBatches:
+    @pytest.mark.parametrize("props, size", [(("p", "q"), 3), (("p",), 4)])
+    def test_batches_match_fresh_models(self, props, size):
+        mus, tangles = _batch_formulas()
+        shapes: dict = {}
+        count = 0
+        for model in enumerate_models(props, size):
+            batch = model._family.batch
+            shapes.setdefault(batch, set()).add(
+                tuple(len(c) for c in model.clusters()))
+            fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+            for f, run in [(f, sem.eval_mu) for f in mus] + [(t, sem.eval_tangle) for t in tangles]:
+                packed, own = run(model, f), run(fresh, f)
+                assert packed == own, (
+                    f"first mismatch: {model.to_dict()} on {f}: batch {packed}, "
+                    f"fresh model {own}")
+                # a batch's memos live for one root's run only
+                assert batch._dia is batch._box is batch._tangle is None
+            count += 1
+        assert count == {3: 2848, 4: 5089}[size]
+        # some batches hold frames of different cluster shapes
+        assert max(len(s) for s in shapes.values()) > 1

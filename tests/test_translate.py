@@ -373,3 +373,17 @@ def _format_dag_per_name(f, min_size=3):
     lines = [f"let {name} = {fm.print_tangle(g, names)}" for g, name in names.items()]
     lines.append(f"chi = {fm.print_tangle(f, names)}")
     return "\n".join(lines)
+
+
+class TestPackageNames:
+    def test_translate_names_the_submodule(self):
+        # The package once re-exported the function under the submodule's
+        # name, so `tanglekit.translate.Translator` raised AttributeError.
+        import importlib
+
+        import tanglekit
+        module = importlib.import_module("tanglekit.translate")
+        assert tanglekit.translate is module
+        assert tanglekit.translate.Translator is Translator
+        assert tanglekit.translate_formula is translate
+        assert "translate_formula" in tanglekit.__all__
