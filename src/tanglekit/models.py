@@ -19,7 +19,8 @@ wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own).
 The models of one frame share a `ModelFamily`, a view of the batch: a
 model keeps it in `_family` and its copy index in `_copy`; every other
 model has `_family = None`.  A batch is built before its first model is
-yielded and holds the packed value of each root evaluated on it
+yielded (its cluster relations by the first tangle step run on it) and
+holds the packed value of each root evaluated on it
 (`semantics.eval_mu`/`eval_tangle`), so these are freed with the models.
 
 `enumerate_models` yields every model up to isomorphism.  Its frames come
@@ -30,10 +31,12 @@ world permutations.  This is complete: deleting a world from a wK4 frame
 leaves an induced subframe, which is again wK4, so every n-world frame is
 an extension of some canonical (n-1)-world frame.  Each frame is cached
 with one mask-image table per non-identity automorphism, and a valuation
-tuple is emitted only if no table maps it to a smaller tuple.  Five worlds
-(13,522 weakly transitive candidates, 2,902 frames) take seconds.  Six
-would mean about 240,000 candidates with 720 permutations each, minutes
-before the first six-world model, so the enumeration is capped at five.
+tuple is emitted only if no table maps it to a smaller tuple, as found by
+an orderly walk over the tuples, one atom at a time (`_orbit_leaders`).
+Five worlds (13,522 weakly transitive candidates, 2,902 frames) take
+seconds.  Six would mean about 240,000 candidates with 720 permutations
+each, minutes before the first six-world model, so the enumeration is
+capped at five.
 """
 
 from __future__ import annotations
@@ -101,25 +104,20 @@ class KripkeModel:
                 for w in worlds:
                     mask |= 1 << w
                 val[name] = mask
-        self._fill(labels, tuple(succ), val, memos[0] if memos else ({}, {}))
-
-    def _fill(self, labels: tuple, succ: tuple, val: dict, memos: tuple,
-              family: Optional["ModelFamily"] = None, copy: int = 0) -> None:
-        """Set every attribute, always in this order, so that all models
-        share one key table for their attribute dicts."""
+        # as in `enumerate_models`: one order, so one shared key table
         self.labels = labels
         self.n = len(labels)
-        self.succ = succ
+        self.succ = tuple(succ)
         self.val = val
         self.full_mask = (1 << self.n) - 1
-        self._dia, self._box = memos
+        self._dia, self._box = memos[0] if memos else ({}, {})
         self._pred = None
         self._clusters = None
         self._cluster_id = None
         self._above = None
         self._tangle = None
-        self._family = family
-        self._copy = copy
+        self._family = None
+        self._copy = 0
 
     # -- basic views ---------------------------------------------------
 
@@ -532,19 +530,20 @@ class ModelBatch:
     world-set int.  No edge joins two copies, so a world's truth value is
     the one it has in its own model.  Relations are masks of the copies'
     first bits, as rows of pairs `(v, mask)` per world u, zero masks left
-    out: `dia_rows` marks the copies whose frame has u -> v, `cluster_rows`
-    those where u and v share a cluster, `inside_rows` both, `down_rows`
-    either.  `results` holds each root's packed value; `_dia`, `_box` and
-    `_tangle` are the memos of the run in progress, None between runs."""
+    out: `dia_rows` marks the copies whose frame has u -> v; the cluster
+    relations only tangle steps read come from `tangle_rows()`.  `results`
+    holds each root's packed value; `_dia`, `_box` and `_tangle` are the
+    memos of the run in progress, None between runs."""
 
-    __slots__ = ("val", "full_mask", "dia_rows", "cluster_rows",
-                 "inside_rows", "down_rows", "_dia", "_box", "_tangle", "results")
+    __slots__ = ("val", "full_mask", "dia_rows", "_firsts", "_tangle_rows",
+                 "_dia", "_box", "_tangle", "results")
 
     def __init__(self, frames: Sequence[KripkeModel], props: Sequence[str],
                  valuations: Sequence[Sequence[tuple[int, ...]]]):
         n = frames[0].n
         val = [0] * len(props)
-        succ, same = ([[0] * n for _ in range(n)] for _ in range(2))
+        succ = [[0] * n for _ in range(n)]
+        firsts = []
         offset = 0
         for frame, vals in zip(frames, valuations):
             # pack the frame's copies on small ints, then shift them into place
@@ -553,20 +552,39 @@ class ModelBatch:
                 val[i] |= sum(map(operator.lshift, column, range(0, width, n))) << offset
             # (2**(c*n) - 1) / (2**n - 1) is the sum of 2**(j*n) for j < c
             first = ((1 << width) - 1) // frame.full_mask << offset
+            firsts.append((frame, first))
             for u, row in enumerate(frame.succ):
-                for table, seen in ((succ, row), (same, frame.cluster_mask(u))):
-                    for v in iter_bits(seen):
-                        table[u][v] |= first
+                for v in iter_bits(row):
+                    succ[u][v] |= first
             offset += width
         self.val = dict(zip(props, val))
         self.full_mask = (1 << offset) - 1
-        self.dia_rows, self.cluster_rows, self.inside_rows, self.down_rows = (
-            tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in table)
-            for table in (succ, same,
-                          [[r & c for r, c in zip(*rows)] for rows in zip(succ, same)],
-                          [[r | c for r, c in zip(*rows)] for rows in zip(succ, same)]))
-        self._dia = self._box = self._tangle = None
+        self.dia_rows = _rows(succ)
+        self._firsts = firsts
+        self._tangle_rows = self._dia = self._box = self._tangle = None
         self.results: dict = {}
+
+    def tangle_rows(self) -> tuple:
+        """`(cluster_rows, inside_rows, down_rows)`, built on the first
+        call: the rows that mark the copies where u and v share a cluster,
+        where they share one and u -> v, and where either holds."""
+        if self._tangle_rows is None:
+            n = len(self.dia_rows)
+            same = [[0] * n for _ in range(n)]
+            for frame, first in self._firsts:
+                for u in range(n):
+                    for v in iter_bits(frame.cluster_mask(u)):
+                        same[u][v] |= first
+            succ = [[row.get(v, 0) for v in range(n)] for row in map(dict, self.dia_rows)]
+            self._tangle_rows = tuple(map(_rows, (
+                same, [[r & c for r, c in zip(*rows)] for rows in zip(succ, same)],
+                [[r | c for r, c in zip(*rows)] for rows in zip(succ, same)])))
+        return self._tangle_rows
+
+
+def _rows(table: Sequence[Sequence[int]]) -> tuple:
+    """An n x n table of masks as rows of its nonzero `(v, mask)` pairs."""
+    return tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in table)
 
 
 class ModelFamily:
@@ -590,7 +608,8 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     models of one frame share one pair of modal memos and one
     `ModelFamily`, a view of the `ModelBatch` of a run of consecutive
     frames, built before the run's first model is yielded.  They are
-    filled in without `KripkeModel.__init__`'s checks and copies."""
+    filled in without `KripkeModel.__init__`'s checks and copies, and a
+    frame's valuation tuples are freed once its models are yielded."""
     props = tuple(sorted(props))
     if max_worlds > guard:
         raise ClusterEnumerationError(
@@ -598,17 +617,34 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     new = object.__new__
     for n in range(1, max_worlds + 1):
         labels = tuple(str(i) for i in range(n))
+        full = (1 << n) - 1
         for group in _frame_runs(n, len(props)):
             frames = [KripkeModel(labels, (), _masks=(succ, {})) for succ, _ in group]
             batch = ModelBatch(frames, props, [vals for _, vals in group])
             offset = 0
-            for frame, (succ, valuations) in zip(frames, group):
-                memos = frame._dia, frame._box
+            for i, frame in enumerate(frames):
+                succ, valuations = group[i]
+                group[i] = None
+                dia, box = frame._dia, frame._box
                 family = ModelFamily(batch, frame, offset, len(valuations))
                 offset += len(valuations) * n
                 for j, masks in enumerate(valuations):
+                    # the attributes of `KripkeModel.__init__`, in its order
                     model = new(KripkeModel)
-                    model._fill(labels, succ, dict(zip(props, masks)), memos, family, j)
+                    model.labels = labels
+                    model.n = n
+                    model.succ = succ
+                    model.val = dict(zip(props, masks))
+                    model.full_mask = full
+                    model._dia = dia
+                    model._box = box
+                    model._pred = None
+                    model._clusters = None
+                    model._cluster_id = None
+                    model._above = None
+                    model._tangle = None
+                    model._family = family
+                    model._copy = j
                     yield model
 
 
@@ -631,17 +667,24 @@ def _orbit_leaders(n: int, atoms: int,
                    tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The valuation tuples (one world mask per atom) that are the least of
     their orbit under the automorphisms whose mask-image `tables` are
-    given, in tuple order.  Product order is tuple order, so the first
-    member met of each orbit is its least; it is kept and its images are
-    marked, which skips the rest of the orbit."""
-    marked = set()
-    leaders = []
-    for masks in itertools.product(range(1 << n), repeat=atoms):
-        if masks not in marked:
-            leaders.append(masks)
-            for table in tables:
-                marked.add(tuple(map(table.__getitem__, masks)))
-    return leaders
+    given, in tuple order: a walk over the tuples in that order, one atom
+    at a time, carrying the tables that fix the prefix.  A value x that a
+    carried table maps below x is skipped, since the table maps every
+    tuple through it lower; a table that maps x above x maps them all
+    higher and is dropped; one that fixes x is carried on.  Once none is
+    carried, every completion of the prefix is a leader."""
+    values = range(1 << n)
+
+    def walk(prefix: tuple, live: Sequence, left: int) -> list:
+        if not live or not left:
+            return [prefix + rest for rest in itertools.product(values, repeat=left)]
+        lows = zip(values, map(min, zip(*live)))  # x and its least image
+        if left == 1:
+            return [prefix + (x,) for x, low in lows if low >= x]
+        return [masks for x, low in lows if low >= x for masks in
+                walk(prefix + (x,), [t for t in live if t[x] == x], left - 1)]
+
+    return walk((), tables, atoms)
 
 
 def _edges_of(succ: Sequence[int]) -> list[tuple[int, int]]:

@@ -55,17 +55,18 @@ A world's value depends only on the submodel it generates, so enumerated
 models are evaluated together, as the disjoint union `models.ModelBatch`
 packs them into: one batch per run of consecutive frames of one world
 count.  `eval_mu` or `eval_tangle` on such a model, with no `env` and no
-`cache`, reads the root in its frame's `results`.  On a miss the batch
-runs the root's segments once, with `_wide_dia`/`_wide_box` and modal and
-tangle memos that live for that run only, and keeps the packed value; each
-frame cuts its slice from it once, and model j's value is its slice of the
-frame's, `value >> j*n & full_mask`.  The packed algebra works on every
+`cache`, reads the root in its frame's `results` itself: model j's value
+is `value >> j*n & full_mask`.  On a miss `_family_value` has the batch
+run the root's segments once, with `_wide_dia`/`_wide_box` and modal and
+tangle memos that live for that run only, and keep the packed value; each
+frame cuts its slice from it once.  The packed algebra works on every
 copy at once, over masks of the copies' first bits: with `R[u][v]` the
 copies whose frame has u -> v, `dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u`,
 and box is its dual.  A tangle step finds, by the same sum over the
 in-cluster masks, the points with at most one member lacking a witness
 inside their cluster and satisfying that one, and by the same-cluster and
 down-set masks spreads each cluster of such points over its down-set.
+The first tangle step run on a batch builds these (`tangle_rows`).
 Every other call (random or file models, the models `restrict` and `close`
 make, calls with `env` or `cache`, the translator's root blocks) runs on
 the one model, and this per-model path is the oracle of the packed one.
@@ -88,7 +89,7 @@ from . import formulas as fm
 from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
                        TANGLE, TOP, MuFormula, TangleFormula)
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
-                     ModelBatch, _cluster_heights, iter_bits)
+                     ModelBatch, ModelFamily, _cluster_heights, iter_bits)
 
 EMBED_STRICT = "strict"
 EMBED_BISIMILAR = "bisimilar"
@@ -422,34 +423,35 @@ def _wide_box(batch: ModelBatch, s: int, key=None) -> int:
     return got
 
 
-def _family_value(model: KripkeModel, f: MuFormula | TangleFormula) -> int:
-    """f on an enumerated model, cut from its frame's slice of f's packed
-    value on the batch.  The batch runs each root once, with memos for that
-    run only; each frame cuts its slice once, so models cut small ints."""
-    family = model._family
-    got = family.results.get(f)
-    if got is None:
-        batch = family.batch
-        wide = batch.results.get(f)
-        if wide is None:
-            batch._dia, batch._box = D, B = {}, {}
-            try:
-                wide = batch.results[f] = run_program(batch, f, None, _wide_dia,
-                                                      _wide_box, D, B)
-            finally:
-                batch._dia = batch._box = batch._tangle = None
-        got = family.results[f] = wide >> family.offset & family.full_mask
-    return got >> model._copy * model.n & model.full_mask
+def _family_value(family: ModelFamily, f: MuFormula | TangleFormula) -> int:
+    """f on a frame's copies: its slice, stored in `family.results`, of f's
+    packed value on the batch, which runs each root once, with memos for
+    that run only.  Models then cut small ints."""
+    batch = family.batch
+    wide = batch.results.get(f)
+    if wide is None:
+        batch._dia, batch._box = D, B = {}, {}
+        try:
+            wide = batch.results[f] = run_program(batch, f, None, _wide_dia,
+                                                  _wide_box, D, B)
+        finally:
+            batch._dia = batch._box = batch._tangle = None
+    family.results[f] = got = wide >> family.offset & family.full_mask
+    return got
 
 
 def eval_mu(model: KripkeModel, f: MuFormula,
             env: Optional[Mapping[str, int]] = None,
             cache: Optional[dict] = None) -> int:
     """World set of an NNF formula; fixed points by monotone iteration.  On
-    an enumerated model, with no `env` and no `cache`, it is read from the
-    value on the model's family."""
-    if model._family is not None and env is None and cache is None:
-        return _family_value(model, f)
+    an enumerated model, with no `env` and no `cache`, it is the model's
+    slice of the value on its family."""
+    family = model._family
+    if family is not None and env is None and cache is None:
+        got = family.results.get(f)
+        if got is None:
+            got = _family_value(family, f)
+        return got >> model._copy * model.n & model.full_mask
     return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
                        model._box, env)
 
@@ -548,16 +550,17 @@ def _wide_tangle(batch: ModelBatch, witnessed: dict, key: tuple) -> int:
     one member and satisfy it; a repeated member counts once per
     occurrence.  A cluster is good in a copy where all its points are in
     either, and the copy's result holds its down-set."""
+    cluster_rows, inside_rows, down_rows = batch.tangle_rows()
     full = batch.full_mask
     none, one = full, 0
     for m in key:
         seen = witnessed.get(m)
         if seen is None:
-            seen = witnessed[m] = _spread(batch.inside_rows, m)
+            seen = witnessed[m] = _spread(inside_rows, m)
         one = one & seen | none & m & ~seen
         none &= seen
     bad = full & ~(none | one)
-    return _spread(batch.down_rows, full & ~_spread(batch.cluster_rows, bad))
+    return _spread(down_rows, full & ~_spread(cluster_rows, bad))
 
 
 def _tangle_mask(model: KripkeModel | ModelBatch,
@@ -618,10 +621,14 @@ def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
     """World set of a tangle-language formula, by the compiled program of
     f; a given `cache` is a value store for this model (see `run_program`).
-    On an enumerated model with no `cache` it is read from the value on the
-    model's family."""
-    if model._family is not None and cache is None:
-        return _family_value(model, f)
+    On an enumerated model with no `cache` it is the model's slice of the
+    value on its family."""
+    family = model._family
+    if family is not None and cache is None:
+        got = family.results.get(f)
+        if got is None:
+            got = _family_value(family, f)
+        return got >> model._copy * model.n & model.full_mask
     return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
                        model._box)
 

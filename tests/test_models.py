@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -227,16 +228,33 @@ class TestEnumeration:
         # 2,902 five-world frames, checked once against the brute force
         assert sum(1 for _ in enumerate_models([], 5)) == 3327
 
-    @pytest.mark.parametrize("atoms", [1, 2])
+    @pytest.mark.parametrize("atoms", [0, 1, 2, 3])
     def test_orbit_leaders_match_least_image_filter(self, atoms):
         # the filter that keeps a valuation unless some automorphism maps
-        # it to a smaller tuple
-        for n in range(1, 5):
+        # it to a smaller tuple; three atoms on at most three worlds
+        for n in range(1, 5 if atoms < 3 else 4):
             for _, tables in km._wk4_canonical(n):
                 want = [masks for masks in itertools.product(range(1 << n), repeat=atoms)
                         if not any(tuple(map(table.__getitem__, masks)) < masks
                                    for table in tables)]
                 assert km._orbit_leaders(n, atoms, tables) == want
+
+    @pytest.mark.parametrize("props, max_worlds, count, digest", [
+        (["p", "q"], 4, 70270,
+         "7721ae9404b37efe703a0770a49856a18c2c317c662e919ab8c0cd8ab57c7730"),
+        (["p"], 5, 79417,
+         "f39035c0ee52a3852aaf48edc5ef0a942906a66c4472419caa077a71b5d0fd88"),
+        (["p", "q", "r"], 3, 21248,
+         "a2835c45314e29ab434f2a6e84ff57cef362a4924803aecefa5c33ebfaaacc7d"),
+    ])
+    def test_enumeration_order_is_pinned(self, props, max_worlds, count, digest):
+        # the models and their order, as the orbit-filter enumeration gave them
+        h = hashlib.sha256()
+        seen = 0
+        for m in enumerate_models(props, max_worlds):
+            h.update(repr((m.succ, tuple(m.val_mask(p) for p in props))).encode())
+            seen += 1
+        assert (seen, h.hexdigest()) == (count, digest)
 
 
 def _permute_mask(mask, perm):
@@ -382,8 +400,8 @@ class TestModalMemos:
             batch, n = family.batch, models[0].n
             assert family.frame.succ == models[0].succ
             assert family.full_mask == (1 << len(models) * n) - 1
-            masks = {name: _row_masks(getattr(batch, name)) for name in
-                     ("dia_rows", "cluster_rows", "inside_rows", "down_rows")}
+            masks = dict(zip(("dia_rows", "cluster_rows", "inside_rows", "down_rows"),
+                             map(_row_masks, (batch.dia_rows, *batch.tangle_rows()))))
             for j, m in enumerate(models):
                 assert m._family is family and m._copy == j
                 base = family.offset + j * n

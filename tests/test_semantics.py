@@ -5,7 +5,7 @@ import pytest
 from tanglekit import formulas as fm
 from tanglekit import semantics as sem
 from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel,
-                              enumerate_models, random_model)
+                              enumerate_models, iter_bits, random_model)
 from tanglekit.translate import translate
 from tests.conftest import random_formula, random_tangle_dag
 
@@ -727,3 +727,40 @@ class TestBatches:
         assert count == {3: 2848, 4: 5089}[size]
         # some batches hold frames of different cluster shapes
         assert max(len(s) for s in shapes.values()) > 1
+
+    def test_tangle_rows_are_built_by_the_first_tangle_step(self):
+        mus, tangles = _batch_formulas()
+        models = list(enumerate_models(("p", "q"), 3))
+        families: dict = {}
+        for m in models:
+            families.setdefault(m._family.batch, {}).setdefault(m._family, m)
+        # a mu-only pass builds no batch's cluster rows
+        for m in models:
+            for f in mus:
+                sem.eval_mu(m, f)
+        assert all(batch._tangle_rows is None for batch in families)
+        for batch, firsts in families.items():
+            model = next(iter(firsts.values()))
+            sem.eval_tangle(model, tangles[0])  # a diamond, no tangle step
+            assert batch._tangle_rows is None
+            sem.eval_tangle(model, tangles[2])
+            assert batch._tangle_rows is not None
+            assert batch.tangle_rows() == _eager_tangle_rows(list(firsts))
+
+
+def _eager_tangle_rows(families):
+    """A batch's `(cluster_rows, inside_rows, down_rows)` built from its
+    families' frames the way every batch once built them at construction."""
+    n = families[0].frame.n
+    succ, same = ([[0] * n for _ in range(n)] for _ in range(2))
+    for family in families:
+        frame = family.frame
+        first = family.full_mask // frame.full_mask << family.offset
+        for u, row in enumerate(frame.succ):
+            for table, seen in ((succ, row), (same, frame.cluster_mask(u))):
+                for v in iter_bits(seen):
+                    table[u][v] |= first
+    return tuple(tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in table)
+                 for table in (same,
+                               [[r & c for r, c in zip(*rows)] for rows in zip(succ, same)],
+                               [[r | c for r, c in zip(*rows)] for rows in zip(succ, same)]))
