@@ -988,6 +988,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+_PREFIX_OPS = {"~": negate, "<>": diamond, "[]": box, "<.>": dot_diamond, "[.]": dot_box}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -1029,27 +1032,22 @@ class _Parser:
         return f
 
     def parse_unary(self, bound: frozenset) -> MuFormula:
-        kind, val, at = self.peek()
-        if val == "~":
-            self.next()
-            operand = self.parse_unary(bound)
+        # a chain of prefix operators is read in a loop and applied innermost
+        # first, so a long chain does not recurse
+        ops = []
+        while self.peek()[1] in _PREFIX_OPS:
+            ops.append(self.next())
+        f = self.parse_base(bound)
+        for kind, val, at in reversed(ops):
             try:
-                return negate(operand)
+                f = _PREFIX_OPS[val](f)
             except NegationError:
                 raise FormulaSyntaxError(
                     "negation applied to a bound fixed-point variable", at) from None
-        if val == "<>":
-            self.next()
-            return diamond(self.parse_unary(bound))
-        if val == "[]":
-            self.next()
-            return box(self.parse_unary(bound))
-        if val == "<.>":
-            self.next()
-            return dot_diamond(self.parse_unary(bound))
-        if val == "[.]":
-            self.next()
-            return dot_box(self.parse_unary(bound))
+        return f
+
+    def parse_base(self, bound: frozenset) -> MuFormula:
+        kind, val, at = self.peek()
         if val in ("mu", "nu"):
             self.next()
             vkind, vname, vat = self.next()

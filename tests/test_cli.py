@@ -221,7 +221,8 @@ class TestListings:
 
     @pytest.mark.parametrize("command", ["stats", "translate"])
     def test_deeply_nested_formula_exits_2(self, command, capsys):
-        assert main([command, "<> " * 1200 + "p"]) == 2
+        # parentheses still nest the parser's calls; prefix chains do not
+        assert main([command, "(" * 1200 + "p" + ")" * 1200]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: formula nested too deeply (")
         assert "Traceback" not in err

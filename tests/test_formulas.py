@@ -27,6 +27,13 @@ class TestParsing:
         with pytest.raises(fm.FormulaSyntaxError):
             p("nu x. ~x")
 
+    def test_negated_bound_variable_in_a_prefix_chain(self):
+        # the innermost ~ is the one that fails, wherever the chain starts
+        for text, position in [("nu x. <> ~[] ~ x", 13), ("nu x. <> ~~x", 10)]:
+            with pytest.raises(fm.FormulaSyntaxError) as err:
+                p(text)
+            assert err.value.position == position
+
     def test_negation_resolves_to_nnf(self):
         assert p("~(p & q)") is fm.disj(fm.neg_prop("p"), fm.neg_prop("q"))
 
@@ -549,6 +556,19 @@ class TestDeepFormulas:
             g = fm.conj(fm.prop("q"), fm.disj(g, fm.prop("r")))
             text = f"q & ({text} | r)"
         assert fm.print_mu(g) == text
+
+    @pytest.mark.parametrize("op, build", [
+        ("~", fm.negate), ("<> ", fm.diamond), ("[] ", fm.box),
+        ("<.> ", fm.dot_diamond), ("[.] ", fm.dot_box),
+        ("~<> ", lambda g: fm.negate(fm.diamond(g)))])
+    def test_parse_prefix_chain(self, op, build):
+        # a chain of prefix operators is parsed without recursion, and its
+        # printed form parses back to it
+        f = fm.prop("p")
+        for _ in range(self.DEPTH):
+            f = build(f)
+        assert fm.parse_mu(op * self.DEPTH + "p") is f
+        assert fm.parse_mu(fm.print_mu(f)) is f
 
     def test_print_tangle_and_format_dag(self):
         t = fm.t_prop("p")

@@ -216,6 +216,39 @@ class TestEnumeration:
                     for table in tables}
             assert auts == expected[succ]
 
+    @pytest.mark.parametrize("n, count, digest", [
+        (1, 2, "e7b25b0cfaab3a769bd7aa84498f0e57ff9a18756567123129e5f64f46157a75"),
+        (2, 10, "8ded636ba4d2587d1c8f8198aeb0d688403241f03f2e8773febbef3c314f2e73"),
+        (3, 54, "d9be2027eb811be86a7e8f6459f0fc856771ff1a3bbfc6e2d839f0015543f1b6"),
+        (4, 359, "004f9ef58d0b8580823db6011646188950e4ed0cf7396f3d63191b32a5da24a5"),
+        (5, 2902, "2d27ed5d29e4b13dd7104bbc597c6bb051230f46ce9ee418be9277f331708f12"),
+    ])
+    def test_frame_table_is_pinned(self, n, count, digest):
+        # each frame's relation and automorphism tables, in order, as the
+        # least-image canonicalisation of every candidate gave them
+        h = hashlib.sha256()
+        for entry in km._wk4_canonical(n):
+            h.update(repr(entry).encode())
+        assert (len(km._wk4_canonical(n)), h.hexdigest()) == (count, digest)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_extensions_are_the_wk4_candidates(self, k):
+        # every (out-mask, in-mask) pair on each canonical k-world frame,
+        # kept when the relation it makes is weakly transitive
+        new = 1 << k
+        for base, _ in km._wk4_canonical(k):
+            want = []
+            for out in range(new << 1):
+                for inn in range(new):
+                    rel = tuple(s | new if inn >> a & 1 else s
+                                for a, s in enumerate(base)) + (out,)
+                    model = KripkeModel([str(i) for i in range(k + 1)], (), _masks=(rel, {}))
+                    if validate_wk4(model) is None:
+                        want.append(rel)
+            got = list(km._wk4_extensions(base))
+            assert len(got) == len(set(got))
+            assert sorted(got) == sorted(want)
+
     @pytest.mark.parametrize("props, max_worlds",
                              [([], 4), (["p"], 4), (["p", "q"], 3)])
     def test_models_match_brute_force(self, props, max_worlds):
