@@ -9,17 +9,16 @@ Each model carries two modal memos, `_dia` and `_box`, mapping an argument
 mask to its diamond or box image (filled by `semantics._dia_mask` and
 `_box_mask`).  An image depends on `succ` alone, which never changes, so a
 memo stays valid for the model's life and may be shared by every model on
-the same frame.  A model gets fresh memos unless `_masks` hands it a pair as
-a third element.  `enumerate_models` does that: one pair per frame and call,
-shared by every model it yields on that frame, and freed with them.
+the same frame.  A constructed model gets fresh memos; `enumerate_models`
+gives the models it yields on one frame one pair, freed with them.
 
 The models enumerated on a run of consecutive frames of one world count
 are also the copies of one `ModelBatch`, their disjoint union packed into
 wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own).
-The models of one frame share a `ModelFamily`, a view of the batch: a
-model keeps it in `_family` and its copy index in `_copy`; every other
-model has `_family = None`.  A batch is built before its first model is
-yielded (its cluster relations by the first tangle step run on it) and
+Such a model keeps its batch in `_batch` and the bit offset of its copy in
+`_shift`, which runs 0, n, 2n, ... across the run's frames in order; every
+other model has `_batch = None`.  A batch is built before its first model
+is yielded (its cluster relations by the first tangle step run on it) and
 holds the packed value of each root evaluated on it
 (`semantics.eval_mu`/`eval_tangle`), so these are freed with the models.
 
@@ -86,15 +85,19 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
 
 
 class KripkeModel:
+    # Filled on first use; an enumerated model also gets its batch and the
+    # bit offset of its copy there.
+    _pred = _clusters = _cluster_id = _above = _tangle = _batch = None
+    _shift = 0
+
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]],
                  valuation: Optional[Mapping[str, Iterable[int]]] = None,
                  _masks: Optional[tuple] = None):
         labels = tuple(labels)
         if len(set(labels)) != len(labels):
             raise ModelFormatError("duplicate world labels")
-        memos = None
         if _masks is not None:
-            succ, val, *memos = _masks
+            succ, val = _masks
             val = dict(val)
         else:
             succ = [0] * len(labels)
@@ -112,19 +115,9 @@ class KripkeModel:
         self.succ = tuple(succ)
         self.val = val
         self.full_mask = (1 << self.n) - 1
-        self._dia, self._box = memos[0] if memos else ({}, {})
-        self._pred = None
-        self._clusters = None
-        self._cluster_id = None
-        self._above = None
-        self._tangle = None
-        self._family = None
-        self._copy = 0
+        self._dia, self._box = {}, {}
 
     # -- basic views ---------------------------------------------------
-
-    def worlds(self) -> range:
-        return range(self.n)
 
     def val_mask(self, name: str) -> int:
         return self.val.get(name, 0)
@@ -309,22 +302,22 @@ def cluster_le(model: KripkeModel, lower: Iterable[int], upper: Iterable[int]) -
 
 
 def _cluster_heights(model: KripkeModel, counted: frozenset[int]) -> list[int]:
-    """Longest chain of `counted` clusters strictly above each cluster."""
+    """Longest chain of `counted` clusters strictly above each cluster, by
+    a depth-first walk with an explicit stack.  A cluster is pushed as i
+    when reached and as ~i to be settled once every cluster above it is."""
     above = model.cluster_above()
-    k = len(model.clusters())
-    memo: dict[int, int] = {}
-
-    def height(i: int) -> int:
-        got = memo.get(i)
-        if got is not None:
-            return got
-        best = 0
-        for j in above[i]:
-            best = max(best, height(j) + 1 if j in counted else height(j))
-        memo[i] = best
-        return best
-
-    return [height(i) for i in range(k)]
+    heights = [-1] * len(above)  # -1: not reached yet
+    stack = list(range(len(above)))
+    while stack:
+        i = stack.pop()
+        if i < 0:
+            i = ~i
+            heights[i] = max((heights[j] + (j in counted) for j in above[i]), default=0)
+        elif heights[i] < 0:
+            heights[i] = 0
+            stack.append(~i)
+            stack.extend(j for j in above[i] if heights[j] < 0)
+    return heights
 
 
 def depth(model: KripkeModel, worlds: Iterable[int]) -> int:
@@ -606,29 +599,17 @@ def _rows(table: Sequence[Sequence[int]]) -> tuple:
     return tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in table)
 
 
-class ModelFamily:
-    """The models `enumerate_models` yields on one frame, as a view of
-    their batch: model j is the copy at bit `offset + j*n`, `full_mask`
-    covers the frame's copies, and `results` holds their slice of each root."""
-
-    __slots__ = ("batch", "frame", "offset", "full_mask", "results")
-
-    def __init__(self, batch: ModelBatch, frame: KripkeModel, offset: int, copies: int):
-        self.batch, self.frame, self.offset = batch, frame, offset
-        self.full_mask = (1 << copies * frame.n) - 1
-        self.results: dict = {}
-
-
 def enumerate_models(props: Iterable[str], max_worlds: int,
                      guard: int = 5) -> Iterator[KripkeModel]:
     """All weakly transitive models with 1..max_worlds worlds over the given
     atoms, up to isomorphism.  Deterministic order: frames by canonical
     relation, then valuations as the least tuple of their orbit.  The
-    models of one frame share one pair of modal memos and one
-    `ModelFamily`, a view of the `ModelBatch` of a run of consecutive
-    frames, built before the run's first model is yielded.  They are
-    filled in without `KripkeModel.__init__`'s checks and copies, and a
-    frame's valuation tuples are freed once its models are yielded."""
+    models of one frame share one pair of modal memos.  Each model keeps
+    the `ModelBatch` of its run of consecutive frames in `_batch`, built
+    before the run's first model is yielded, and the offset of its copy
+    there in `_shift`.  They are filled in without `KripkeModel.__init__`'s
+    checks and copies, and a frame's valuation tuples are freed once its
+    models are yielded."""
     props = tuple(sorted(props))
     if max_worlds > guard:
         raise ClusterEnumerationError(
@@ -640,15 +621,12 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
         for group in _frame_runs(n, len(props)):
             frames = [KripkeModel(labels, (), _masks=(succ, {})) for succ, _ in group]
             batch = ModelBatch(frames, props, [vals for _, vals in group])
-            offset = 0
+            shift = 0
             for i, frame in enumerate(frames):
                 succ, valuations = group[i]
                 group[i] = None
                 dia, box = frame._dia, frame._box
-                family = ModelFamily(batch, frame, offset, len(valuations))
-                offset += len(valuations) * n
-                for j, masks in enumerate(valuations):
-                    # the attributes of `KripkeModel.__init__`, in its order
+                for masks in valuations:
                     model = new(KripkeModel)
                     model.labels = labels
                     model.n = n
@@ -657,13 +635,9 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
                     model.full_mask = full
                     model._dia = dia
                     model._box = box
-                    model._pred = None
-                    model._clusters = None
-                    model._cluster_id = None
-                    model._above = None
-                    model._tangle = None
-                    model._family = family
-                    model._copy = j
+                    model._batch = batch
+                    model._shift = shift
+                    shift += n
                     yield model
 
 

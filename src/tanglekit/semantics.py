@@ -37,8 +37,8 @@ a per-model cache (`KripkeModel._tangle`, or the batch's): the cluster
 geometry and a memo from member masks to result, built the first time a
 program with a tangle step runs on the model.  A free variable missing
 from `env` raises `UnboundVariableError`.  `eval_mu_exact` is the
-independent oracle: it recurses over the formula and enumerates exact
-fixed points.
+independent oracle: it walks the formula with a stack of generators, not
+by recursion, and enumerates exact fixed points.
 
 Modal images are memoised per frame.  `_dia_mask(model, s)` and
 `_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict and on a
@@ -55,18 +55,18 @@ A world's value depends only on the submodel it generates, so enumerated
 models are evaluated together, as the disjoint union `models.ModelBatch`
 packs them into: one batch per run of consecutive frames of one world
 count.  `eval_mu` or `eval_tangle` on such a model, with no `env` and no
-`cache`, reads the root in its frame's `results` itself: model j's value
-is `value >> j*n & full_mask`.  On a miss `_family_value` has the batch
-run the root's segments once, with `_wide_dia`/`_wide_box` and modal and
-tangle memos that live for that run only, and keep the packed value; each
-frame cuts its slice from it once.  The packed algebra works on every
-copy at once, over masks of the copies' first bits: with `R[u][v]` the
-copies whose frame has u -> v, `dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u`,
-and box is its dual.  A tangle step finds, by the same sum over the
-in-cluster masks, the points with at most one member lacking a witness
-inside their cluster and satisfying that one, and by the same-cluster and
-down-set masks spreads each cluster of such points over its down-set.
-The first tangle step run on a batch builds these (`tangle_rows`).
+`cache`, reads the root in its batch's `results` itself: the model's value
+is `value >> model._shift & full_mask`.  On a miss `_batch_value` has the
+batch run the root's segments once, with `_wide_dia`/`_wide_box` and modal
+and tangle memos that live for that run only, and keep the packed value.
+The packed algebra works on every copy at once, over masks of the copies'
+first bits: with `R[u][v]` the copies whose frame has u -> v,
+`dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u`, and box is its dual.  A
+tangle step finds, by the same sum over the in-cluster masks, the points
+with at most one member lacking a witness inside their cluster and
+satisfying that one, and by the same-cluster and down-set masks spreads
+each cluster of such points over its down-set.  The first tangle step run
+on a batch builds these (`tangle_rows`).
 Every other call (random or file models, the models `restrict` and `close`
 make, calls with `env` or `cache`, the translator's root blocks) runs on
 the one model, and this per-model path is the oracle of the packed one.
@@ -89,7 +89,7 @@ from . import formulas as fm
 from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
                        TANGLE, TOP, MuFormula, TangleFormula)
 from .models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
-                     ModelBatch, ModelFamily, _cluster_heights, iter_bits)
+                     ModelBatch, _cluster_heights, iter_bits)
 
 EMBED_STRICT = "strict"
 EMBED_BISIMILAR = "bisimilar"
@@ -423,35 +423,31 @@ def _wide_box(batch: ModelBatch, s: int, key=None) -> int:
     return got
 
 
-def _family_value(family: ModelFamily, f: MuFormula | TangleFormula) -> int:
-    """f on a frame's copies: its slice, stored in `family.results`, of f's
-    packed value on the batch, which runs each root once, with memos for
-    that run only.  Models then cut small ints."""
-    batch = family.batch
-    wide = batch.results.get(f)
-    if wide is None:
-        batch._dia, batch._box = D, B = {}, {}
-        try:
-            wide = batch.results[f] = run_program(batch, f, None, _wide_dia,
-                                                  _wide_box, D, B)
-        finally:
-            batch._dia = batch._box = batch._tangle = None
-    family.results[f] = got = wide >> family.offset & family.full_mask
+def _batch_value(batch: ModelBatch, f: MuFormula | TangleFormula) -> int:
+    """f's packed value on the batch, stored in `batch.results`: the batch
+    runs f once, with modal and tangle memos for that run only."""
+    D, B = {}, {}
+    batch._dia, batch._box, batch._tangle = D, B, ({}, {})
+    try:
+        got = batch.results[f] = run_program(batch, f, None, _wide_dia,
+                                             _wide_box, D, B)
+    finally:
+        batch._dia = batch._box = batch._tangle = None
     return got
 
 
-def eval_mu(model: KripkeModel, f: MuFormula,
+def eval_mu(model: KripkeModel, f: MuFormula | TangleFormula,
             env: Optional[Mapping[str, int]] = None,
             cache: Optional[dict] = None) -> int:
-    """World set of an NNF formula; fixed points by monotone iteration.  On
-    an enumerated model, with no `env` and no `cache`, it is the model's
-    slice of the value on its family."""
-    family = model._family
-    if family is not None and env is None and cache is None:
-        got = family.results.get(f)
+    """World set of an NNF formula, or of a tangle formula; fixed points
+    by monotone iteration.  On an enumerated model, with no `env` and no
+    `cache`, it is the model's copy in the value on its batch."""
+    batch = model._batch
+    if batch is not None and env is None and cache is None:
+        got = batch.results.get(f)
         if got is None:
-            got = _family_value(family, f)
-        return got >> model._copy * model.n & model.full_mask
+            got = _batch_value(batch, f)
+        return got >> model._shift & model.full_mask
     return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
                        model._box, env)
 
@@ -462,56 +458,60 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
     enumerated over the full powerset.  Only sensible on tiny models.  It
     computes every modal image afresh and reads no modal memo; within one
     call, the value of a subformula is memoised on the values of its free
-    variables, on which alone it depends."""
-    env = dict(env) if env else {}
+    variables, on which alone it depends.  Nothing recurses: a subformula
+    being evaluated is a generator that yields each `(subformula, env)` it
+    needs and is sent its value, and a loop keeps the generators on a stack."""
     full = model.full_mask
     memo: dict = {}
 
-    def go(g: MuFormula, env: dict) -> int:
-        key = (g, *map(env.get, fm.free_vars(g)))
-        out = memo.get(key)
-        if out is not None:
-            return out
+    def go(g: MuFormula, env: dict):
         kind = g.kind
         if kind in (fm.MU, fm.NU):
-            exact = []
+            # the meet (join) of the exact fixed points
+            out = full if kind == fm.MU else 0
             for x in range(full + 1):
-                env2 = dict(env)
-                env2[g.var] = x
-                if go(g.body, env2) == x:
-                    exact.append(x)
-            if kind == fm.MU:
-                out = full
-                for x in exact:
-                    out &= x
-            else:
-                out = 0
-                for x in exact:
-                    out |= x
-        elif kind == fm.AND:
-            out = go(g.left, env) & go(g.right, env)
-        elif kind == fm.OR:
-            out = go(g.left, env) | go(g.right, env)
-        elif kind == fm.DIA:
-            out = dia_image(model.succ, go(g.arg, env))
-        elif kind == fm.BOX:
-            out = box_image(model.succ, go(g.arg, env))
-        elif kind == fm.TOP:
-            out = full
-        elif kind == fm.BOT:
-            out = 0
-        elif kind == fm.PROP:
-            out = model.val_mask(g.name)
-        elif kind == fm.NEGPROP:
-            out = full & ~model.val_mask(g.name)
-        elif g.name in env:
-            out = env[g.name]
-        else:
-            raise UnboundVariableError(f"unbound variable {g.name!r}")
-        memo[key] = out
-        return out
+                if (yield g.body, {**env, g.var: x}) == x:
+                    out = out & x if kind == fm.MU else out | x
+            return out
+        if kind == fm.AND:
+            return (yield g.left, env) & (yield g.right, env)
+        if kind == fm.OR:
+            return (yield g.left, env) | (yield g.right, env)
+        if kind == fm.DIA:
+            return dia_image(model.succ, (yield g.arg, env))
+        if kind == fm.BOX:
+            return box_image(model.succ, (yield g.arg, env))
+        if kind == fm.TOP:
+            return full
+        if kind == fm.BOT:
+            return 0
+        if kind == fm.PROP:
+            return model.val_mask(g.name)
+        if kind == fm.NEGPROP:
+            return full & ~model.val_mask(g.name)
+        if g.name in env:
+            return env[g.name]
+        raise UnboundVariableError(f"unbound variable {g.name!r}")
 
-    return go(f, env)
+    # (generator, memo key) per subformula being evaluated; a memo hit or a
+    # finished generator sends its value to the generator below it
+    stack: list = []
+    g, e = f, env or {}
+    while True:
+        key = (g, *map(e.get, fm.free_vars(g)))
+        out = memo.get(key)
+        if out is None:
+            stack.append((go(g, e), key))
+        while True:
+            gen, key = stack[-1]
+            try:
+                g, e = gen.send(out)
+                break
+            except StopIteration as done:
+                out = memo[key] = done.value
+                stack.pop()
+                if not stack:
+                    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,12 +522,10 @@ def _tangle_cache(model: KripkeModel | ModelBatch) -> tuple[tuple, dict]:
     """The model's cluster geometry and its tangle memo, built on first use.
     Per cluster the geometry holds `cluster mask | worlds that see into it`
     and `(1 << u, succ[u] & cluster mask)` for each point u.  A batch has
-    its geometry in its rows and gets in its place a memo from a member
-    mask to the points with a witness for it inside their cluster."""
+    its geometry in its rows; `_batch_value` gives it in its place a memo
+    from a member mask to the points with a witness for it inside their
+    cluster."""
     if model._tangle is None:
-        if type(model) is ModelBatch:
-            model._tangle = ({}, {})
-            return model._tangle
         geometry = []
         for cluster in model.clusters():
             cmask = 0
@@ -621,16 +619,9 @@ def eval_tangle(model: KripkeModel, f: TangleFormula,
                 cache: Optional[dict] = None) -> int:
     """World set of a tangle-language formula, by the compiled program of
     f; a given `cache` is a value store for this model (see `run_program`).
-    On an enumerated model with no `cache` it is the model's slice of the
-    value on its family."""
-    family = model._family
-    if family is not None and cache is None:
-        got = family.results.get(f)
-        if got is None:
-            got = _family_value(family, f)
-        return got >> model._copy * model.n & model.full_mask
-    return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
-                       model._box)
+    On an enumerated model with no `cache` it is the model's copy in the
+    value on its batch."""
+    return eval_mu(model, f, None, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -429,15 +429,13 @@ class TestModalMemos:
         for m in enumerate_models(["p", "q"], 3):
             by_frame.setdefault(m.succ, []).append(m)
         for models in by_frame.values():
-            family = models[0]._family
-            batch, n = family.batch, models[0].n
-            assert family.frame.succ == models[0].succ
-            assert family.full_mask == (1 << len(models) * n) - 1
+            batch, n, start = models[0]._batch, models[0].n, models[0]._shift
+            assert models[-1]._shift + n - start == len(models) * n
             masks = dict(zip(("dia_rows", "cluster_rows", "inside_rows", "down_rows"),
                              map(_row_masks, (batch.dia_rows, *batch.tangle_rows()))))
             for j, m in enumerate(models):
-                assert m._family is family and m._copy == j
-                base = family.offset + j * n
+                assert m._batch is batch and m._shift == start + j * n
+                base = m._shift
                 assert all(batch.val[name] >> base & m.full_mask == mask
                            for name, mask in m.val.items())
 
@@ -457,7 +455,7 @@ class TestModalMemos:
                         assert all(masks[name].get((u, v), 0) >> base + 1 & m.full_mask >> 1 == 0
                                    for name in masks)
         m = models[-1]
-        assert all(c._family is None for c in (
+        assert all(c._batch is None for c in (
             KripkeModel(m.labels, (), _masks=(m.succ, m.val)), m.close(),
             m.restrict(m.full_mask), KripkeModel.from_dict(m.to_dict())))
 
@@ -467,29 +465,31 @@ class TestModalMemos:
         if cap is None:  # the module's own cap
             cap = km.BATCH_BITS
         monkeypatch.setattr(km, "BATCH_BITS", cap)
-        got, frames = [], {}
+        got, batches = [], {}
         for m in enumerate_models(["p"], 4):
             got.append((m.succ, m.val))
-            frames.setdefault(m._family.batch, {}).setdefault(m._family, []).append(m)
+            batches.setdefault(m._batch, {}).setdefault(m.succ, []).append(m)
         assert got == want
         last = None
-        for families in frames.values():
-            # a batch spans consecutive whole frames of one world count
-            (n,) = {m.n for models in families.values() for m in models}
+        for batch, by_frame in batches.items():
+            # a batch spans consecutive whole frames of one world count; a
+            # frame's extent runs from its first model's shift to its last's
+            (n,) = {m.n for models in by_frame.values() for m in models}
+            widths = [models[-1]._shift + n - models[0]._shift
+                      for models in by_frame.values()]
             offset = 0
-            for family, models in families.items():
-                assert family.offset == offset
-                assert len(models) * n == family.full_mask.bit_length()
-                offset += family.full_mask.bit_length()
-            assert next(iter(families)).batch.full_mask.bit_length() == offset
-            assert offset <= cap or len(families) == 1
+            for models, width in zip(by_frame.values(), widths):
+                assert models[0]._shift == offset
+                assert len(models) * n == width
+                offset += width
+            assert batch.full_mask.bit_length() == offset
+            assert offset <= cap or len(by_frame) == 1
             # the next frame of the same world count did not fit
             if last is not None and last[0] == n:
-                first = next(iter(families)).full_mask.bit_length()
-                assert last[1] + first > cap
+                assert last[1] + widths[0] > cap
             last = n, offset
         # one frame per batch only under a cap below every frame's width
-        assert (max(len(f) for f in frames.values()) > 1) == (cap > 1)
+        assert (max(len(f) for f in batches.values()) > 1) == (cap > 1)
 
     def test_full_mask_is_an_attribute(self):
         m = KripkeModel(["a", "b", "c"], [(0, 1)])

@@ -4,7 +4,7 @@ import pytest
 
 from tanglekit import formulas as fm
 from tanglekit import semantics as sem
-from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel,
+from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel, depth,
                               enumerate_models, iter_bits, random_model)
 from tanglekit.translate import translate
 from tests.conftest import random_formula, random_tangle_dag
@@ -209,6 +209,15 @@ class TestExactFixpoints:
                 want = sem.eval_mu_exact(m, f)
                 assert sem.eval_mu(m, f) == want
                 assert sem.eval_mu(m, f, None, cache) == want
+
+    @pytest.mark.parametrize("text", ["<> " * 5000 + "p",
+                                      "mu x. " + "<> " * 5000 + "(p | x)"],
+                             ids=["chain", "binder"])
+    def test_deep_chain(self, text):
+        # far beyond the interpreter's recursion limit, alone and in a binder
+        m = KripkeModel(["a", "b"], [(0, 1), (1, 1)], {"p": [1]})
+        f = p(text)
+        assert sem.eval_mu_exact(m, f) == sem.eval_mu(m, f) == 0b11
 
 
 class TestMuProgram:
@@ -500,8 +509,17 @@ class TestSigmaDepth:
         with pytest.raises(ValueError):
             sem.sigma_depth(cycle_model, fm.sigma_closure(p("e")), [])
 
+    def test_long_strict_chain(self):
+        # far beyond the interpreter's recursion limit: succ[i] = all j > i,
+        # with p at the top world only
+        n = 1500
+        full = (1 << n) - 1
+        succ = [full >> i + 1 << i + 1 for i in range(n)]
+        m = KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {"p": 1 << n - 1}))
+        assert depth(m, [0]) == 1499
+        assert sem.sigma_depth(m, fm.sigma_closure(p("<> p")), [0]) == 2
+
     def test_at_most_plain_depth(self):
-        from tanglekit.models import depth
         sigma = fm.sigma_closure(p("p"))
         for model in enumerate_models(["p"], 3):
             for w in range(model.n):
@@ -598,12 +616,12 @@ class TestModalMemo:
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
             for f in formulas:
                 shared = sem.eval_mu(model, f)
-                assert f in model._family.results
+                assert f in model._batch.results
                 own = sem.eval_mu(fresh, f)
                 exact = sem.eval_mu_exact(model, f)
                 assert shared == own == exact, (
                     f"first mismatch: {model.to_dict()} on {fm.print_mu(f)}: "
-                    f"family {shared}, fresh model {own}, oracle {exact}")
+                    f"batch {shared}, fresh model {own}, oracle {exact}")
             count += 1
         assert count == 2848
 
@@ -621,15 +639,15 @@ class TestModalMemo:
             for model in enumerate_models(props, size):
                 fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
                 for t in hand + chis:
-                    family = sem.eval_tangle(model, t)
+                    packed = sem.eval_tangle(model, t)
                     own = sem.eval_tangle(fresh, t)
                     # the mu images of the larger chis are checked on the
                     # smaller models only, to keep the test short
                     image = (sem.eval_mu(fresh, images[t])
                              if t in hand or model.n < size else own)
-                    assert family == own == image, (
+                    assert packed == own == image, (
                         f"first mismatch: {model.to_dict()} on {fm.print_tangle(t)[:200]}: "
-                        f"family {family}, fresh model {own}, mu image {image}")
+                        f"batch {packed}, fresh model {own}, mu image {image}")
                 count += 1
         assert count == 5089 + 2848
 
@@ -647,9 +665,9 @@ class TestModalMemo:
             assert fm.free_vars(opened) == {"z"}
             assert sem.eval_mu(model, opened, {"z": z}) == sem.eval_mu_exact(
                 model, opened, {"z": z})
-            assert opened not in model._family.results
+            assert opened not in model._batch.results
             for derived in (model.close(), model.restrict(model.full_mask)):
-                assert derived._family is None
+                assert derived._batch is None
                 assert sem.eval_mu(derived, f) == want_f
                 assert sem.eval_tangle(derived, t) == want_t
 
@@ -663,7 +681,7 @@ class TestModalMemo:
                 sem.eval_mu(m, f)
             errors.append(str(info.value))
         assert errors == ["unbound variable 'z'"] * 3
-        assert f not in model._family.results
+        assert f not in model._batch.results
 
     def test_oracle_reads_no_memo(self, cycle_model):
         f = p("<> e")
@@ -679,7 +697,7 @@ class TestModalMemo:
         for model in enumerate_models(("p",), 3):
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
             # a call with a cache takes the per-model path, which fills the
-            # frame's memo; a call without one reads the model's family
+            # frame's memo; a call without one reads the model's batch
             sem.eval_mu(model, phi, None, {})
             assert model._dia
             filled: dict = {}
@@ -712,7 +730,7 @@ class TestBatches:
         shapes: dict = {}
         count = 0
         for model in enumerate_models(props, size):
-            batch = model._family.batch
+            batch = model._batch
             shapes.setdefault(batch, set()).add(
                 tuple(len(c) for c in model.clusters()))
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
@@ -731,31 +749,32 @@ class TestBatches:
     def test_tangle_rows_are_built_by_the_first_tangle_step(self):
         mus, tangles = _batch_formulas()
         models = list(enumerate_models(("p", "q"), 3))
-        families: dict = {}
+        batches: dict = {}
         for m in models:
-            families.setdefault(m._family.batch, {}).setdefault(m._family, m)
+            batches.setdefault(m._batch, {}).setdefault(m.succ, []).append(m)
         # a mu-only pass builds no batch's cluster rows
         for m in models:
             for f in mus:
                 sem.eval_mu(m, f)
-        assert all(batch._tangle_rows is None for batch in families)
-        for batch, firsts in families.items():
-            model = next(iter(firsts.values()))
+        assert all(batch._tangle_rows is None for batch in batches)
+        for batch, frames in batches.items():
+            model = next(iter(frames.values()))[0]
             sem.eval_tangle(model, tangles[0])  # a diamond, no tangle step
             assert batch._tangle_rows is None
             sem.eval_tangle(model, tangles[2])
             assert batch._tangle_rows is not None
-            assert batch.tangle_rows() == _eager_tangle_rows(list(firsts))
+            assert batch.tangle_rows() == _eager_tangle_rows(list(frames.values()))
 
 
-def _eager_tangle_rows(families):
-    """A batch's `(cluster_rows, inside_rows, down_rows)` built from its
-    families' frames the way every batch once built them at construction."""
-    n = families[0].frame.n
+def _eager_tangle_rows(frames):
+    """A batch's `(cluster_rows, inside_rows, down_rows)` built from the
+    models of each of its frames the way every batch once built them at
+    construction."""
+    n = frames[0][0].n
     succ, same = ([[0] * n for _ in range(n)] for _ in range(2))
-    for family in families:
-        frame = family.frame
-        first = family.full_mask // frame.full_mask << family.offset
+    for models in frames:
+        frame = models[0]
+        first = sum(1 << m._shift for m in models)  # the copies' first bits
         for u, row in enumerate(frame.succ):
             for table, seen in ((succ, row), (same, frame.cluster_mask(u))):
                 for v in iter_bits(seen):
