@@ -13,12 +13,12 @@ from .models import (CanonicalCluster, KripkeModel, ModelFormatError,
                      canonical_of_cluster, cluster_le, depth, disjoint_union,
                      enumerate_canonical_clusters, enumerate_models,
                      random_model, stack, validate_wk4, weak_closure_masks)
-from .semantics import (bisimilar, cluster_embeds, eval_depth_modality,
-                        eval_mu, eval_mu_exact, eval_tangle,
-                        eval_tangle_direct, greatest_bisim, is_semifinal,
-                        prune_check, restricted_bisimilar, sigma_depth,
-                        sigma_final_part, sigma_truth_masks,
-                        sigma_world_depths)
+from .semantics import (bisimilar, cluster_embeds, compile_roots,
+                        eval_depth_modality, eval_mu, eval_mu_exact,
+                        eval_roots, eval_tangle, eval_tangle_direct,
+                        greatest_bisim, is_semifinal, prune_check,
+                        restricted_bisimilar, sigma_depth, sigma_final_part,
+                        sigma_truth_masks, sigma_world_depths)
 from .translate import (Chain, SatPair, TranslationGuardError,
                         TranslationGuards, Translator, format_tangle_dag,
                         size_bound_exponent, size_bound_ok)

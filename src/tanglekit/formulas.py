@@ -52,8 +52,7 @@ class MuFormula:
     """One interned node of an NNF mu-calculus formula."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "var", "body",
-                 "_key", "_size", "_freevars", "_alt", "_props", "_program",
-                 "_segments")
+                 "_key", "_size", "_freevars", "_alt", "_props", "_program")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  var=None, body=None):
@@ -70,7 +69,6 @@ class MuFormula:
         self._alt = None
         self._props = None
         self._program = None
-        self._segments = None
 
     # Interning makes identity the structural equality; object.__eq__ and
     # object.__hash__ are exactly what we want.
@@ -592,6 +590,8 @@ class SigmaClosure:
     to its closed form, taken once the saturation has named every fixed
     point the members mention."""
 
+    _program = None  # the compiled program of all floors, set by semantics
+
     def __init__(self, seed: MuFormula, members: frozenset[MuFormula]):
         self.seed = seed
         self.members = members
@@ -608,6 +608,7 @@ class SigmaClosure:
         self.fresh = fresh
         self._sorted = tuple(sorted(members, key=lambda g: (size(g), print_mu(g))))
         self.floors = {m: floor(m) for m in self._sorted}
+        self._canonical: dict[MuFormula, MuFormula] = {}
 
     def __len__(self):
         return len(self.members)
@@ -619,8 +620,11 @@ class SigmaClosure:
         return f in self.members
 
     def member_of(self, f: MuFormula) -> MuFormula:
-        """Canonical member equal to `f` up to prefix normalization."""
-        m = canonical_member(f)
+        """Canonical member equal to `f` up to prefix normalization, memoised
+        per formula asked for."""
+        m = self._canonical.get(f)
+        if m is None:
+            m = self._canonical[f] = canonical_member(f)
         if m not in self.members:
             raise KeyError(f"not a closure member: {print_mu(f)}")
         return m
@@ -763,7 +767,7 @@ class TangleFormula:
     the tangle operator holds a finite nonempty multiset of children)."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "members",
-                 "_key", "_size", "_program", "_segments")
+                 "_key", "_size", "_program")
     _freevars = _NO_VARS  # read by free_vars: tangle formulas are closed
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
@@ -777,7 +781,6 @@ class TangleFormula:
         self._key = None
         self._size = None
         self._program = None
-        self._segments = None
 
     def __repr__(self):
         return f"TangleFormula({print_tangle(self)!r})"

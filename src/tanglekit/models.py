@@ -190,14 +190,18 @@ class KripkeModel:
     def cluster_above(self) -> tuple[frozenset[int], ...]:
         """above[i] = ids of clusters strictly above cluster i (transitive)."""
         if self._above is None:
+            # one pass over the binary digits of each representative's
+            # successors among the others (cheaper per bit than `iter_bits`)
             clusters = self.clusters()
-            k = len(clusters)
-            above = [set() for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    if i != j and self.succ[clusters[i][0]] >> clusters[j][0] & 1:
-                        above[i].add(j)
-            self._above = tuple(frozenset(s) for s in above)
+            reps = 0
+            for c in clusters:
+                reps |= 1 << c[0]
+            cid = self._cluster_id
+            above = []
+            for c in clusters:
+                digits = bin(self.succ[c[0]] & reps & ~(1 << c[0]))[:1:-1]
+                above.append(frozenset([cid[w] for w, d in enumerate(digits) if d == "1"]))
+            self._above = tuple(above)
         return self._above
 
     # -- construction helpers --------------------------------------------

@@ -2,27 +2,28 @@
 bisimulation, and the finality machinery (final parts, depths, the
 depth-indexed modality, and the pruning oracle).
 
-World sets are bitmasks.  The helpers that take a `cache` dict expect it to
-be private to one model; passing the same dict across calls makes repeated
-evaluation on that model incremental.
+World sets are bitmasks.  The finality helpers that take a `cache` dict
+keep their own results in it (the floors' truths, the world depths), so it
+must be private to one model.
 
-Both languages go through one pipeline, each stage done once per root and
-kept on it; tangle formulas are read as the mu sublanguage they are, with
-NOT and TANGLE as two more step kinds.  `mu_program` lists a formula as a
-flat post-order program of `(key, kind, operand)` steps by an iterative
-walk.  A closed node, and so every tangle node, is keyed by itself; an open
-one by an int that is the same wherever its free variables are bound by the
-same binders.  A fixed-point step carries its body's steps, and each step
-sits in the body of the innermost binder whose variable is free in it, so
-work that does not depend on a variable runs outside that variable's loop.
-`_mu_segments` compiles the top level and each binder's body into segments
-of their own: runs of at most `SEGMENT_STEPS` step sources, each one Python
-function generated with `compile`/`exec`.  Compiling costs memory that
-grows with the size of the function, hence the split.  A step is a line or
-a short block over one per-call value list `v`, with integer indices and
-fixed local names only: atom names, free variable names and algebra keys
-are read by index from lists of the root and never written into the source.  A fixed-point step
-iterates `v[i] = x`, its body's segments, and a compare of the body's
+Both languages go through one pipeline; tangle formulas are read as the mu
+sublanguage they are, with NOT and TANGLE as two more step kinds.
+`mu_program` lists one or more roots as one flat post-order program of
+`(key, kind, operand)` steps by one iterative walk, each distinct step
+once.  A closed node, and so every tangle node, is keyed by itself; an open
+one by an int, numbered inside that walk, that is the same wherever its
+free variables are bound by the same binders.  A fixed-point step carries
+its body's steps, and each step sits in the body of the innermost binder
+whose variable is free in it, so work that does not depend on a variable
+runs outside that variable's loop.  `compile_roots` compiles the top level
+and each binder's body into segments of their own: runs of at most
+`SEGMENT_STEPS` step sources, each one Python function generated with
+`compile`/`exec`.  Compiling costs memory that grows with the size of the
+function, hence the split.  A step is a line or a short block over one
+per-run value list `v`, with integer indices and fixed local names only:
+atom names, free variable names and algebra keys are read by index from
+lists of the program and never written into the source.  A fixed-point
+step iterates `v[i] = x`, its body's segments, and a compare of the body's
 result with `x`, so no function nests blocks more than three deep; running
 recurses once per nested binder only, and nothing else recurses.
 
@@ -54,9 +55,9 @@ shares nothing with the fast path.
 A world's value depends only on the submodel it generates, so enumerated
 models are evaluated together, as the disjoint union `models.ModelBatch`
 packs them into: one batch per run of consecutive frames of one world
-count.  `eval_mu` or `eval_tangle` on such a model, with no `env` and no
-`cache`, reads the root in its batch's `results` itself: the model's value
-is `value >> model._shift & full_mask`.  On a miss `_batch_value` has the
+count.  `eval_mu` or `eval_tangle` on such a model, with no `env`, reads
+the root in its batch's `results` itself: the model's value is
+`value >> model._shift & full_mask`.  On a miss `_batch_value` has the
 batch run the root's segments once, with `_wide_dia`/`_wide_box` and modal
 and tangle memos that live for that run only, and keep the packed value.
 The packed algebra works on every copy at once, over masks of the copies'
@@ -66,24 +67,25 @@ tangle step finds, by the same sum over the in-cluster masks, the points
 with at most one member lacking a witness inside their cluster and
 satisfying that one, and by the same-cluster and down-set masks spreads
 each cluster of such points over its down-set.  The first tangle step run
-on a batch builds these (`tangle_rows`).
-Every other call (random or file models, the models `restrict` and `close`
-make, calls with `env` or `cache`, the translator's root blocks) runs on
-the one model, and this per-model path is the oracle of the packed one.
+on a batch builds these (`tangle_rows`).  Every other call (random or file
+models, the models `restrict` and `close` make, calls with `env`,
+`eval_roots`, the translator's root blocks) runs on the one model, and this
+per-model path is the oracle of the packed one.
 
-A `cache` is the value store of the run, one store rule for both
-languages.  If the root is in it, its value is returned.  A closed
-top-level fixed point already in it is not iterated again.  Every other
-step is recomputed, open ones because their values depend on `env` and on
-the binders' iterates, so calls with different `env` values can share the
-store.  Every value computed, open keys included, is stored back; with no
-cache, nothing is kept.
+Roots that share work run as one program.  `compile_roots` lists the union
+of their steps and compiles it once, and `run_program` returns the whole
+run's value list, in which the program's `index` gives each key's place,
+so a step shared by several roots runs once per run.  A single root keeps
+its program on the node (`_program`); a program of several roots is kept
+by its owner: the translator's for its members' floors, and a
+`SigmaClosure`'s for all its floors, set here on first use.  `eval_roots`
+runs several roots on one model; a run keeps no values once it returns.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import formulas as fm
 from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
@@ -145,43 +147,38 @@ def _box_mask(model: KripkeModel, s: int, key=None) -> int:
         return got
 
 
-# (node, binder key per free variable) -> key of that open occurrence
-_open_keys: dict[tuple, int] = {}
-
-
-def _step_key(g: MuFormula, scope: dict):
-    """A closed node is its own key.  An open one gets an int, the same
-    wherever its free variables are bound by the same binders; a bound
-    variable reads its binder's slot, so its key is the binder's."""
+def _step_key(g: MuFormula, scope: dict, open_keys: dict):
+    """A closed node is its own key.  An open one gets an int from
+    `open_keys`, the same wherever its free variables are bound by the same
+    binders; a bound variable reads its binder's slot, so its key is the
+    binder's."""
     fv = fm.free_vars(g)
     if not fv:
         return g
     if g.kind == fm.VAR and g.name in scope:
         return scope[g.name][0]
     binding = (g, tuple(sorted((v, scope[v][0] if v in scope else None) for v in fv)))
-    key = _open_keys.get(binding)
-    if key is None:
-        key = _open_keys[binding] = len(_open_keys)
-    return key
+    return open_keys.setdefault(binding, len(open_keys))
 
 
-def mu_program(f: MuFormula | TangleFormula) -> list[tuple]:
-    """The steps that evaluate f, a mu or a tangle formula, listed once by
-    an iterative walk and kept on f.  A step is `(key, kind, operand)`; the
-    operand is the name, the argument key, the `(left, right)` keys, the
-    member keys of a tangle, or for a fixed point its body's steps and the
-    key of the body's result.  Each step sits in the body of the innermost
-    binder whose variable is free in it, so work that does not depend on a
-    variable runs once, outside that variable's loop; steps of variables
-    left free (read from `env`) sit at the top."""
-    if f._program is not None:
-        return f._program
+def mu_program(roots: Sequence[MuFormula | TangleFormula]) -> tuple[list, list]:
+    """The steps that evaluate the roots, mu or tangle formulas, and each
+    root's key.  One iterative walk lists the union of the roots' steps in
+    one post-order, each distinct step once, and numbers the open keys as it
+    meets them.  A step is `(key, kind, operand)`; the operand is the name,
+    the argument key, the `(left, right)` keys, the member keys of a tangle,
+    or for a fixed point its body's steps and the key of the body's result.
+    Each step sits in the body of the innermost binder whose variable is
+    free in it, so work that does not depend on a variable runs once,
+    outside that variable's loop; steps of variables left free (read from
+    `env`) sit at the top."""
     top: list = []
     seen = set()
+    open_keys: dict = {}
     # Entries are (node, scope) to visit, or (None, (home, step)) to append
     # the finished step to its home list.  A scope maps each bound variable
     # to (binder key, nesting depth, the binder's body steps).
-    stack: list = [(f, {})]
+    stack: list = [(f, {}) for f in reversed(roots)]
     while stack:
         g, scope = stack.pop()
         if g is None:
@@ -191,7 +188,7 @@ def mu_program(f: MuFormula | TangleFormula) -> list[tuple]:
         kind = g.kind
         if kind == fm.VAR and g.name in scope:
             continue
-        key = _step_key(g, scope)
+        key = _step_key(g, scope, open_keys)
         if key in seen:
             continue
         seen.add(key)
@@ -203,21 +200,20 @@ def mu_program(f: MuFormula | TangleFormula) -> list[tuple]:
             body: list = []
             inner = dict(scope)
             inner[g.var] = (key, 1 + max((d for _, d, _ in scope.values()), default=0), body)
-            stack.append((None, (home, (key, kind, (body, _step_key(g.body, inner))))))
+            stack.append((None, (home, (key, kind, (body, _step_key(g.body, inner, open_keys))))))
             stack.append((g.body, inner))
             continue
         if kind in (fm.AND, fm.OR):
-            operand = (_step_key(g.left, scope), _step_key(g.right, scope))
+            operand = (_step_key(g.left, scope, open_keys), _step_key(g.right, scope, open_keys))
         elif kind in (fm.DIA, fm.BOX, fm.NOT):
-            operand = _step_key(g.arg, scope)
+            operand = _step_key(g.arg, scope, open_keys)
         elif kind == fm.TANGLE:
             operand = g.members  # a tangle node is closed: its own key
         else:
             operand = g.name
         stack.append((None, (home, (key, kind, operand))))
         stack.extend((c, scope) for c in g.children())
-    f._program = top
-    return top
+    return top, [_step_key(f, {}, open_keys) for f in roots]
 
 
 # Steps per compiled segment.  Compiling costs memory that grows with the
@@ -246,9 +242,9 @@ def _unbound(name: str):
 
 # The signature of every segment.  `D`, `B` and `T` are the diamond, box
 # and tangle memos read inline.  Besides these names its source uses only
-# the locals `x` and `k` and the globals of its root: `names` (atom and
+# the locals `x` and `k` and the globals of its program: `names` (atom and
 # free variable names), `K` (the keys passed to `dia`/`box`), `F` (every
-# segment of the root's program), `unbound` and `tangle`.
+# segment of the program), `unbound` and `tangle`.
 _HEAD = "def segment(v, model, val, full, env, dia, box, D, B, T):\n"
 _CALL = "F[{}](v, model, val, full, env, dia, box, D, B, T)"
 
@@ -304,93 +300,76 @@ def _step_source(i: int, kind: str, operand, index: dict, names: list,
     return f"v[{i}] = env[names[{j}]] if names[{j}] in env else unbound(names[{j}])"
 
 
-def _mu_segments(f: MuFormula | TangleFormula) -> tuple:
-    """`(top, keys, root, fixed, tangles, names)` for f, compiled once
-    from its program and kept on f.  `keys` lists every step's key in the
-    order of the value list; the top-level steps come first, the root's (at
-    index `root`) last among them.  Each body (the top level, then the
-    binders' bodies in order of discovery) becomes segments of its own;
-    `top` is the top level's.  `fixed` indexes the closed top-level fixed
-    points: each is guarded, so that a value taken from the store is not
-    iterated again.  `tangles` says whether any step is a tangle."""
-    if f._segments is None:
-        bodies = [mu_program(f)]
-        keys = []
-        tangles = False
-        for steps in bodies:  # grows as binders are found
-            for key, kind, operand in steps:
-                keys.append(key)
-                if kind in (MU, NU):
-                    bodies.append(operand[0])
-                elif kind == TANGLE:
-                    tangles = True
-        index = {key: i for i, key in enumerate(keys)}
-        starts = [0]
-        for steps in bodies:
-            starts.append(starts[-1] + (len(steps) + SEGMENT_STEPS - 1) // SEGMENT_STEPS)
-        names: list = []
-        algebra: list = []
-        segments: list = []
-        scope = {"unbound": _unbound, "tangle": _tangle_compute,
-                 "names": names, "K": algebra, "F": segments}
-        fixed = []
-        found = 1
-        for b, steps in enumerate(bodies):
-            sources = []
-            for key, kind, operand in steps:
-                i = index[key]
-                calls = ()
-                if kind in (MU, NU):
-                    calls = range(starts[found], starts[found + 1])
-                    found += 1
-                source = _step_source(i, kind, operand, index, names,
-                                      algebra, calls)
-                if b == 0 and kind in (MU, NU) and type(key) is not int:
-                    fixed.append(i)
-                    source = (f"if v[{i}] is None:\n    "
-                              + source.replace("\n", "\n    "))
-                sources.append(source)
-            segments += _compile_segments(sources, scope)
-        f._segments = (tuple(segments[:starts[1]]), tuple(keys),
-                       len(bodies[0]) - 1, tuple(fixed), tangles, tuple(names))
-    return f._segments
+class Program(NamedTuple):
+    """The compiled program of one or more roots (see `compile_roots`)."""
+    steps: list  # the top level, as `mu_program` lists it
+    segments: tuple  # the top level's segments
+    index: dict  # each step key's place in the value list
+    roots: tuple  # each root's place in the value list
+    tangles: bool  # whether any step is a tangle
+    names: tuple  # the atom and free variable names the segments read
 
 
-def run_program(model: KripkeModel | ModelBatch, f: MuFormula | TangleFormula,
-                values: Optional[dict], dia, box,
+def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
+    """The program of the roots, listed by `mu_program` and compiled once.
+    The value list holds the top-level steps first, then each binder's body
+    in order of discovery, and each body becomes segments of its own.  A
+    single root's program is made once and kept on it."""
+    if len(roots) == 1 and roots[0]._program is not None:
+        return roots[0]._program
+    steps, root_keys = mu_program(roots)
+    bodies = [steps]
+    keys = []
+    tangles = False
+    for body in bodies:  # grows as binders are found
+        for key, kind, operand in body:
+            keys.append(key)
+            if kind in (MU, NU):
+                bodies.append(operand[0])
+            elif kind == TANGLE:
+                tangles = True
+    index = {key: i for i, key in enumerate(keys)}
+    starts = [0]
+    for body in bodies:
+        starts.append(starts[-1] + (len(body) + SEGMENT_STEPS - 1) // SEGMENT_STEPS)
+    names, algebra, segments = [], [], []
+    scope = {"unbound": _unbound, "tangle": _tangle_compute,
+             "names": names, "K": algebra, "F": segments}
+    found = 1
+    for body in bodies:
+        sources = []
+        for key, kind, operand in body:
+            calls = ()
+            if kind in (MU, NU):
+                calls = range(starts[found], starts[found + 1])
+                found += 1
+            sources.append(_step_source(index[key], kind, operand, index,
+                                        names, algebra, calls))
+        segments += _compile_segments(sources, scope)
+    program = Program(steps, tuple(segments[:starts[1]]), index,
+                      tuple(index[key] for key in root_keys), tangles, tuple(names))
+    if len(roots) == 1:
+        roots[0]._program = program
+    return program
+
+
+def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
                 D: Mapping[int, int], B: Mapping[int, int],
-                env: Optional[Mapping[str, int]] = None) -> int:
-    """World set of f, a mu or a tangle formula, under the algebra
-    `dia`/`box` on `model`: the compiled segments of f run over one value
-    list.  A diamond step reads the memo `D` by its argument mask and on a
-    miss calls `dia(model, s, key)`, with `key` the argument's key; box
-    steps read `B` and call `box` alike.  Tangle steps read the model's
-    tangle memo, fetched only if f has one.  `values` is the value store:
-    if f is in it, its value is returned; a closed top-level fixed point
-    already in it is not iterated again, every other step is recomputed,
-    and every value computed is stored in it.  With None, nothing is
-    stored."""
-    top, keys, root, fixed, tangles, _ = f._segments or _mu_segments(f)
-    if values:
-        got = values.get(f)
-        if got is not None:
-            return got
-        v = [None] * len(keys)
-        for i in fixed:
-            v[i] = values.get(keys[i])
-    else:
-        v = [None] * len(keys)
-    T = _tangle_cache(model)[1] if tangles else None
+                env: Optional[Mapping[str, int]] = None) -> list:
+    """The values of one run of `program` under the algebra `dia`/`box` on
+    `model`, as one list: `program.index` gives each key's place in it and
+    `program.roots` each root's; a step shared by several roots runs once.
+    A diamond step reads the memo `D` by its argument mask and on a miss
+    calls `dia(model, s, key)`, with `key` the argument's key; box steps
+    read `B` and call `box` alike.  Tangle steps read the model's tangle
+    memo, fetched only if the program has one."""
+    v = [None] * len(program.index)
+    T = _tangle_cache(model)[1] if program.tangles else None
     val, full = model.val, model.full_mask
     env = env or {}
-    for segment in top:
+    for segment in program.segments:
         segment(v, model, val, full, env, dia, box, D, B, T)
-    if values is not None:
-        if fixed and None in v:  # the body of a fixed point whose value was given
-            values.update((key, x) for key, x in zip(keys, v) if x is not None)
-        else:
-            values.update(zip(keys, v))
-    return v[root]
+    return v
 
 
 def _spread(rows: Sequence[Sequence[tuple[int, int]]], s: int) -> int:
@@ -426,30 +405,41 @@ def _wide_box(batch: ModelBatch, s: int, key=None) -> int:
 def _batch_value(batch: ModelBatch, f: MuFormula | TangleFormula) -> int:
     """f's packed value on the batch, stored in `batch.results`: the batch
     runs f once, with modal and tangle memos for that run only."""
+    program = compile_roots((f,))
     D, B = {}, {}
     batch._dia, batch._box, batch._tangle = D, B, ({}, {})
     try:
-        got = batch.results[f] = run_program(batch, f, None, _wide_dia,
-                                             _wide_box, D, B)
+        v = run_program(batch, program, _wide_dia, _wide_box, D, B)
     finally:
         batch._dia = batch._box = batch._tangle = None
+    got = batch.results[f] = v[program.roots[0]]
     return got
 
 
+def eval_roots(model: KripkeModel,
+               roots: Program | Sequence[MuFormula | TangleFormula],
+               env: Optional[Mapping[str, int]] = None) -> list[int]:
+    """World sets of several roots, mu or tangle formulas, on the one model,
+    by one run of their program (given, or compiled from the roots here):
+    a step shared by roots runs once."""
+    program = roots if type(roots) is Program else compile_roots(roots)
+    v = run_program(model, program, _dia_mask, _box_mask, model._dia,
+                    model._box, env)
+    return [v[i] for i in program.roots]
+
+
 def eval_mu(model: KripkeModel, f: MuFormula | TangleFormula,
-            env: Optional[Mapping[str, int]] = None,
-            cache: Optional[dict] = None) -> int:
+            env: Optional[Mapping[str, int]] = None) -> int:
     """World set of an NNF formula, or of a tangle formula; fixed points
-    by monotone iteration.  On an enumerated model, with no `env` and no
-    `cache`, it is the model's copy in the value on its batch."""
+    by monotone iteration.  On an enumerated model, with no `env`, it is
+    the model's copy in the value on its batch."""
     batch = model._batch
-    if batch is not None and env is None and cache is None:
+    if batch is not None and env is None:
         got = batch.results.get(f)
         if got is None:
             got = _batch_value(batch, f)
         return got >> model._shift & model.full_mask
-    return run_program(model, f, cache, _dia_mask, _box_mask, model._dia,
-                       model._box, env)
+    return eval_roots(model, (f,), env)[0]
 
 
 def eval_mu_exact(model: KripkeModel, f: MuFormula,
@@ -603,25 +593,19 @@ def _tangle_compute(model: KripkeModel | ModelBatch, key: tuple) -> int:
 
 
 def eval_tangle_direct(model: KripkeModel, members: Sequence[MuFormula],
-                       env: Optional[Mapping[str, int]] = None,
-                       cache: Optional[dict] = None) -> int:
+                       env: Optional[Mapping[str, int]] = None) -> int:
     """Tangle of a mu-formula multiset, evaluated from the cluster reading
-    rather than by unfolding the fixed point."""
+    rather than by unfolding the fixed point; each member runs on the one
+    model by the program kept on it."""
     if not members:
         raise ValueError("tangle of an empty multiset")
-    if cache is None:
-        cache = {}
-    masks = [eval_mu(model, m, env, cache) for m in members]
-    return _tangle_mask(model, masks)
+    return _tangle_mask(model, [eval_roots(model, (m,), env)[0] for m in members])
 
 
-def eval_tangle(model: KripkeModel, f: TangleFormula,
-                cache: Optional[dict] = None) -> int:
+def eval_tangle(model: KripkeModel, f: TangleFormula) -> int:
     """World set of a tangle-language formula, by the compiled program of
-    f; a given `cache` is a value store for this model (see `run_program`).
-    On an enumerated model with no `cache` it is the model's copy in the
-    value on its batch."""
-    return eval_mu(model, f, None, cache)
+    f; on an enumerated model, the model's copy in the value on its batch."""
+    return eval_mu(model, f)
 
 
 # ---------------------------------------------------------------------------
@@ -689,10 +673,16 @@ def cluster_embeds(c: CanonicalCluster, d: CanonicalCluster) -> str:
 
 def sigma_truth_masks(model: KripkeModel, sigma: fm.SigmaClosure,
                       cache: Optional[dict] = None) -> dict[MuFormula, int]:
-    """Truth mask of every closure member, read through its closed form."""
-    if cache is None:
-        cache = {}
-    return {m: eval_mu(model, sigma.floors[m], None, cache) for m in sigma}
+    """Truth mask of every closure member, read through its closed form:
+    one run of the program of all the floors, which sigma keeps.  The
+    result is kept in `cache`."""
+    cache = {} if cache is None else cache
+    key = (sigma_truth_masks, sigma)
+    if key not in cache:
+        if sigma._program is None:
+            sigma._program = compile_roots(list(sigma.floors.values()))
+        cache[key] = dict(zip(sigma.floors, eval_roots(model, sigma._program)))
+    return cache[key]
 
 
 def sigma_final_part(model: KripkeModel, sigma: fm.SigmaClosure,
@@ -742,16 +732,17 @@ def eval_depth_modality(model: KripkeModel, sigma: fm.SigmaClosure, n: int,
                         phi: MuFormula, cache: Optional[dict] = None) -> int:
     """Worlds with a final world of depth exactly n weakly above them
     satisfying phi.  phi must be a closure member (or T).  The world depths
-    are computed once per sigma and kept in `cache`."""
+    and the members' truths are computed once per sigma and kept in
+    `cache`."""
     if phi.kind != fm.TOP:
         phi = sigma.member_of(phi)
-    if cache is None:
-        cache = {}
+    cache = {} if cache is None else cache
     key = (sigma_world_depths, sigma)
     if key not in cache:
         cache[key] = sigma_world_depths(model, sigma, cache)
     depths, final = cache[key]
-    sat = eval_mu(model, sigma.floors.get(phi, phi), None, cache)
+    sat = (model.full_mask if phi.kind == fm.TOP
+           else sigma_truth_masks(model, sigma, cache)[phi])
     targets = 0
     for v in iter_bits(final & sat):
         if depths[v] == n:
@@ -786,11 +777,10 @@ def prune_check(model: KripkeModel, sigma: fm.SigmaClosure, *,
                 mask |= 1 << w
         candidates.append(mask)
     for mask in candidates:
-        sub = model.restrict(mask)
-        sub_cache: dict = {}
+        sub_truths = sigma_truth_masks(model.restrict(mask), sigma)
         keep = list(iter_bits(mask))
         for member, full_mask_truth in truths.items():
-            sub_truth = eval_mu(sub, sigma.floors[member], None, sub_cache)
+            sub_truth = sub_truths[member]
             for i, w in enumerate(keep):
                 if (full_mask_truth >> w & 1) != (sub_truth >> i & 1):
                     return False, (mask, model.labels[w], member)

@@ -17,13 +17,13 @@ Scaling notes, all semantically transparent:
   fixed point further identified with its unfolding; facts of identified
   members coincide in every model, so tables and formulas only shrink.
 - Root truths of a pair are computed on the realized root cluster alone,
-  with the member floors run through the shared mu-calculus evaluator,
-  instead of model-checking the assembled witness; the witness itself stays
-  available as a recipe (`materialize_witness`) and `verify_pair` replays
-  the summary computation against it.  What lies above the root enters
-  through the *sky*: two bits per program key of a member floor or of a
-  dia/box argument in the floors' programs, bit 2i "true somewhere" and bit
-  2i+1 "false somewhere".  A diamond whose argument is true somewhere
+  with the member floors run as one program through the shared mu-calculus
+  evaluator, instead of model-checking the assembled witness; the witness
+  itself stays available as a recipe (`materialize_witness`) and
+  `verify_pair` replays the summary computation against it.  What lies
+  above the root enters through the *sky*: two bits per program key of a
+  member floor or of a dia/box argument in that program, bit 2i "true
+  somewhere" and bit 2i+1 "false somewhere".  A diamond whose argument is true somewhere
   above holds on the whole cluster, a box whose argument is false somewhere
   above holds nowhere; otherwise they act inside the cluster.  Open
   arguments are keyed per binding, and their values after the run are the
@@ -158,6 +158,8 @@ class Translator:
         self.rep_of, self.members = self._dedupe_members()
         self._member_index = {m: i for i, m in enumerate(self.members)}
         self._width = len(self.members)
+        self._floors = [sigma.floors[m] for m in self.members]
+        self._program = sem.compile_roots(self._floors)
         self._sky_bit = self._sky_index()
         self.cells: list[dict[int, tuple[SatPair, ...]]] = []
         self.pairs: list[dict[tuple, SatPair]] = []
@@ -231,10 +233,10 @@ class Translator:
 
     def _sky_index(self) -> dict:
         """Bit position 2i of each program key the root block reads from
-        above: the member floors and every dia/box argument in their
-        programs.  Bit 2i means "true somewhere", bit 2i+1 "false somewhere"."""
-        keys = dict.fromkeys(self.sigma.floors[m] for m in self.members)
-        bodies = [sem.mu_program(f) for f in keys]
+        above: the member floors and every dia/box argument in the floors'
+        program.  Bit 2i means "true somewhere", bit 2i+1 "false somewhere"."""
+        keys = dict.fromkeys(self._floors)
+        bodies = [self._program.steps]
         while bodies:
             for _, kind, operand in bodies.pop():
                 if kind in (fm.DIA, fm.BOX):
@@ -429,21 +431,20 @@ class Translator:
             return sem._box_mask(model, s)
 
         block = cluster.realize()
-        floors = [self.sigma.floors[m] for m in self.members]
-        values: dict = {}
         no_memo: dict = {}  # so that every modal step reaches the sky
-        for f in floors:
-            sem.run_program(block, f, values, dia, box, no_memo, no_memo)
+        program = self._program
+        values = sem.run_program(block, program, dia, box, no_memo, no_memo)
         sky = sky_above
         for k, i in bit.items():
-            if values[k]:
+            x = values[program.index[k]]
+            if x:
                 sky |= 1 << i
-            if values[k] != block.full_mask:
+            if x != block.full_mask:
                 sky |= 2 << i
         # per member index: its truth mask on the block, and whether it is
         # true somewhere above
-        masks = [values[f] for f in floors]
-        above = sum(1 << i for i, f in enumerate(floors) if sky_above >> bit[f] & 1)
+        masks = [values[i] for i in program.roots]
+        above = sum(1 << i for i, f in enumerate(self._floors) if sky_above >> bit[f] & 1)
         truths = {}
         w = 0
         final_classes = set()
@@ -497,7 +498,7 @@ class Translator:
         """Model-check the materialized witness and compare every piece of
         summary data the pair carries; raises AssertionError on mismatch."""
         witness = self.materialize_witness(pair)
-        cache: dict = {}
+        cache: dict = {}  # the members' truths, for the depths and below
         depths, final = sem.sigma_world_depths(witness, self.sigma, cache)
         rooted_n = pair.cluster.realize().n
         root_mask = (1 << rooted_n) - 1
@@ -505,8 +506,8 @@ class Translator:
         root_final = final & root_mask
         assert root_final in (0, root_mask), "finality must be cluster-wide"
         assert (root_final == root_mask) == pair.final, "finality mismatch"
-        masks = [sem.eval_mu(witness, self.sigma.floors[m], None, cache)
-                 for m in self.members]
+        truths = sem.sigma_truth_masks(witness, self.sigma, cache)
+        masks = [truths[m] for m in self.members]
         facts = 0
         for i, mask in enumerate(masks):
             for v in iter_bits(final & mask):

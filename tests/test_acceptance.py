@@ -61,13 +61,14 @@ def test_criterion_2_tangle_duality():
     gammas = [[a] for a in lits]
     gammas += [[a, b] for i, a in enumerate(lits) for b in lits[i:]]
     expansions = [fm.expand_tangle(g) for g in gammas]
+    # the literals and the expansions are one set of roots, run once per model
+    program = sem.compile_roots(lits + expansions)
     checked = bad = 0
     for model in enumerate_models(["p", "q"], 4):
-        cache: dict = {}
-        masks = {lit: sem.eval_mu(model, lit, None, cache) for lit in lits}
-        for gamma, expansion in zip(gammas, expansions):
+        values = sem.eval_roots(model, program)
+        masks = dict(zip(lits, values))
+        for gamma, unfolded in zip(gammas, values[len(lits):]):
             direct = sem._tangle_mask(model, [masks[m] for m in gamma])
-            unfolded = sem.eval_mu(model, expansion, None, cache)
             checked += 1
             bad += direct != unfolded
     elapsed = time.time() - t0
@@ -103,13 +104,13 @@ def test_criterion_4_depth_modality_equivalence(models_p4):
     translator.build()
     depth_formulas = {(n, member): translator.depth_formula(n, member)
                       for n in (0, 1, 2) for member in sigma}
+    # the tangle side is one run of all the depth formulas per model
+    program = sem.compile_roots(list(depth_formulas.values()))
     checked = bad = 0
     for model in models_p4:
         cache: dict = {}
-        tangle_cache: dict = {}
-        for (n, member), formula in depth_formulas.items():
+        for (n, member), got in zip(depth_formulas, sem.eval_roots(model, program)):
             want = sem.eval_depth_modality(model, sigma, n, member, cache)
-            got = sem.eval_tangle(model, formula, tangle_cache)
             checked += 1
             bad += want != got
     elapsed = time.time() - t0

@@ -98,6 +98,20 @@ class TestClusters:
         m = KripkeModel(["a", "b"], [], {})
         assert cluster_le(m, [0], [1]) == km.NONE
 
+    def test_cluster_above_matches_the_pairwise_definition(self):
+        sizes = set()
+        for seed in range(240):
+            m = random_model(["p"], 1 + seed % 12, seed)
+            clusters = m.clusters()
+            k = len(clusters)
+            want = tuple(frozenset(j for j in range(k) if i != j and
+                                   m.succ[clusters[i][0]] >> clusters[j][0] & 1)
+                         for i in range(k))
+            assert m.cluster_above() == want
+            sizes.add((m.n, k > 1 and any(want)))
+        assert {n for n, _ in sizes} == set(range(1, 13))
+        assert all(any(ok for n, ok in sizes if n == size) for size in range(4, 13))
+
 
 class TestDepth:
     def test_single_cluster_zero(self, cycle_model):

@@ -100,12 +100,19 @@ class TestTangleFormulaEval:
                 assert sem.eval_tangle(model, t) == sem.eval_mu(model, image)
 
     def test_shared_cache_is_filled_and_agrees(self, models_pq3):
+        # one run of six roots shares their steps: every step's value is
+        # filled, and each node's value is its own on the batch
         roots = random_tangle_dag(random.Random(5), 16)[-6:]
+        program = sem.compile_roots(roots)
+        keys = [key for key, _, _ in program.steps]
+        assert len(keys) == len(set(keys)) == len(program.index)
         for model in models_pq3[::7]:
-            cache: dict = {}
-            for t in roots:
-                assert sem.eval_tangle(model, t, cache) == sem.eval_tangle(model, t)
-                assert all(node in cache for node, _, _ in sem.mu_program(t))
+            values = sem.run_program(model, program, sem._dia_mask, sem._box_mask,
+                                     model._dia, model._box)
+            assert None not in values
+            assert sem.eval_roots(model, program) == [sem.eval_tangle(model, t) for t in roots]
+            for node, i in program.index.items():
+                assert values[i] == sem.eval_tangle(model, node)
 
     def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
         size = sem.SEGMENT_STEPS
@@ -118,18 +125,21 @@ class TestTangleFormulaEval:
                      if i + 1 < len(level) else level[i]
                      for i in range(0, len(level), 2)]
         root = level[0]
-        program = sem.mu_program(root)
-        index = {node: i for i, (node, _, _) in enumerate(program)}
-        assert len(program) > 2 * size
+        steps, _ = sem.mu_program([root])
+        nodes = [node for node, _, _ in steps]
+        index = {node: i for i, node in enumerate(nodes)}
+        assert len(steps) > 2 * size
         assert any(index[c] // size < i // size - 1
-                   for i, (node, _, _) in enumerate(program) for c in node.children())
-        images = {node: fm.to_mu(node) for node in index}
+                   for i, node in enumerate(nodes) for c in node.children())
+        # every node as a root of one program, listed as the root's own, and
+        # the nodes' mu images as one program of as many roots
+        tangles = sem.compile_roots(nodes)
+        assert tangles.steps == steps
+        images = sem.compile_roots([fm.to_mu(node) for node in nodes])
         for model in models_pq3[::16]:
-            values: dict = {}
-            assert sem.eval_tangle(model, root, values) == sem.eval_tangle(model, root)
-            mu_cache: dict = {}
-            for node, image in images.items():
-                assert values[node] == sem.eval_mu(model, image, None, mu_cache)
+            values = sem.eval_roots(model, tangles)
+            assert values[-1] == sem.eval_tangle(model, root)
+            assert values == sem.eval_roots(model, images)
 
     @pytest.mark.parametrize("name", ["a'b", "v", "full", "x); import os #"])
     def test_atom_names_are_data_not_source(self, name):
@@ -137,15 +147,17 @@ class TestTangleFormulaEval:
                             {name: [1], "q": [2]})
         atom = fm.t_prop(name)
         assert sem.eval_tangle(model, atom) == model.val[name]
-        # one store shared by both languages over the same atoms
-        store: dict = {}
+        roots = []
         for t in (fm.t_dia(atom), fm.t_tangle([atom, fm.t_dia(atom)]),
                   fm.t_and(fm.t_not(atom), fm.t_tangle([atom, fm.t_prop("q")]))):
             image = fm.to_mu(t)
             assert sem.eval_tangle(model, t) == sem.eval_mu(model, image)
-            assert name in sem._mu_segments(t)[-1]
-            assert sem.eval_mu(model, image, None, store) == sem.eval_mu(model, image)
-            assert sem.eval_tangle(model, t, store) == sem.eval_tangle(model, t)
+            assert name in sem.compile_roots((t,)).names
+            roots += [image, t]
+        # one program of both languages over the same atoms
+        program = sem.compile_roots(roots)
+        assert name in program.names
+        assert sem.eval_roots(model, program) == [sem.eval_mu(model, f) for f in roots]
 
     def test_tangle_geometry_is_built_only_for_tangle_steps(self):
         model = KripkeModel(["0", "1"], [(0, 1), (1, 0)], {"p": [0]})
@@ -203,12 +215,13 @@ class TestExactFixpoints:
         rng = random.Random(404)
         formulas += [random_formula(rng, ["p", "q"], rng.randint(2, 4), names=("x", "y"))
                      for _ in range(40)]
+        # all the formulas as the roots of one program, whose walk keys an
+        # open subterm per binding
+        program = sem.compile_roots(formulas)
         for m in enumerate_models(["p", "q"], 2):
-            cache: dict = {}
-            for f in formulas:
-                want = sem.eval_mu_exact(m, f)
-                assert sem.eval_mu(m, f) == want
-                assert sem.eval_mu(m, f, None, cache) == want
+            want = [sem.eval_mu_exact(m, f) for f in formulas]
+            assert [sem.eval_mu(m, f) for f in formulas] == want
+            assert sem.eval_roots(m, program) == want
 
     @pytest.mark.parametrize("text", ["<> " * 5000 + "p",
                                       "mu x. " + "<> " * 5000 + "(p | x)"],
@@ -236,15 +249,16 @@ class TestMuProgram:
     def test_shared_cache_keeps_open_values_apart(self, cycle_model):
         x = fm.var("x")
         f = fm.conj(fm.nu("y", fm.disj(x, fm.diamond(fm.var("y")))), p("<> e"))
-        cache: dict = {}
+        # one program, shared by runs under different envs, with the closed
+        # `<> e` as a root of its own
+        program = sem.compile_roots([f, p("<> e")])
         for env in ({"x": 0b01}, {"x": 0b10}, {"x": 0}, {"x": 0b01}):
-            assert sem.eval_mu(cycle_model, f, env, cache) == sem.eval_mu(cycle_model, f, env)
-        # values of closed nodes are kept for later calls
-        assert cache[p("<> e")] == 0b10
+            assert sem.eval_roots(cycle_model, program, env) == [
+                sem.eval_mu_exact(cycle_model, f, env), 0b10]
 
     def test_invariant_work_is_hoisted(self):
         # <> p does not depend on x, so it runs once, outside the loop
-        program = sem.mu_program(p("nu x. (<> p & <> x)"))
+        program, _ = sem.mu_program([p("nu x. (<> p & <> x)")])
         assert [kind for _, kind, _ in program] == [fm.PROP, fm.DIA, fm.NU]
         _, _, (body, result) = program[-1]
         assert [kind for _, kind, _ in body] == [fm.DIA, fm.AND]
@@ -291,8 +305,8 @@ class TestCompiledMu:
         # directly, that the W wrappers leave the core's value unchanged.
         nest, small = _alternating_nest(40), _alternating_nest(4)
         core = _alternating_nest(2)
-        assert _binder_nesting(sem.mu_program(nest)) == 40
-        assert _binder_nesting(sem.mu_program(small)) == 4
+        assert _binder_nesting(sem.mu_program([nest])[0]) == 40
+        assert _binder_nesting(sem.mu_program([small])[0]) == 4
         for model in models_pq2:
             want = sem.eval_mu_exact(model, core)
             assert sem.eval_mu_exact(model, small) == want
@@ -311,7 +325,7 @@ class TestCompiledMu:
                 g = fm.disj(fm.box(g), fm.prop("q"))
         # A late step reads `<> x`, one of the body's first, two segments back.
         f = fm.nu("x", fm.disj(fm.conj(first, fm.prop("q")), g))
-        _, _, (body, _) = sem.mu_program(f)[-1]
+        _, _, (body, _) = sem.mu_program([f])[0][-1]
         position = {key: i for i, (key, _, _) in enumerate(body)}
         reads = [(i, a) for i, (_, kind, operand) in enumerate(body)
                  for a in (operand if kind in (fm.AND, fm.OR) else (operand,))]
@@ -334,21 +348,24 @@ class TestCompiledMu:
                     fm.conj(free, fm.box(fm.disj(atom, fm.prop("q")))),
                     fm.nu("y", fm.conj(free, fm.diamond(fm.var("y")))),
                     fm.mu(name, fm.disj(fm.prop("q"), fm.diamond(free)))]
-        # one store shared by both languages over the same atoms
-        store: dict = {}
         tangles = [fm.t_dia(fm.t_prop(name)),
                    fm.t_tangle([fm.t_prop(name), fm.t_not(fm.t_prop("q"))])]
-        for f, t in zip(formulas, tangles * len(formulas)):
+        for f in formulas:
             assert sem.eval_mu(model, f, env) == sem.eval_mu_exact(model, f, env)
             if name in fm.free_vars(f) | fm.prop_names(f):
-                assert name in sem._mu_segments(f)[-1]
-            assert sem.eval_mu(model, f, env, store) == sem.eval_mu(model, f, env)
-            assert sem.eval_tangle(model, t, store) == sem.eval_tangle(model, t)
+                assert name in sem.compile_roots((f,)).names
+        # one program of both languages over the same atoms and variable
+        roots = formulas + tangles
+        program = sem.compile_roots(roots)
+        assert name in program.names
+        assert sem.eval_roots(model, program, env) == [sem.eval_mu(model, f, env)
+                                                       for f in roots]
+        assert sem.eval_roots(model, tangles) == [sem.eval_tangle(model, t) for t in tangles]
         assert sem.eval_mu(model, atom) == model.val[name]
         with pytest.raises(sem.UnboundVariableError, match="unbound variable"):
             sem.eval_mu(model, formulas[4])
 
-    def test_custom_algebra_and_the_store(self, cycle_model):
+    def test_custom_algebra_and_steps_shared_by_roots(self, cycle_model):
         calls = []
 
         def dia(model, s, key):
@@ -359,31 +376,30 @@ class TestCompiledMu:
             calls.append(("box", key))
             return sem._box_mask(model, s)
 
-        def run(f, values):
+        def run(*roots):
             calls.clear()
+            program = sem.compile_roots(roots)
             # empty memos, so that every modal step calls the algebra
-            got = sem.run_program(cycle_model, f, values, dia, box, {}, {})
-            assert got == sem.eval_mu(cycle_model, f)
+            values = sem.run_program(cycle_model, program, dia, box, {}, {})
+            assert None not in values
+            assert [values[i] for i in program.roots] == [
+                sem.eval_mu(cycle_model, f) for f in roots]
             return list(calls)
 
         inner = p("<> e")
         looped = p("nu x. (<> e & [] x)")
-        values: dict = {}
-        assert run(inner, values) == [("dia", p("e"))]
-        # `<> e` is in the store but recomputed; `[] x` reruns per round,
-        # keyed by its argument, the bound x, which reads its binder's slot
-        x_calls = run(looped, values)
+        assert run(inner) == [("dia", p("e"))]
+        # `[] x` reruns per round, keyed by its argument, the bound x, which
+        # reads its binder's slot
+        x_calls = run(looped)
         assert x_calls == [("dia", p("e"))] + [("box", looped)] * 3
-        assert values[looped] == sem.eval_mu(cycle_model, looped)
-        assert all(key in values for key, _, _ in sem.mu_program(looped))
-        # a closed fixed point in the store is not iterated again, while the
-        # steps outside it are recomputed
-        assert run(fm.disj(looped, p("[] o")), values) == [("box", p("o")),
-                                                           ("dia", p("e"))]
-        # the root in the store is returned at once
-        assert run(looped, values) == []
-        # without a store every node is computed and nothing is kept
-        assert run(looped, None) == x_calls
+        # a step shared by two roots calls the algebra once: `<> e` here,
+        # and every step of a shared fixed point, while `[] x` still runs
+        # once per round
+        assert run(inner, looped) == x_calls
+        assert run(looped, fm.disj(looped, p("[] o"))) == x_calls + [("box", p("o"))]
+        # every run computes each of its steps afresh
+        assert run(looped) == x_calls
 
 
 class TestBisimulation:
@@ -517,6 +533,7 @@ class TestSigmaDepth:
         succ = [full >> i + 1 << i + 1 for i in range(n)]
         m = KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {"p": 1 << n - 1}))
         assert depth(m, [0]) == 1499
+        assert m.cluster_above()[0] == frozenset(range(1, n))
         assert sem.sigma_depth(m, fm.sigma_closure(p("<> p")), [0]) == 2
 
     def test_at_most_plain_depth(self):
@@ -651,16 +668,17 @@ class TestModalMemo:
                 count += 1
         assert count == 5089 + 2848
 
-    def test_calls_with_env_or_cache_and_derived_models_agree(self):
+    def test_calls_with_env_and_derived_models_agree(self):
         f = p("nu x. mu y. ((p & <> x) | (q & [] y))")
         t = fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_not(fm.t_prop("q")))])
         opened = fm.mu("y", fm.disj(fm.conj(fm.prop("p"), fm.diamond(fm.var("z"))),
                                     fm.conj(fm.prop("q"), fm.box(fm.var("y")))))
+        both = sem.compile_roots((f, t))
         for model in enumerate_models(("p", "q"), 3):
             want_f, want_t = sem.eval_mu(model, f), sem.eval_tangle(model, t)
-            assert sem.eval_mu(model, f, None, {}) == want_f
+            assert sem.eval_roots(model, both) == [want_f, want_t]
             assert sem.eval_mu(model, f, {}) == want_f
-            assert sem.eval_tangle(model, t, {}) == want_t
+            assert sem.eval_mu(model, t, {}) == want_t
             z = sem.eval_mu(model, p("<> q"))
             assert fm.free_vars(opened) == {"z"}
             assert sem.eval_mu(model, opened, {"z": z}) == sem.eval_mu_exact(
@@ -696,14 +714,15 @@ class TestModalMemo:
         chi, _ = translate(phi)
         for model in enumerate_models(("p",), 3):
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
-            # a call with a cache takes the per-model path, which fills the
-            # frame's memo; a call without one reads the model's batch
-            sem.eval_mu(model, phi, None, {})
+            # `eval_roots` takes the per-model path, which fills the frame's
+            # memo; `eval_mu` reads the model's batch
+            sem.eval_roots(model, (phi,))
             assert model._dia
-            filled: dict = {}
-            empty: dict = {}
-            assert sem.eval_tangle(model, chi, filled) == sem.eval_tangle(fresh, chi, empty)
+            program = sem.compile_roots((chi,))
+            filled, empty = (sem.run_program(m, program, sem._dia_mask, sem._box_mask,
+                                             m._dia, m._box) for m in (model, fresh))
             assert filled == empty
+            assert filled[program.roots[0]] == sem.eval_tangle(model, chi)
 
 
 def _batch_formulas():
@@ -783,3 +802,38 @@ def _eager_tangle_rows(frames):
                  for table in (same,
                                [[r & c for r, c in zip(*rows)] for rows in zip(succ, same)],
                                [[r | c for r, c in zip(*rows)] for rows in zip(succ, same)]))
+
+
+class TestSeveralRoots:
+    def test_open_subterm_under_two_binders_gets_two_keys(self):
+        least, greatest = p("mu x. (p | <> x)"), p("nu x. (p & <> x)")
+        program = sem.compile_roots([least, greatest])
+        bodies = [operand[0] for _, kind, operand in program.steps
+                  if kind in (fm.MU, fm.NU)]
+        keys = [key for body in bodies for key, kind, _ in body if kind == fm.DIA]
+        assert len(keys) == 2 and keys[0] != keys[1]
+        for model in enumerate_models(("p",), 3):
+            assert sem.eval_roots(model, program) == [
+                sem.eval_mu_exact(model, least), sem.eval_mu_exact(model, greatest)]
+
+    def test_one_run_matches_single_roots_and_the_oracle(self):
+        # random sets of mu and tangle roots, one program per set; each
+        # root's value from one run against its own program on a fresh
+        # model, and a mu root's against the exact oracle on every fourth
+        # model (the oracle enumerates every candidate of every binder)
+        rng = random.Random(2026)
+        mus = [p(text) for text in MEMO_FORMULAS]
+        mus += [p("mu x. (p | <> x)"), p("nu x. (p & <> x)")]  # `<> x` under both
+        pool = mus + random_tangle_dag(rng, 30)[3:]
+        sets = [mus[-2:]] + [rng.sample(pool, rng.randint(2, 9)) for _ in range(9)]
+        programs = [sem.compile_roots(roots) for roots in sets]
+        for i, model in enumerate(enumerate_models(("p", "q"), 3)):
+            fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+            single: dict = {}
+            for roots, program in zip(sets, programs):
+                for f, got in zip(roots, sem.eval_roots(model, program)):
+                    if f not in single:
+                        single[f] = sem.eval_mu(fresh, f)
+                        if type(f) is fm.MuFormula and i % 4 == 0:
+                            assert got == sem.eval_mu_exact(model, f)
+                    assert got == single[f], f"first mismatch: {model.to_dict()} on {f}"

@@ -180,14 +180,15 @@ class TestStructuralFormulas:
 class TestDepthFormulaSemantics:
     def test_matches_depth_modality_small(self, tr_p):
         sigma = tr_p.sigma
+        queries = [(n, member) for n in (0, 1) for member in sigma]
+        # the tangle side is one run of all the depth formulas per model
+        program = sem.compile_roots([tr_p.depth_formula(n, m) for n, m in queries])
         bad = 0
         for model in enumerate_models(["p"], 2):
-            cache, tcache = {}, {}
-            for n in (0, 1):
-                for member in sigma:
-                    want = sem.eval_depth_modality(model, sigma, n, member, cache)
-                    got = sem.eval_tangle(model, tr_p.depth_formula(n, member), tcache)
-                    bad += want != got
+            cache: dict = {}
+            for (n, member), got in zip(queries, sem.eval_roots(model, program)):
+                want = sem.eval_depth_modality(model, sigma, n, member, cache)
+                bad += want != got
         assert bad == 0
 
     def test_split_detects_non_finality(self, tr_p):
@@ -195,13 +196,16 @@ class TestDepthFormulaSemantics:
         # is not in the final part
         sigma = tr_p.sigma
         checked = 0
+        roots = [tr_p.depth_formula(n) for n in (0, 1, 2, 3)]
+        roots += [tr_p.split_formula(n) for n in (0, 1, 2)]
+        program = sem.compile_roots(roots)
         for model in enumerate_models(["p"], 3):
-            cache, tcache = {}, {}
-            final = sem.sigma_final_part(model, sigma, cache)
+            final = sem.sigma_final_part(model, sigma)
+            values = sem.eval_roots(model, program)
+            depth, split = values[:4], values[4:]
             for n in (0, 1, 2):
-                guard = (sem.eval_tangle(model, tr_p.depth_formula(n), tcache)
-                         & ~sem.eval_tangle(model, tr_p.depth_formula(n + 1), tcache))
-                fired = guard & sem.eval_tangle(model, tr_p.split_formula(n), tcache)
+                guard = depth[n] & ~depth[n + 1]
+                fired = guard & split[n]
                 checked += bin(fired).count("1")
                 assert fired & final == 0
         assert checked > 0
