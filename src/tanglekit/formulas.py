@@ -162,12 +162,16 @@ def _mk(kind, name=None, left=None, right=None, arg=None, var=None, body=None) -
     return node
 
 
+_TOP = _mk(TOP)
+_BOT = _mk(BOT)
+
+
 def top() -> MuFormula:
-    return _mk(TOP)
+    return _TOP
 
 
 def bot() -> MuFormula:
-    return _mk(BOT)
+    return _BOT
 
 
 def prop(name: str) -> MuFormula:
@@ -353,39 +357,30 @@ def substitute(f: MuFormula, name: str, repl: MuFormula) -> MuFormula:
 # conventions: empty `and` is T, empty `or` is F)
 
 
-def _fold(items: list, combine: Callable) -> MuFormula:
-    while len(items) > 1:
-        items = [combine(items[i], items[i + 1]) if i + 1 < len(items) else items[i]
-                 for i in range(0, len(items), 2)]
-    return items[0]
+def _big(items: Iterable, unit, zero, combine: Callable):
+    """Balanced fold by `combine` of the distinct items other than `unit`:
+    `zero` if an item is `zero`, `unit` if none is left.  Both are the one
+    interned node of their kind, so they are told by identity."""
+    out, seen = [], set()
+    for it in items:
+        if it is zero:
+            return zero
+        if it is unit or it in seen:
+            continue
+        seen.add(it)
+        out.append(it)
+    while len(out) > 1:
+        out = [combine(out[i], out[i + 1]) if i + 1 < len(out) else out[i]
+               for i in range(0, len(out), 2)]
+    return out[0] if out else unit
 
 
 def big_and(items: Iterable[MuFormula]) -> MuFormula:
-    out, seen = [], set()
-    for it in items:
-        if it.kind == BOT:
-            return bot()
-        if it.kind == TOP or it in seen:
-            continue
-        seen.add(it)
-        out.append(it)
-    if not out:
-        return top()
-    return _fold(out, conj)
+    return _big(items, _TOP, _BOT, conj)
 
 
 def big_or(items: Iterable[MuFormula]) -> MuFormula:
-    out, seen = [], set()
-    for it in items:
-        if it.kind == TOP:
-            return top()
-        if it.kind == BOT or it in seen:
-            continue
-        seen.add(it)
-        out.append(it)
-    if not out:
-        return bot()
-    return _fold(out, disj)
+    return _big(items, _BOT, _TOP, disj)
 
 
 # ---------------------------------------------------------------------------
@@ -878,33 +873,11 @@ def t_dot_dia(f: TangleFormula) -> TangleFormula:
 
 
 def t_big_and(items: Iterable[TangleFormula]) -> TangleFormula:
-    out, seen = [], set()
-    bottom = _T_BOT
-    for it in items:
-        if it is bottom:
-            return bottom
-        if it.kind == TOP or it in seen:
-            continue
-        seen.add(it)
-        out.append(it)
-    if not out:
-        return _T_TOP
-    return _fold(out, t_and)
+    return _big(items, _T_TOP, _T_BOT, t_and)
 
 
 def t_big_or(items: Iterable[TangleFormula]) -> TangleFormula:
-    out, seen = [], set()
-    bottom = _T_BOT
-    for it in items:
-        if it.kind == TOP:
-            return it
-        if it is bottom or it in seen:
-            continue
-        seen.add(it)
-        out.append(it)
-    if not out:
-        return bottom
-    return _fold(out, t_or)
+    return _big(items, _T_BOT, _T_TOP, t_or)
 
 
 def t_implies(premise: TangleFormula, conclusion: TangleFormula) -> TangleFormula:

@@ -3,7 +3,9 @@
 Worlds are dense indices carrying string labels; the accessibility relation
 is stored as one successor bitmask per world, and valuations map proposition
 names to bitmasks.  Models are immutable after construction; the cluster
-structure is computed lazily and cached.
+structure is computed lazily and cached.  Every relation here is wK4, so
+two worlds share a cluster exactly when their successor rows are equal
+once each has its own bit set (`KripkeModel.clusters`).
 
 Each model carries two modal memos, `_dia` and `_box`, mapping an argument
 mask to its diamond or box image (filled by `semantics._dia_mask` and
@@ -14,7 +16,8 @@ gives the models it yields on one frame one pair, freed with them.
 
 The models enumerated on a run of consecutive frames of one world count
 are also the copies of one `ModelBatch`, their disjoint union packed into
-wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own).
+wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own),
+built from the frames' successor rows.
 Such a model keeps its batch in `_batch` and the bit offset of its copy in
 `_shift`, which runs 0, n, 2n, ... across the run's frames in order; every
 other model has `_batch = None`.  A batch is built before its first model
@@ -37,7 +40,8 @@ valuation tuple is emitted only if no table maps it to a smaller tuple, as
 found by an orderly walk over the tuples, one atom at a time
 (`_orbit_leaders`).  Five worlds (13,522 candidates, 2,902 frames) take
 about 0.3 s on a 2 vCPU Xeon.  Six would mean 168,276 candidates in 29,309
-orbits of up to 720 images each, so the enumeration is capped at five.
+orbits of up to 720 images each, so the enumeration is capped at five
+(`MAX_WORLDS`).
 """
 
 from __future__ import annotations
@@ -87,7 +91,7 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
 class KripkeModel:
     # Filled on first use; an enumerated model also gets its batch and the
     # bit offset of its copy there.
-    _pred = _clusters = _cluster_id = _above = _tangle = _batch = None
+    _clusters = _cluster_id = _cluster_masks = _above = _tangle = _batch = None
     _shift = 0
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]],
@@ -122,15 +126,6 @@ class KripkeModel:
     def val_mask(self, name: str) -> int:
         return self.val.get(name, 0)
 
-    def pred(self) -> tuple[int, ...]:
-        if self._pred is None:
-            pred = [0] * self.n
-            for a in range(self.n):
-                for b in iter_bits(self.succ[a]):
-                    pred[b] |= 1 << a
-            self._pred = tuple(pred)
-        return self._pred
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -146,46 +141,34 @@ class KripkeModel:
     # -- derived structure ---------------------------------------------
 
     def clusters(self) -> tuple[tuple[int, ...], ...]:
-        """Partition into maximal clusters: u and v share one iff they are
-        equal or related in both directions."""
+        """Partition into maximal clusters (worlds that see each other), by
+        least world, each ascending.  On a wK4 relation (as `close`,
+        `restrict`, `stack`, `disjoint_union`, `realize`, `random_model` and
+        `enumerate_models` build; the CLI checks model files) u != v see
+        each other iff their rows with own bits set are equal: if they do,
+        u -> w for w outside {u, v} gives v -> u -> w, so v -> w, and both
+        rows hold u and v; conversely equal such rows give u -> v, v -> u."""
         if self._clusters is None:
-            parent = list(range(self.n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for u in range(self.n):
-                for v in range(u + 1, self.n):
-                    if self.succ[u] >> v & 1 and self.succ[v] >> u & 1:
-                        parent[find(u)] = find(v)
-            groups: dict[int, list[int]] = {}
-            for w in range(self.n):
-                groups.setdefault(find(w), []).append(w)
-            clusters = tuple(tuple(sorted(g)) for g in
-                             sorted(groups.values(), key=lambda g: g[0]))
-            cid = [0] * self.n
-            for i, c in enumerate(clusters):
-                for w in c:
-                    cid[w] = i
-            self._clusters = clusters
-            self._cluster_id = tuple(cid)
+            ids: dict[int, int] = {}
+            cid = tuple(ids.setdefault(row | 1 << u, len(ids))
+                        for u, row in enumerate(self.succ))
+            clusters: list[list[int]] = [[] for _ in ids]
+            masks = [0] * len(ids)
+            for u, i in enumerate(cid):
+                clusters[i].append(u)
+                masks[i] |= 1 << u
+            self._clusters = tuple(map(tuple, clusters))
+            self._cluster_id = cid
+            self._cluster_masks = tuple(masks)
         return self._clusters
 
     def cluster_id(self, w: int) -> int:
         self.clusters()
         return self._cluster_id[w]
 
-    def cluster_of(self, w: int) -> tuple[int, ...]:
-        return self.clusters()[self.cluster_id(w)]
-
     def cluster_mask(self, w: int) -> int:
-        mask = 0
-        for u in self.cluster_of(w):
-            mask |= 1 << u
-        return mask
+        self.clusters()
+        return self._cluster_masks[self._cluster_id[w]]
 
     def cluster_above(self) -> tuple[frozenset[int], ...]:
         """above[i] = ids of clusters strictly above cluster i (transitive)."""
@@ -541,35 +524,37 @@ BATCH_BITS = 2048
 
 class ModelBatch:
     """The models `enumerate_models` yields on a run of consecutive frames
-    of one world count n, as one disjoint union: copy j, counted across the
+    of one world count n, as one disjoint union, built from each frame's
+    successor rows and valuation tuples: copy j, counted across the
     frames, holds its model's worlds at bits j*n .. j*n+n-1 of every
     world-set int.  No edge joins two copies, so a world's truth value is
     the one it has in its own model.  Relations are masks of the copies'
     first bits, as rows of pairs `(v, mask)` per world u, zero masks left
     out: `dia_rows` marks the copies whose frame has u -> v; the cluster
-    relations only tangle steps read come from `tangle_rows()`.  `results`
-    holds each root's packed value; `_dia`, `_box` and `_tangle` are the
-    memos of the run in progress, None between runs."""
+    relations only tangle steps read come from `tangle_rows()`, by the row
+    rule of `KripkeModel.clusters`.  `results` holds each root's packed
+    value; `_dia`, `_box` and `_tangle` are the memos of the run in
+    progress, None between runs."""
 
     __slots__ = ("val", "full_mask", "dia_rows", "_firsts", "_tangle_rows",
                  "_dia", "_box", "_tangle", "results")
 
-    def __init__(self, frames: Sequence[KripkeModel], props: Sequence[str],
+    def __init__(self, frames: Sequence[tuple[int, ...]], props: Sequence[str],
                  valuations: Sequence[Sequence[tuple[int, ...]]]):
-        n = frames[0].n
+        n = len(frames[0])
         val = [0] * len(props)
         succ = [[0] * n for _ in range(n)]
         firsts = []
         offset = 0
-        for frame, vals in zip(frames, valuations):
+        for rows, vals in zip(frames, valuations):
             # pack the frame's copies on small ints, then shift them into place
             width = len(vals) * n
             for i, column in enumerate(zip(*vals)):
                 val[i] |= sum(map(operator.lshift, column, range(0, width, n))) << offset
             # (2**(c*n) - 1) / (2**n - 1) is the sum of 2**(j*n) for j < c
-            first = ((1 << width) - 1) // frame.full_mask << offset
-            firsts.append((frame, first))
-            for u, row in enumerate(frame.succ):
+            first = ((1 << width) - 1) // ((1 << n) - 1) << offset
+            firsts.append((rows, first))
+            for u, row in enumerate(rows):
                 for v in iter_bits(row):
                     succ[u][v] |= first
             offset += width
@@ -587,9 +572,10 @@ class ModelBatch:
         if self._tangle_rows is None:
             n = len(self.dia_rows)
             same = [[0] * n for _ in range(n)]
-            for frame, first in self._firsts:
-                for u in range(n):
-                    for v in iter_bits(frame.cluster_mask(u)):
+            for rows, first in self._firsts:
+                own = [row | 1 << u for u, row in enumerate(rows)]
+                for u, v in itertools.product(range(n), repeat=2):
+                    if own[u] == own[v]:
                         same[u][v] |= first
             succ = [[row.get(v, 0) for v in range(n)] for row in map(dict, self.dia_rows)]
             self._tangle_rows = tuple(map(_rows, (
@@ -603,8 +589,11 @@ def _rows(table: Sequence[Sequence[int]]) -> tuple:
     return tuple(tuple((v, m) for v, m in enumerate(row) if m) for row in table)
 
 
-def enumerate_models(props: Iterable[str], max_worlds: int,
-                     guard: int = 5) -> Iterator[KripkeModel]:
+# The most worlds `enumerate_models` enumerates (see the module docstring).
+MAX_WORLDS = 5
+
+
+def enumerate_models(props: Iterable[str], max_worlds: int) -> Iterator[KripkeModel]:
     """All weakly transitive models with 1..max_worlds worlds over the given
     atoms, up to isomorphism.  Deterministic order: frames by canonical
     relation, then valuations as the least tuple of their orbit.  The
@@ -615,21 +604,19 @@ def enumerate_models(props: Iterable[str], max_worlds: int,
     checks and copies, and a frame's valuation tuples are freed once its
     models are yielded."""
     props = tuple(sorted(props))
-    if max_worlds > guard:
+    if max_worlds > MAX_WORLDS:
         raise ClusterEnumerationError(
-            f"exhaustive enumeration capped at {guard} worlds")
+            f"exhaustive enumeration capped at {MAX_WORLDS} worlds")
     new = object.__new__
     for n in range(1, max_worlds + 1):
         labels = tuple(str(i) for i in range(n))
         full = (1 << n) - 1
         for group in _frame_runs(n, len(props)):
-            frames = [KripkeModel(labels, (), _masks=(succ, {})) for succ, _ in group]
-            batch = ModelBatch(frames, props, [vals for _, vals in group])
+            batch = ModelBatch([succ for succ, _ in group], props, [vals for _, vals in group])
             shift = 0
-            for i, frame in enumerate(frames):
-                succ, valuations = group[i]
+            for i, (succ, valuations) in enumerate(group):
                 group[i] = None
-                dia, box = frame._dia, frame._box
+                dia, box = {}, {}
                 for masks in valuations:
                     model = new(KripkeModel)
                     model.labels = labels

@@ -518,10 +518,7 @@ def _tangle_cache(model: KripkeModel | ModelBatch) -> tuple[tuple, dict]:
     if model._tangle is None:
         geometry = []
         for cluster in model.clusters():
-            cmask = 0
-            for w in cluster:
-                cmask |= 1 << w
-            down = cmask
+            down = cmask = model.cluster_mask(cluster[0])
             for w in range(model.n):
                 if model.succ[w] & cmask:
                     down |= 1 << w
@@ -688,13 +685,14 @@ def sigma_truth_masks(model: KripkeModel, sigma: fm.SigmaClosure,
 def sigma_final_part(model: KripkeModel, sigma: fm.SigmaClosure,
                      cache: Optional[dict] = None) -> int:
     """Worlds satisfying some member whose every satisfying successor loops
-    back; the largest final subset of the model."""
+    back; the largest final subset of the model.  On wK4 a successor of w
+    that sees w is w or a mate in w's cluster, so the test reads the
+    cluster mask instead of the transposed relation."""
     truths = sigma_truth_masks(model, sigma, cache)
-    pred = model.pred()
     out = 0
     for mask in truths.values():
         for w in iter_bits(mask):
-            if not model.succ[w] & mask & ~pred[w]:
+            if not model.succ[w] & mask & ~model.cluster_mask(w):
                 out |= 1 << w
     return out
 
@@ -712,9 +710,8 @@ def sigma_world_depths(model: KripkeModel, sigma: fm.SigmaClosure,
     """Per-world depth (longest strict chain of final-bearing clusters
     strictly above) together with the final-part mask."""
     final = sigma_final_part(model, sigma, cache)
-    clusters = model.clusters()
-    counted = frozenset(i for i, c in enumerate(clusters)
-                        if any(final >> w & 1 for w in c))
+    counted = frozenset(i for i, c in enumerate(model.clusters())
+                        if final & model.cluster_mask(c[0]))
     heights = _cluster_heights(model, counted)
     return [heights[model.cluster_id(w)] for w in range(model.n)], final
 

@@ -219,15 +219,10 @@ class Translator:
         for m in self.sigma:
             word, core = fm.split_prefix(self.sigma.floors[m])
             keyed.setdefault((word, find(core)), []).append(m)
-        rep_of: dict[MuFormula, MuFormula] = {}
-        reps = []
-        for _, group in sorted(keyed.items(),
-                               key=lambda kv: min((fm.size(g), fm.print_mu(g)) for g in kv[1])):
-            rep = min(group, key=lambda g: (fm.size(g), fm.print_mu(g)))
-            reps.append(rep)
-            for g in group:
-                rep_of[g] = rep
-        return rep_of, tuple(reps)
+        # sigma iterates by (size, text), texts being unique, so each
+        # group's first member is its least, and the groups come in order
+        rep_of = {g: group[0] for group in keyed.values() for g in group}
+        return rep_of, tuple(group[0] for group in keyed.values())
 
     # -- the sky --------------------------------------------------------------
 

@@ -4,6 +4,7 @@
 The heavyweight artifacts (model enumerations and translation tables) are
 shared across criteria through module-scoped fixtures."""
 
+import hashlib
 import random
 import time
 
@@ -13,10 +14,23 @@ from tanglekit import KripkeModel
 from tanglekit import formulas as fm
 from tanglekit import semantics as sem
 from tanglekit.models import disjoint_union, enumerate_models, random_model
-from tanglekit.translate import Translator, size_bound_ok, translate
+from tanglekit.translate import Translator, format_tangle_dag, size_bound_ok, translate
 from tests.conftest import random_formula
 
 CHI_FORMULAS = ["F", "p", "<> p", "[] p", "nu x.(p & <> x)", "mu x.(p | <> x)"]
+
+# Inputs that are not alternation free, with their chi's `format_tangle_dag`
+# sha256 and DAG node count.
+ALTERNATING = {
+    "nu x. mu y. ((p & <> x) | <> y)":
+        ("e928ed417d56f954cc7338f409abb1cea419a3f846e5a3fb706aeb96c8ae4fc0", 15454),
+    "mu x. nu y. ((p | <> x) & <> y)":
+        ("222a90044f657fab4b66105fd355c3b0f69aaba85ed33007bef0a19b89f617f6", 37634),
+    "nu x. mu y. ((p & [] x) | [] y)":
+        ("362ebd1d5e2a0091d545a65eec0802df5f10a22aa1ebce6d70176ef4ba554601", 8046),
+    "nu x. <> mu y. ((p & x) | <> y)":
+        ("ec8058a8e061bcfadd0836ee359943d9465718e5d0a0d20bf930f0823a3ad0b5", 15436),
+}
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -213,3 +227,24 @@ def test_criterion_9_fixed_point_definitions():
     ok = bad == 0 and elapsed < 300
     _report("criterion 9 (fixed-point agreement)", ok,
             f"50 formulas x {len(models)} models, {bad} mismatches, {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("text", ALTERNATING)
+def test_alternation_collapses_through_chi(text, models_p4):
+    # The paper's corollary: through chi, every formula is equivalent to an
+    # alternation-free one.
+    t0 = time.time()
+    digest, nodes = ALTERNATING[text]
+    phi = fm.parse_mu(text)
+    chi, _ = translate(phi)
+    image = fm.to_mu(chi)
+    shape = (not fm.alternation_free(phi) and fm.in_tangle_fragment(image)
+             and fm.alternation_free(image) and size_bound_ok(phi, chi))
+    pinned = (hashlib.sha256(format_tangle_dag(chi).encode()).hexdigest(),
+              fm.tangle_dag_nodes(chi)) == (digest, nodes)
+    bad = sum(sem.eval_mu(model, phi) != sem.eval_tangle(model, chi) for model in models_p4)
+    elapsed = time.time() - t0
+    ok = shape and pinned and bad == 0 and len(models_p4) == 5089
+    _report(f"corollary (alternation collapse) {text}", ok,
+            f"shape {shape}, pinned {pinned}, {bad} mismatches on {len(models_p4)} models, "
+            f"{elapsed:.1f}s")

@@ -93,6 +93,24 @@ class TestClusters:
                     for v in cluster:
                         assert u == v or (m.succ[u] >> v & 1 and m.succ[v] >> u & 1)
             assert seen == set(range(m.n))
+            # maximal: worlds that see each other share a cluster
+            for u, v in itertools.product(range(m.n), repeat=2):
+                if m.succ[u] >> v & 1 and m.succ[v] >> u & 1:
+                    assert m.cluster_id(u) == m.cluster_id(v)
+
+    def test_clusters_match_the_pairwise_definition(self):
+        # on every canonical frame of 1-5 worlds and random models of 1-40
+        frames = [KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {}))
+                  for n in range(1, 6) for succ, _ in km._wk4_canonical(n)]
+        frames += [random_model(["p"], 1 + seed % 40, seed) for seed in range(400)]
+        assert len(frames) == 3327 + 400
+        for m in frames:
+            want = _pairwise_clusters(m)
+            assert m.clusters() == want
+            for i, cluster in enumerate(want):
+                mask = sum(1 << w for w in cluster)
+                assert all(m.cluster_id(w) == i and m.cluster_mask(w) == mask
+                           for w in cluster)
 
     def test_incomparable(self):
         m = KripkeModel(["a", "b"], [], {})
@@ -111,6 +129,26 @@ class TestClusters:
             sizes.add((m.n, k > 1 and any(want)))
         assert {n for n, _ in sizes} == set(range(1, 13))
         assert all(any(ok for n, ok in sizes if n == size) for size in range(4, 13))
+
+
+def _pairwise_clusters(m):
+    """Clusters as mutual access closed transitively, by a union-find over
+    every pair of worlds, ordered by least world, each ascending."""
+    parent = list(range(m.n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u in range(m.n):
+        for v in range(u + 1, m.n):
+            if m.succ[u] >> v & 1 and m.succ[v] >> u & 1:
+                parent[find(u)] = find(v)
+    groups: dict = {}
+    for w in range(m.n):
+        groups.setdefault(find(w), []).append(w)
+    return tuple(sorted(tuple(g) for g in groups.values()))
 
 
 class TestDepth:
@@ -431,7 +469,7 @@ class TestModalMemos:
             assert type(m) is KripkeModel
             assert m.to_dict() == built.to_dict()
             assert (m.succ, m.val, m.full_mask) == (built.succ, built.val, built.full_mask)
-            assert m.clusters() == built.clusters() and m.pred() == built.pred()
+            assert m.clusters() == built.clusters()
             count += 1
         assert count == 2848
 

@@ -533,8 +533,20 @@ class TestSigmaDepth:
         succ = [full >> i + 1 << i + 1 for i in range(n)]
         m = KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {"p": 1 << n - 1}))
         assert depth(m, [0]) == 1499
+        assert m.clusters() == tuple((w,) for w in range(n))
         assert m.cluster_above()[0] == frozenset(range(1, n))
-        assert sem.sigma_depth(m, fm.sigma_closure(p("<> p")), [0]) == 2
+        sigma = fm.sigma_closure(p("<> p"))
+        assert sem.sigma_final_part(m, sigma) == _final_part_by_predecessors(m, sigma)
+        assert sem.sigma_depth(m, sigma, [0]) == 2
+
+    def test_final_part_matches_predecessor_rows(self):
+        rng = random.Random(21)
+        closures = [fm.sigma_closure(p(text)) for text in
+                    ("<> p", "[] p", "nu x.(p & <> x)", "mu x.(q | <> x)", "<> (p & [] ~q)")]
+        for seed in range(300):
+            m = random_model(["p", "q"], rng.randint(1, 24), seed)
+            for sigma in closures:
+                assert sem.sigma_final_part(m, sigma) == _final_part_by_predecessors(m, sigma)
 
     def test_at_most_plain_depth(self):
         sigma = fm.sigma_closure(p("p"))
@@ -542,6 +554,21 @@ class TestSigmaDepth:
             for w in range(model.n):
                 assert (sem.sigma_depth(model, sigma, [w])
                         <= depth(model, [w]))
+
+
+def _final_part_by_predecessors(m, sigma):
+    """`sigma_final_part` read from the transposed relation: a world of a
+    member's truth set is final when each of its successors there sees it."""
+    pred = [0] * m.n
+    for a in range(m.n):
+        for b in iter_bits(m.succ[a]):
+            pred[b] |= 1 << a
+    out = 0
+    for mask in sem.sigma_truth_masks(m, sigma).values():
+        for w in iter_bits(mask):
+            if not m.succ[w] & mask & ~pred[w]:
+                out |= 1 << w
+    return out
 
 
 class TestDepthModality:
