@@ -5,7 +5,10 @@ is stored as one successor bitmask per world, and valuations map proposition
 names to bitmasks.  Models are immutable after construction; the cluster
 structure is computed lazily and cached.  Every relation here is wK4, so
 two worlds share a cluster exactly when their successor rows are equal
-once each has its own bit set (`KripkeModel.clusters`).
+once each has its own bit set (`_row_clusters`, which both
+`KripkeModel.clusters` and `ModelBatch.tangle_rows` read).  The worlds
+strictly above a cluster are then its representative's row outside it,
+and `_cluster_heights` settles the clusters by how many there are.
 
 Each model carries two modal memos, `_dia` and `_box`, mapping an argument
 mask to its diamond or box image (filled by `semantics._dia_mask` and
@@ -91,7 +94,7 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
 class KripkeModel:
     # Filled on first use; an enumerated model also gets its batch and the
     # bit offset of its copy there.
-    _clusters = _cluster_id = _cluster_masks = _above = _tangle = _batch = None
+    _clusters = _cluster_id = _cluster_masks = _tangle = _batch = None
     _shift = 0
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]],
@@ -142,24 +145,12 @@ class KripkeModel:
 
     def clusters(self) -> tuple[tuple[int, ...], ...]:
         """Partition into maximal clusters (worlds that see each other), by
-        least world, each ascending.  On a wK4 relation (as `close`,
-        `restrict`, `stack`, `disjoint_union`, `realize`, `random_model` and
-        `enumerate_models` build; the CLI checks model files) u != v see
-        each other iff their rows with own bits set are equal: if they do,
-        u -> w for w outside {u, v} gives v -> u -> w, so v -> w, and both
-        rows hold u and v; conversely equal such rows give u -> v, v -> u."""
+        least world, each ascending, grouped by the row rule of
+        `_row_clusters`."""
         if self._clusters is None:
-            ids: dict[int, int] = {}
-            cid = tuple(ids.setdefault(row | 1 << u, len(ids))
-                        for u, row in enumerate(self.succ))
-            clusters: list[list[int]] = [[] for _ in ids]
-            masks = [0] * len(ids)
-            for u, i in enumerate(cid):
-                clusters[i].append(u)
-                masks[i] |= 1 << u
-            self._clusters = tuple(map(tuple, clusters))
-            self._cluster_id = cid
+            self._cluster_id, masks = _row_clusters(self.succ)
             self._cluster_masks = tuple(masks)
+            self._clusters = tuple(tuple(iter_bits(m)) for m in masks)
         return self._clusters
 
     def cluster_id(self, w: int) -> int:
@@ -169,23 +160,6 @@ class KripkeModel:
     def cluster_mask(self, w: int) -> int:
         self.clusters()
         return self._cluster_masks[self._cluster_id[w]]
-
-    def cluster_above(self) -> tuple[frozenset[int], ...]:
-        """above[i] = ids of clusters strictly above cluster i (transitive)."""
-        if self._above is None:
-            # one pass over the binary digits of each representative's
-            # successors among the others (cheaper per bit than `iter_bits`)
-            clusters = self.clusters()
-            reps = 0
-            for c in clusters:
-                reps |= 1 << c[0]
-            cid = self._cluster_id
-            above = []
-            for c in clusters:
-                digits = bin(self.succ[c[0]] & reps & ~(1 << c[0]))[:1:-1]
-                above.append(frozenset([cid[w] for w, d in enumerate(digits) if d == "1"]))
-            self._above = tuple(above)
-        return self._above
 
     # -- construction helpers --------------------------------------------
 
@@ -265,12 +239,34 @@ class KripkeModel:
         return model
 
 
+def _row_clusters(succ: Sequence[int]) -> tuple[tuple[int, ...], list[int]]:
+    """Each world's cluster id, numbered by least world, and each cluster's
+    mask.  On a wK4 relation (as `close`, `restrict`, `stack`,
+    `disjoint_union`, `realize`, `random_model` and `enumerate_models`
+    build; the CLI checks model files) u != v see each other iff their rows
+    with own bits set are equal: if they do, u -> w for w outside {u, v}
+    gives v -> u -> w, so v -> w, and both rows hold u and v; conversely
+    equal such rows give u -> v, v -> u."""
+    ids: dict[int, int] = {}
+    cid = tuple(ids.setdefault(row | 1 << u, len(ids)) for u, row in enumerate(succ))
+    masks = [0] * len(ids)
+    for u, i in enumerate(cid):
+        masks[i] |= 1 << u
+    return cid, masks
+
+
 def validate_wk4(model: KripkeModel) -> Optional[tuple[int, int, int]]:
-    """None if weakly transitive, otherwise a violating triple (a, b, c)."""
-    for a, b in _edges_of(model.succ):
-        missing = model.succ[b] & ~model.succ[a] & ~(1 << a)
-        if missing:
-            return (a, b, next(iter_bits(missing)))
+    """None if weakly transitive, otherwise the first violating triple:
+    a -> b -> c with a != c and no a -> c, least in a, then b, then c."""
+    succ = model.succ
+    for a, row in enumerate(succ):
+        outside = ~(row | 1 << a)
+        # b over the row's binary digits, lowest first (cheaper per bit
+        # than `iter_bits`)
+        for b, digit in enumerate(bin(row)[:1:-1]):
+            if digit == "1" and succ[b] & outside:
+                missing = succ[b] & outside
+                return a, b, (missing & -missing).bit_length() - 1
     return None
 
 
@@ -288,32 +284,34 @@ def cluster_le(model: KripkeModel, lower: Iterable[int], upper: Iterable[int]) -
     return WEAK if weak else NONE
 
 
-def _cluster_heights(model: KripkeModel, counted: frozenset[int]) -> list[int]:
-    """Longest chain of `counted` clusters strictly above each cluster, by
-    a depth-first walk with an explicit stack.  A cluster is pushed as i
-    when reached and as ~i to be settled once every cluster above it is."""
-    above = model.cluster_above()
-    heights = [-1] * len(above)  # -1: not reached yet
-    stack = list(range(len(above)))
-    while stack:
-        i = stack.pop()
-        if i < 0:
-            i = ~i
-            heights[i] = max((heights[j] + (j in counted) for j in above[i]), default=0)
-        elif heights[i] < 0:
-            heights[i] = 0
-            stack.append(~i)
-            stack.extend(j for j in above[i] if heights[j] < 0)
+def _cluster_heights(model: KripkeModel, counted: int) -> list[int]:
+    """Per cluster, the longest chain of clusters that meet the world set
+    `counted` strictly above it.  The worlds strictly above a cluster are
+    its representative's row outside it, and a cluster strictly above
+    another has strictly fewer, so in ascending order of that count every
+    cluster above one is settled before it.  `levels[h]` holds the worlds
+    of the settled clusters that start a chain of h counted clusters, so a
+    cluster's height is the highest level its row meets."""
+    above = [model.succ[c[0]] & ~model.cluster_mask(c[0]) for c in model.clusters()]
+    heights = [0] * len(above)
+    levels = [0]
+    for i in sorted(range(len(above)), key=lambda i: above[i].bit_count()):
+        h = len(levels) - 1
+        while h and not levels[h] & above[i]:
+            h -= 1
+        heights[i] = h
+        mask = model._cluster_masks[i]
+        h += bool(mask & counted)
+        if h == len(levels):
+            levels.append(0)
+        levels[h] |= mask
     return heights
 
 
 def depth(model: KripkeModel, worlds: Iterable[int]) -> int:
     """Length of the longest strict cluster chain above the given set."""
-    heights = _cluster_heights(model, frozenset(range(len(model.clusters()))))
-    ws = list(worlds)
-    if not ws:
-        return 0
-    return max(heights[model.cluster_id(w)] for w in ws)
+    heights = _cluster_heights(model, model.full_mask)
+    return max((heights[model.cluster_id(w)] for w in worlds), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,10 +529,10 @@ class ModelBatch:
     the one it has in its own model.  Relations are masks of the copies'
     first bits, as rows of pairs `(v, mask)` per world u, zero masks left
     out: `dia_rows` marks the copies whose frame has u -> v; the cluster
-    relations only tangle steps read come from `tangle_rows()`, by the row
-    rule of `KripkeModel.clusters`.  `results` holds each root's packed
-    value; `_dia`, `_box` and `_tangle` are the memos of the run in
-    progress, None between runs."""
+    relations only tangle steps read come from `tangle_rows()`, by
+    `_row_clusters`.  `results` holds each root's packed value; `_dia`,
+    `_box` and `_tangle` are the memos of the run in progress, None
+    between runs."""
 
     __slots__ = ("val", "full_mask", "dia_rows", "_firsts", "_tangle_rows",
                  "_dia", "_box", "_tangle", "results")
@@ -573,9 +571,9 @@ class ModelBatch:
             n = len(self.dia_rows)
             same = [[0] * n for _ in range(n)]
             for rows, first in self._firsts:
-                own = [row | 1 << u for u, row in enumerate(rows)]
-                for u, v in itertools.product(range(n), repeat=2):
-                    if own[u] == own[v]:
+                cid, masks = _row_clusters(rows)
+                for u, i in enumerate(cid):
+                    for v in iter_bits(masks[i]):
                         same[u][v] |= first
             succ = [[row.get(v, 0) for v in range(n)] for row in map(dict, self.dia_rows)]
             self._tangle_rows = tuple(map(_rows, (

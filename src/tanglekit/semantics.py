@@ -34,12 +34,14 @@ step reads the memo `D` by its argument mask and on a miss calls
 `box` alike.  `eval_mu` and `eval_tangle` pass `_dia_mask`/`_box_mask` and
 the model's own memos.  The translator's root blocks pass empty memos and
 modalities that first read what holds above the cluster.  Tangle steps read
-a per-model cache (`KripkeModel._tangle`, or the batch's): the cluster
-geometry and a memo from member masks to result, built the first time a
-program with a tangle step runs on the model.  A free variable missing
-from `env` raises `UnboundVariableError`.  `eval_mu_exact` is the
-independent oracle: it walks the formula with a stack of generators, not
-by recursion, and enumerates exact fixed points.
+the tangle state (`KripkeModel._tangle`, or the batch's), built the first
+time a program with a tangle step runs on the model: rows of the cluster
+relations and a diamond over them, so that one formula, `_tangle_compute`,
+serves models and batches.  A free variable missing from `env` raises
+`UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
+walks the formula with a stack of generators, not by recursion, and
+enumerates exact fixed points.  The tangle step's own oracle is the
+unfolded fixed point (`fm.to_mu`), run by the mu steps and `eval_mu_exact`.
 
 Modal images are memoised per frame.  `_dia_mask(model, s)` and
 `_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict and on a
@@ -62,15 +64,12 @@ batch run the root's segments once, with `_wide_dia`/`_wide_box` and modal
 and tangle memos that live for that run only, and keep the packed value.
 The packed algebra works on every copy at once, over masks of the copies'
 first bits: with `R[u][v]` the copies whose frame has u -> v,
-`dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u`, and box is its dual.  A
-tangle step finds, by the same sum over the in-cluster masks, the points
-with at most one member lacking a witness inside their cluster and
-satisfying that one, and by the same-cluster and down-set masks spreads
-each cluster of such points over its down-set.  The first tangle step run
-on a batch builds these (`tangle_rows`).  Every other call (random or file
-models, the models `restrict` and `close` make, calls with `env`,
-`eval_roots`, the translator's root blocks) runs on the one model, and this
-per-model path is the oracle of the packed one.
+`dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u` (`_spread`), and box is
+its dual.  A tangle step spreads by the same sum over the batch's cluster
+rows, built by the first program with a tangle step run on it
+(`tangle_rows`).  Every other call (random or file models, the models
+`restrict` and `close` make, calls with `env`, `eval_roots`, the
+translator's root blocks) runs on the one model.
 
 Roots that share work run as one program.  `compile_roots` lists the union
 of their steps and compiles it once, and `run_program` returns the whole
@@ -364,7 +363,7 @@ def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
     read `B` and call `box` alike.  Tangle steps read the model's tangle
     memo, fetched only if the program has one."""
     v = [None] * len(program.index)
-    T = _tangle_cache(model)[1] if program.tangles else None
+    T = _tangle_cache(model)[3] if program.tangles else None
     val, full = model.val, model.full_mask
     env = env or {}
     for segment in program.segments:
@@ -407,7 +406,9 @@ def _batch_value(batch: ModelBatch, f: MuFormula | TangleFormula) -> int:
     runs f once, with modal and tangle memos for that run only."""
     program = compile_roots((f,))
     D, B = {}, {}
-    batch._dia, batch._box, batch._tangle = D, B, ({}, {})
+    batch._dia, batch._box = D, B
+    if program.tangles:
+        batch._tangle = (_spread, batch.tangle_rows(), {}, {})
     try:
         v = run_program(batch, program, _wide_dia, _wide_box, D, B)
     finally:
@@ -508,54 +509,29 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
 # tangle evaluation
 
 
-def _tangle_cache(model: KripkeModel | ModelBatch) -> tuple[tuple, dict]:
-    """The model's cluster geometry and its tangle memo, built on first use.
-    Per cluster the geometry holds `cluster mask | worlds that see into it`
-    and `(1 << u, succ[u] & cluster mask)` for each point u.  A batch has
-    its geometry in its rows; `_batch_value` gives it in its place a memo
-    from a member mask to the points with a witness for it inside their
-    cluster."""
+def _tangle_cache(model: KripkeModel) -> tuple:
+    """The model's tangle state, built on first use, as `_batch_value` sets
+    a batch's: `(spread, (same, inside, down), witnessed, memo)`.  The rows
+    are per world u: u's cluster mask, its successors inside it, and
+    `succ[u] | same[u]`; `spread` is the diamond over such rows
+    (`dia_image` here, `_spread` on a batch); `witnessed` maps a member
+    mask to the points with a witness for it inside their cluster, and
+    `memo` member masks to the result."""
     if model._tangle is None:
-        geometry = []
-        for cluster in model.clusters():
-            down = cmask = model.cluster_mask(cluster[0])
-            for w in range(model.n):
-                if model.succ[w] & cmask:
-                    down |= 1 << w
-            geometry.append((down, tuple((1 << u, model.succ[u] & cmask)
-                                         for u in cluster)))
-        model._tangle = (tuple(geometry), {})
+        same = [model.cluster_mask(u) for u in range(model.n)]
+        rows = (same, [r & c for r, c in zip(model.succ, same)],
+                [r | c for r, c in zip(model.succ, same)])
+        model._tangle = (dia_image, rows, {}, {})
     return model._tangle
 
 
-def _wide_tangle(batch: ModelBatch, witnessed: dict, key: tuple) -> int:
-    """`_tangle_mask` in every copy of the batch at once.  Over the
-    members, `none` holds the points that see a witness inside their
-    cluster for every member so far, `one` those that lack one for exactly
-    one member and satisfy it; a repeated member counts once per
-    occurrence.  A cluster is good in a copy where all its points are in
-    either, and the copy's result holds its down-set."""
-    cluster_rows, inside_rows, down_rows = batch.tangle_rows()
-    full = batch.full_mask
-    none, one = full, 0
-    for m in key:
-        seen = witnessed.get(m)
-        if seen is None:
-            seen = witnessed[m] = _spread(inside_rows, m)
-        one = one & seen | none & m & ~seen
-        none &= seen
-    bad = full & ~(none | one)
-    return _spread(down_rows, full & ~_spread(cluster_rows, bad))
-
-
-def _tangle_mask(model: KripkeModel | ModelBatch,
-                 member_masks: Sequence[int]) -> int:
+def _tangle_mask(model: KripkeModel, member_masks: Sequence[int]) -> int:
     """Worlds weakly below a maximal cluster in which the member multiset is
     recurrently satisfied: each cluster point either sees witnesses for every
     member inside the cluster, or satisfies one member itself and sees
     witnesses for all the others.  Read from, or stored in, the model's
     tangle memo."""
-    memo = _tangle_cache(model)[1]
+    memo = _tangle_cache(model)[3]
     key = tuple(member_masks)
     got = memo.get(key)
     if got is None:
@@ -564,29 +540,23 @@ def _tangle_mask(model: KripkeModel | ModelBatch,
 
 
 def _tangle_compute(model: KripkeModel | ModelBatch, key: tuple) -> int:
-    """`_tangle_mask` of the member masks `key`, computed without the memo;
-    the model's geometry must be built.  Compiled tangle steps call this
-    on a memo miss and store the result themselves."""
-    geometry = model._tangle[0]
-    if type(model) is ModelBatch:
-        return _wide_tangle(model, geometry, key)
-    result = 0
-    for down, points in geometry:
-        for bit, inside in points:
-            # At most one member may lack a witness inside the cluster, and
-            # the point itself must satisfy that one.
-            missed = False
-            for m in key:
-                if not inside & m:
-                    if missed or not m & bit:
-                        break
-                    missed = True
-            else:
-                continue
-            break
-        else:
-            result |= down
-    return result
+    """`_tangle_mask` of the member masks `key` without the memo, on a
+    model or in every copy of a batch; the tangle state must be built.
+    `none` holds the points that see a witness inside their cluster for
+    every member so far, `one` those that lack one for exactly one member
+    (each occurrence counts) and satisfy it.  The result is the down-set of
+    the clusters all of whose points are in either.  Compiled tangle steps
+    call this on a memo miss and store the result themselves."""
+    spread, (same, inside, down), witnessed, _ = model._tangle
+    full = model.full_mask
+    none, one = full, 0
+    for m in key:
+        seen = witnessed.get(m)
+        if seen is None:
+            seen = witnessed[m] = spread(inside, m)
+        one = one & seen | none & m & ~seen
+        none &= seen
+    return spread(down, full & ~spread(same, full & ~(none | one)))
 
 
 def eval_tangle_direct(model: KripkeModel, members: Sequence[MuFormula],
@@ -710,9 +680,7 @@ def sigma_world_depths(model: KripkeModel, sigma: fm.SigmaClosure,
     """Per-world depth (longest strict chain of final-bearing clusters
     strictly above) together with the final-part mask."""
     final = sigma_final_part(model, sigma, cache)
-    counted = frozenset(i for i, c in enumerate(model.clusters())
-                        if final & model.cluster_mask(c[0]))
-    heights = _cluster_heights(model, counted)
+    heights = _cluster_heights(model, final)
     return [heights[model.cluster_id(w)] for w in range(model.n)], final
 
 
@@ -744,11 +712,7 @@ def eval_depth_modality(model: KripkeModel, sigma: fm.SigmaClosure, n: int,
     for v in iter_bits(final & sat):
         if depths[v] == n:
             targets |= 1 << v
-    out = targets
-    for w in range(model.n):
-        if model.succ[w] & targets:
-            out |= 1 << w
-    return out
+    return targets | dia_image(model.succ, targets)
 
 
 PruneViolation = tuple[int, str, MuFormula]

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from tanglekit import formulas as fm
 from tanglekit import models as km
+from tanglekit import semantics as sem
 from tanglekit.models import (ABSENT, ONE, SAT, CanonicalCluster, KripkeModel,
                               canonical_of_cluster, cluster_le, depth,
                               disjoint_union, enumerate_canonical_clusters,
@@ -26,6 +28,22 @@ class TestValidation:
     def test_counterexample_reported(self):
         bad = KripkeModel(["a", "b", "c"], [(0, 1), (1, 2)], {})
         assert validate_wk4(bad) == (0, 1, 2)
+
+    def test_first_violation_matches_the_edge_list(self):
+        # the least (a, b, c) in that order, read from the list of edges
+        rng = random.Random(22)
+        violated = 0
+        for seed in range(300):
+            m = random_model([], rng.randint(2, 12), seed)
+            succ = list(m.succ)
+            for _ in range(rng.randint(1, 3)):
+                succ[rng.randrange(m.n)] ^= 1 << rng.randrange(m.n)
+            edges = [(a, b) for a in range(m.n) for b in range(m.n) if succ[a] >> b & 1]
+            want = next(((a, b, c) for a, b in edges for c in range(m.n)
+                         if c != a and succ[b] >> c & 1 and not succ[a] >> c & 1), None)
+            assert validate_wk4(KripkeModel(m.labels, (), _masks=(succ, {}))) == want
+            violated += want is not None
+        assert violated > 100
 
 
 class TestClosure:
@@ -116,20 +134,6 @@ class TestClusters:
         m = KripkeModel(["a", "b"], [], {})
         assert cluster_le(m, [0], [1]) == km.NONE
 
-    def test_cluster_above_matches_the_pairwise_definition(self):
-        sizes = set()
-        for seed in range(240):
-            m = random_model(["p"], 1 + seed % 12, seed)
-            clusters = m.clusters()
-            k = len(clusters)
-            want = tuple(frozenset(j for j in range(k) if i != j and
-                                   m.succ[clusters[i][0]] >> clusters[j][0] & 1)
-                         for i in range(k))
-            assert m.cluster_above() == want
-            sizes.add((m.n, k > 1 and any(want)))
-        assert {n for n, _ in sizes} == set(range(1, 13))
-        assert all(any(ok for n, ok in sizes if n == size) for size in range(4, 13))
-
 
 def _pairwise_clusters(m):
     """Clusters as mutual access closed transitively, by a union-find over
@@ -160,6 +164,40 @@ class TestDepth:
         assert depth(m, [0]) == 2
         assert depth(m, [1]) == 1
         assert depth(m, [2]) == 0
+
+    def test_heights_match_the_pairwise_longest_chain(self):
+        sigmas = [fm.sigma_closure(fm.parse_mu(text)) for text in ("<> p", "nu x.(p & <> x)")]
+        sizes = set()
+        for seed in range(240):
+            m = random_model(["p"], 1 + seed % 12, seed)
+            want = _longest_chains(m, m.full_mask)
+            assert [depth(m, [w]) for w in range(m.n)] == want
+            for sigma in sigmas:
+                depths, final = sem.sigma_world_depths(m, sigma)
+                assert depths == _longest_chains(m, final)
+            sizes.add((m.n, max(want)))
+        assert {n for n, _ in sizes} == set(range(1, 13))
+        assert all(any(h for n, h in sizes if n == size) for size in range(4, 13))
+        assert max(h for _, h in sizes) >= 3
+
+
+def _longest_chains(m, counted):
+    """Per world u, the most clusters meeting the world set `counted` on a
+    chain u < v1 < v2 < ..., where v is strictly above u when u -> v and not
+    v -> u, by recursion over that pairwise relation."""
+    above = [[v for v in range(m.n) if m.succ[u] >> v & 1 and not m.succ[v] >> u & 1]
+             for u in range(m.n)]
+    counts = [any(counted >> w & 1 for w in range(m.n)
+                  if w == v or m.succ[v] >> w & 1 and m.succ[w] >> v & 1)
+              for v in range(m.n)]
+    memo: dict = {}
+
+    def height(u):
+        if u not in memo:
+            memo[u] = max((height(v) + counts[v] for v in above[u]), default=0)
+        return memo[u]
+
+    return [height(u) for u in range(m.n)]
 
 
 class TestStack:

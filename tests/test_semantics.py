@@ -57,6 +57,17 @@ class TestTangleDirect:
         with pytest.raises(ValueError):
             sem.eval_tangle_direct(cycle_model, [])
 
+    def test_long_strict_chain_to_a_reflexive_top(self):
+        # succ[i] = all j > i, and the top sees itself and satisfies p and q
+        n = 1500
+        full = (1 << n) - 1
+        succ = [full >> i + 1 << i + 1 for i in range(n - 1)] + [1 << n - 1]
+        top = 1 << n - 1
+        m = KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {"p": top, "q": top}))
+        members = [p("p"), p("q")]
+        assert sem.eval_tangle_direct(m, members) == full
+        assert sem.eval_mu(m, fm.expand_tangle(members)) == full
+
     def test_matches_expansion_small(self):
         literals = [p("p"), p("~p"), p("q"), p("~q")]
         gammas = [[a] for a in literals]
@@ -534,7 +545,6 @@ class TestSigmaDepth:
         m = KripkeModel([str(i) for i in range(n)], (), _masks=(succ, {"p": 1 << n - 1}))
         assert depth(m, [0]) == 1499
         assert m.clusters() == tuple((w,) for w in range(n))
-        assert m.cluster_above()[0] == frozenset(range(1, n))
         sigma = fm.sigma_closure(p("<> p"))
         assert sem.sigma_final_part(m, sigma) == _final_part_by_predecessors(m, sigma)
         assert sem.sigma_depth(m, sigma, [0]) == 2
