@@ -5,6 +5,9 @@ object, so structural equality is identity and big formulas are shared DAGs.
 Nodes are immutable; construction is effectively single-threaded, after which
 everything is safe to share.
 
+The calls that build, check or print big DAGs run with Python's cyclic
+garbage collector paused (`pauses_collector` says why that is safe).
+
 The mu-calculus AST is kept in negation normal form: negation exists only on
 propositional constants, and `negate` computes the classical dual.  The sugar
 operators (reflexive diamond `<.>` and reflexive box `[.]`) are not node
@@ -13,6 +16,8 @@ kinds; they are recognized structurally, which interning makes an O(1) check.
 
 from __future__ import annotations
 
+import functools
+import gc
 import hashlib
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -227,6 +232,26 @@ def sugar_shape(f: MuFormula) -> Optional[tuple[str, MuFormula]]:
     if f.kind == AND and f.right.kind == BOX and f.right.arg is f.left:
         return ("b", f.left)
     return None
+
+
+def pauses_collector(func: Callable) -> Callable:
+    """Run `func` with the cyclic garbage collector disabled, and enable it
+    again on every exit if it was enabled on entry; a caller that disabled
+    it keeps it disabled, so nested uses cost nothing.  A node's children
+    are built before it, so the DAG links form no cycle, and the interning
+    tables keep every node alive: the full collections that DAG building
+    would otherwise trigger over the nodes free nothing.  Cyclic garbage
+    made inside the call waits for the first collection after it."""
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _post_order(root, done: Callable, children: Optional[Callable] = None) -> Iterator:
@@ -625,6 +650,7 @@ class SigmaClosure:
         return m
 
 
+@pauses_collector
 def sigma_closure(seed: MuFormula, cap: int = 20000) -> SigmaClosure:
     """Saturate {seed} under sub*, negate and reflexive-diamond prefixing.
 
@@ -723,6 +749,7 @@ def _tangle_members_of_nu(f: MuFormula) -> Optional[list[MuFormula]]:
     return members
 
 
+@pauses_collector
 def in_tangle_fragment(f: MuFormula) -> bool:
     """True iff the formula is an image of the tangle language: binder-free
     except for fixed points that are exactly (possibly negated) tangle
@@ -884,6 +911,7 @@ def t_implies(premise: TangleFormula, conclusion: TangleFormula) -> TangleFormul
     return t_big_or([t_not(premise), conclusion])
 
 
+@pauses_collector
 def to_mu(f: TangleFormula) -> MuFormula:
     """Mu-calculus image of a tangle formula (negations pushed into NNF)."""
     memo: dict[TangleFormula, MuFormula] = {}

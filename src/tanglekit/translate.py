@@ -149,6 +149,7 @@ class Chain:
 class Translator:
     """Pair and chain tables for one closure, plus the structural formulas."""
 
+    @fm.pauses_collector
     def __init__(self, sigma: fm.SigmaClosure,
                  guards: Optional[TranslationGuards] = None):
         self.sigma = sigma
@@ -242,6 +243,7 @@ class Translator:
 
     # -- table construction ----------------------------------------------------
 
+    @fm.pauses_collector
     def build(self) -> "Translator":
         if self._built:
             return self
@@ -773,6 +775,7 @@ class Translator:
                         add(cluster, truths, None, theta)
         return triples
 
+    @fm.pauses_collector
     def characteristic(self, phi: MuFormula) -> TangleFormula:
         """Tangle formula equivalent to phi over all finite weakly transitive
         models; phi must belong to the closure (the seed always does)."""
@@ -791,6 +794,7 @@ class Translator:
 
     # -- reporting ------------------------------------------------------------------
 
+    @fm.pauses_collector
     def report(self, chi: Optional[TangleFormula] = None) -> dict:
         out = {
             "sigma_size": len(self.sigma),
@@ -810,6 +814,7 @@ class Translator:
         return out
 
 
+@fm.pauses_collector
 def translate(phi: MuFormula,
               guards: Optional[TranslationGuards] = None) -> tuple[TangleFormula, Translator]:
     """Characteristic tangle formula of a closed mu-calculus formula."""
@@ -855,6 +860,7 @@ def size_bound_ok(phi: MuFormula, chi: TangleFormula) -> bool:
 # shared-DAG text output
 
 
+@fm.pauses_collector
 def format_tangle_dag(f: TangleFormula, min_size: int = 3) -> str:
     """Render a tangle formula with `let` definitions for shared subterms."""
     # references to each node from distinct parents, and the distinct nodes

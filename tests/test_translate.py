@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import sys
@@ -377,6 +378,86 @@ def _format_dag_per_name(f, min_size=3):
     lines = [f"let {name} = {fm.print_tangle(g, names)}" for g, name in names.items()]
     lines.append(f"chi = {fm.print_tangle(f, names)}")
     return "\n".join(lines)
+
+
+class TestCollectorPause:
+    """The calls that build, check and print formula DAGs run with the
+    cyclic garbage collector paused, and leave it as they found it.  The
+    assertions name calls, not formulas: a failure report that printed chi
+    would print its tree."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @staticmethod
+    def _dag_calls(call):
+        """<> p both ways, through translate() and phase by phase as the
+        benchmark's traced pass makes the calls, then the report, the mu
+        image, the fragment check and the DAG text; true iff both ways
+        give the same interned chi."""
+        phi = p("<> p")
+        chi, translator = call(translate, phi)
+        sigma = call(fm.sigma_closure, phi)
+        traced = call(Translator, sigma)
+        call(traced.build)
+        same = call(traced.characteristic, phi) is chi
+        call(translator.report, chi)
+        image = call(fm.to_mu, chi)
+        call(fm.in_tangle_fragment, image)
+        call(format_tangle_dag, chi)
+        return same
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_entry_points_restore_collector_state(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        states = []
+
+        def call(fn, *args):
+            out = fn(*args)
+            states.append((fn.__qualname__, gc.isenabled()))
+            return out
+
+        assert self._dag_calls(call)
+        assert len(states) == 9
+        assert states == [(name, enabled) for name, _ in states]
+
+    def test_guard_error_restores_collector(self):
+        gc.enable()
+        with pytest.raises(TranslationGuardError):
+            translate(p("<> p"), TranslationGuards(max_pairs=1))
+        assert gc.isenabled()
+        translator = Translator(fm.sigma_closure(p("<> p")), TranslationGuards(max_pairs=1))
+        with pytest.raises(TranslationGuardError):
+            translator.build()
+        assert gc.isenabled()
+
+    def test_no_collection_starts_inside_the_dag_calls(self):
+        gc.enable()
+        current = [None]
+        started = []
+
+        def on_gc(phase, info):
+            if phase == "start" and current[0] is not None:
+                started.append((current[0], info["generation"]))
+
+        def call(fn, *args):
+            gc.collect(0)  # so that no young collection is due on the way in
+            current[0] = fn.__qualname__
+            try:
+                return fn(*args)
+            finally:
+                current[0] = None
+
+        gc.callbacks.append(on_gc)
+        try:
+            same = self._dag_calls(call)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert started == []
+        assert same
 
 
 class TestPackageNames:
