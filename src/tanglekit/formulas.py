@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import gc
 import hashlib
+import operator
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 # -- node kinds (shared between the two ASTs where the shape coincides)
@@ -57,7 +58,7 @@ class MuFormula:
     """One interned node of an NNF mu-calculus formula."""
 
     __slots__ = ("kind", "name", "left", "right", "arg", "var", "body",
-                 "_key", "_size", "_freevars", "_alt", "_props", "_program")
+                 "_key", "_size", "_freevars", "_alt", "_props", "_program", "_dual")
 
     def __init__(self, kind, name=None, left=None, right=None, arg=None,
                  var=None, body=None):
@@ -74,12 +75,13 @@ class MuFormula:
         self._alt = None
         self._props = None
         self._program = None
+        self._dual = None  # the NNF dual, set by `negate`
 
     # Interning makes identity the structural equality; object.__eq__ and
     # object.__hash__ are exactly what we want.
 
     def __repr__(self):
-        return f"MuFormula({print_mu(self)!r})"
+        return _repr(self, print_mu)
 
     @property
     def key(self) -> str:
@@ -317,7 +319,7 @@ def size(f) -> int:
 # negation and substitution
 
 
-_negate_memo: dict[MuFormula, MuFormula] = {}
+_dual_of = operator.attrgetter("_dual")
 
 
 def negate(f: MuFormula) -> MuFormula:
@@ -326,21 +328,20 @@ def negate(f: MuFormula) -> MuFormula:
     Fixed-point duality re-negates the bound variable, which cancels out; a
     free Var occurrence cannot be negated in NNF and raises NegationError.
     Inside a closed formula the dual of a node does not depend on where it
-    sits, so the memo is keyed by node; negation is an involution, so each
-    entry is stored both ways."""
+    sits, so it is kept on the node (`_dual`); negation is an involution, so
+    each dual is set both ways."""
     if f._freevars:
         raise NegationError(
             f"cannot negate free occurrence of variable {min(f._freevars)!r}")
-    memo = _negate_memo
-    for g in _post_order(f, memo.__contains__):
+    for g in _post_order(f, _dual_of):
         kind = g.kind
         if kind in (AND, OR):
-            left, right = memo[g.left], memo[g.right]
+            left, right = g.left._dual, g.right._dual
             out = disj(left, right) if kind == AND else conj(left, right)
         elif kind in (DIA, BOX):
-            out = box(memo[g.arg]) if kind == DIA else diamond(memo[g.arg])
+            out = box(g.arg._dual) if kind == DIA else diamond(g.arg._dual)
         elif kind in (MU, NU):
-            out = nu(g.var, memo[g.body]) if kind == MU else mu(g.var, memo[g.body])
+            out = nu(g.var, g.body._dual) if kind == MU else mu(g.var, g.body._dual)
         elif kind == VAR:
             out = g  # bound above, since the root is closed
         elif kind == PROP:
@@ -349,9 +350,9 @@ def negate(f: MuFormula) -> MuFormula:
             out = prop(g.name)
         else:
             out = bot() if kind == TOP else top()
-        memo[g] = out
-        memo[out] = g
-    return memo[f]
+        g._dual = out
+        out._dual = g
+    return f._dual
 
 
 def substitute(f: MuFormula, name: str, repl: MuFormula) -> MuFormula:
@@ -450,23 +451,18 @@ def expand_tangle(members: Sequence[MuFormula]) -> MuFormula:
 # fresh constants for fixed-point unfolding, the modified subformula
 # operator, floors, and the saturation closure
 
-_fresh_by_formula: dict[MuFormula, str] = {}
 _fresh_by_name: dict[str, MuFormula] = {}
 
 
 def fresh_constant_name(binder: MuFormula) -> str:
-    """Deterministic propositional-constant name standing for a fixed point."""
+    """Deterministic propositional-constant name standing for a fixed point:
+    the shortest prefix of its key no other binder owns, so every call
+    finds the same one."""
     if binder.kind not in (MU, NU):
         raise ValueError("fresh constants name fixed-point formulas only")
-    got = _fresh_by_formula.get(binder)
-    if got is not None:
-        return got
     for ln in range(8, 65, 8):
         name = "x_" + binder.key[:ln]
-        owner = _fresh_by_name.get(name)
-        if owner is None or owner is binder:
-            _fresh_by_formula[binder] = name
-            _fresh_by_name[name] = binder
+        if _fresh_by_name.setdefault(name, binder) is binder:
             return name
     raise RuntimeError("unresolvable fresh-name collision")
 
@@ -805,7 +801,7 @@ class TangleFormula:
         self._program = None
 
     def __repr__(self):
-        return f"TangleFormula({print_tangle(self)!r})"
+        return _repr(self, print_tangle)
 
     @property
     def key(self) -> str:
@@ -938,8 +934,8 @@ def to_mu(f: TangleFormula) -> MuFormula:
 
 
 def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:
-    """Distinct DAG nodes of f; with `limit`, the walk stops once it has
-    seen that many, so the count is min(nodes, limit)."""
+    """Distinct DAG nodes of f (a mu formula too); with `limit`, the walk
+    stops once it has seen that many, so the count is min(nodes, limit)."""
     seen: set[TangleFormula] = set()
     stack = [f]
     while stack:
@@ -951,6 +947,19 @@ def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:
             break
         stack.extend(g.children())
     return len(seen)
+
+
+# The largest tree `repr` prints as text, a few hundred kB of it.  The tree
+# of a shared DAG can be exponentially larger than the DAG, so a bigger
+# formula prints as its kind and its DAG node count.
+_REPR_SIZE = 1 << 16
+
+
+def _repr(f, printer: Callable) -> str:
+    name = type(f).__name__
+    if size(f) <= _REPR_SIZE:
+        return f"{name}({printer(f)!r})"
+    return f"<{name} {f.kind}, {tangle_dag_nodes(f)} DAG nodes>"
 
 
 # ---------------------------------------------------------------------------

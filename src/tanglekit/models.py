@@ -10,23 +10,22 @@ once each has its own bit set (`_row_clusters`, which both
 strictly above a cluster are then its representative's row outside it,
 and `_cluster_heights` settles the clusters by how many there are.
 
-Each model carries two modal memos, `_dia` and `_box`, mapping an argument
-mask to its diamond or box image (filled by `semantics._dia_mask` and
-`_box_mask`).  An image depends on `succ` alone, which never changes, so a
-memo stays valid for the model's life and may be shared by every model on
-the same frame.  A constructed model gets fresh memos; `enumerate_models`
-gives the models it yields on one frame one pair, freed with them.
+A model, like a `ModelBatch`, holds the memos of an evaluation only while
+it runs: `_dia`, `_box` and `_tangle` are None between runs (see
+`semantics._run_memos`).  What a model keeps is derived from `succ` alone:
+its clusters, and the relation rows tangle steps read (`tangle_rows()`),
+each built on first use.
 
 The models enumerated on a run of consecutive frames of one world count
 are also the copies of one `ModelBatch`, their disjoint union packed into
 wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own),
-built from the frames' successor rows.
-Such a model keeps its batch in `_batch` and the bit offset of its copy in
-`_shift`, which runs 0, n, 2n, ... across the run's frames in order; every
-other model has `_batch = None`.  A batch is built before its first model
-is yielded (its cluster relations by the first tangle step run on it) and
-holds the packed value of each root evaluated on it
-(`semantics.eval_mu`/`eval_tangle`), so these are freed with the models.
+built from the frames' successor rows.  Such a model keeps its batch in
+`_batch` and the bit offset of its copy in `_shift`, which runs 0, n, 2n,
+... across the run's frames in order; every other model has
+`_batch = None`.  A batch is built before its first model is yielded (its
+cluster relations by the first tangle step run on it) and holds the packed
+value of each root evaluated on it (`semantics.eval_mu`/`eval_tangle`), so
+these are freed with the models.
 
 `enumerate_models` yields every model up to isomorphism.  Its frames come
 from `_wk4_canonical(n)`, which lists the wK4 extensions of each canonical
@@ -93,8 +92,10 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
 
 class KripkeModel:
     # Filled on first use; an enumerated model also gets its batch and the
-    # bit offset of its copy there.
-    _clusters = _cluster_id = _cluster_masks = _tangle = _batch = None
+    # bit offset of its copy there.  `_dia`, `_box` and `_tangle` are the
+    # memos of the run in progress.
+    _clusters = _cluster_id = _cluster_masks = _tangle_rows = _batch = None
+    _dia = _box = _tangle = None
     _shift = 0
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]],
@@ -122,7 +123,6 @@ class KripkeModel:
         self.succ = tuple(succ)
         self.val = val
         self.full_mask = (1 << self.n) - 1
-        self._dia, self._box = {}, {}
 
     # -- basic views ---------------------------------------------------
 
@@ -160,6 +160,15 @@ class KripkeModel:
     def cluster_mask(self, w: int) -> int:
         self.clusters()
         return self._cluster_masks[self._cluster_id[w]]
+
+    def tangle_rows(self) -> tuple:
+        """`(same, inside, down)`, built on the first call: per world u, u's
+        cluster mask, its successors inside it, and `succ[u] | same[u]`."""
+        if self._tangle_rows is None:
+            same = [self.cluster_mask(u) for u in range(self.n)]
+            self._tangle_rows = (same, [r & c for r, c in zip(self.succ, same)],
+                                 [r | c for r, c in zip(self.succ, same)])
+        return self._tangle_rows
 
     # -- construction helpers --------------------------------------------
 
@@ -594,13 +603,12 @@ MAX_WORLDS = 5
 def enumerate_models(props: Iterable[str], max_worlds: int) -> Iterator[KripkeModel]:
     """All weakly transitive models with 1..max_worlds worlds over the given
     atoms, up to isomorphism.  Deterministic order: frames by canonical
-    relation, then valuations as the least tuple of their orbit.  The
-    models of one frame share one pair of modal memos.  Each model keeps
-    the `ModelBatch` of its run of consecutive frames in `_batch`, built
-    before the run's first model is yielded, and the offset of its copy
-    there in `_shift`.  They are filled in without `KripkeModel.__init__`'s
-    checks and copies, and a frame's valuation tuples are freed once its
-    models are yielded."""
+    relation, then valuations as the least tuple of their orbit.  Each
+    model keeps the `ModelBatch` of its run of consecutive frames in
+    `_batch`, built before the run's first model is yielded, and the offset
+    of its copy there in `_shift`.  They are filled in without
+    `KripkeModel.__init__`'s checks and copies, and a frame's valuation
+    tuples are freed once its models are yielded."""
     props = tuple(sorted(props))
     if max_worlds > MAX_WORLDS:
         raise ClusterEnumerationError(
@@ -614,7 +622,6 @@ def enumerate_models(props: Iterable[str], max_worlds: int) -> Iterator[KripkeMo
             shift = 0
             for i, (succ, valuations) in enumerate(group):
                 group[i] = None
-                dia, box = {}, {}
                 for masks in valuations:
                     model = new(KripkeModel)
                     model.labels = labels
@@ -622,8 +629,6 @@ def enumerate_models(props: Iterable[str], max_worlds: int) -> Iterator[KripkeMo
                     model.succ = succ
                     model.val = dict(zip(props, masks))
                     model.full_mask = full
-                    model._dia = dia
-                    model._box = box
                     model._batch = batch
                     model._shift = shift
                     shift += n

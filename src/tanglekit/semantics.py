@@ -28,31 +28,22 @@ result with `x`, so no function nests blocks more than three deep; running
 recurses once per nested binder only, and nothing else recurses.
 
 `run_program` runs the segments over a world-set algebra: the model gives
-the valuation and `full` (the set of all its worlds) gives top.  A diamond
-step reads the memo `D` by its argument mask and on a miss calls
-`dia(model, s, key)` with the argument's key; box steps read `B` and call
-`box` alike.  `eval_mu` and `eval_tangle` pass `_dia_mask`/`_box_mask` and
-the model's own memos.  The translator's root blocks pass empty memos and
-modalities that first read what holds above the cluster.  Tangle steps read
-the tangle state (`KripkeModel._tangle`, or the batch's), built the first
-time a program with a tangle step runs on the model: rows of the cluster
-relations and a diamond over them, so that one formula, `_tangle_compute`,
-serves models and batches.  A free variable missing from `env` raises
-`UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
-walks the formula with a stack of generators, not by recursion, and
-enumerates exact fixed points.  The tangle step's own oracle is the
-unfolded fixed point (`fm.to_mu`), run by the mu steps and `eval_mu_exact`.
-
-Modal images are memoised per frame.  `_dia_mask(model, s)` and
-`_box_mask(model, s)` look s up in the model's `_dia`/`_box` dict and on a
-miss compute the image with the memo-free `dia_image`/`box_image` over
-`model.succ` and store it.  An image depends on `succ` alone, which never
-changes, so an entry is valid for the model's life.  Models enumerated on
-one frame share one pair of memos (see `models.enumerate_models`); any
-other model has its own, and no memo outlives its models.  The translator's
-root blocks fill their realized cluster's memo through the same two.
-`eval_mu_exact` calls `dia_image`/`box_image` directly, so the oracle
-shares nothing with the fast path.
+the valuation and `full` (the set of all its worlds) gives top.  Memos live
+for one run, on a model as on a batch: `_run_memos` gives every run fresh
+ones and drops them when it ends.  A diamond step reads the memo `D` by its
+argument mask and on a miss calls `dia(model, s, key)` with the argument's
+key, which may store the image in `D` (`_dia_mask`, `_wide_dia`) or not
+(the translator's root blocks, whose modalities first read what holds above
+the cluster); box steps read `B` and call `box` alike.  Tangle steps read
+the run's tangle state: rows of the cluster relations, which the model or
+batch keeps (`tangle_rows()`), and a diamond over them, so that one
+formula, `_tangle_compute`, serves models and batches.  A free variable
+missing from `env` raises `UnboundVariableError`.  `eval_mu_exact` is the
+independent oracle: it walks the formula with a stack of generators, not
+by recursion, and enumerates exact fixed points, with `dia_image`/
+`box_image` called directly, so it shares nothing with the fast path.  The
+tangle step's own oracle is the unfolded fixed point (`fm.to_mu`), run by
+the mu steps and `eval_mu_exact`.
 
 A world's value depends only on the submodel it generates, so enumerated
 models are evaluated together, as the disjoint union `models.ModelBatch`
@@ -60,14 +51,12 @@ packs them into: one batch per run of consecutive frames of one world
 count.  `eval_mu` or `eval_tangle` on such a model, with no `env`, reads
 the root in its batch's `results` itself: the model's value is
 `value >> model._shift & full_mask`.  On a miss `_batch_value` has the
-batch run the root's segments once, with `_wide_dia`/`_wide_box` and modal
-and tangle memos that live for that run only, and keep the packed value.
-The packed algebra works on every copy at once, over masks of the copies'
-first bits: with `R[u][v]` the copies whose frame has u -> v,
-`dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u` (`_spread`), and box is
-its dual.  A tangle step spreads by the same sum over the batch's cluster
-rows, built by the first program with a tangle step run on it
-(`tangle_rows`).  Every other call (random or file models, the models
+batch run the root's segments once, with `_wide_dia`/`_wide_box`, and keep
+the packed value.  The packed algebra works on every copy at once, over
+masks of the copies' first bits: with `R[u][v]` the copies whose frame has
+u -> v, `dia(S) = OR_u (OR_v (S >> v) & R[u][v]) << u` (`_spread`), and box
+is its dual.  A tangle step spreads by the same sum over the batch's
+cluster rows.  Every other call (random or file models, the models
 `restrict` and `close` make, calls with `env`, `eval_roots`, the
 translator's root blocks) runs on the one model.
 
@@ -129,21 +118,15 @@ def box_image(succ: Sequence[int], s: int) -> int:
 
 
 def _dia_mask(model: KripkeModel, s: int, key=None) -> int:
-    """The diamond image of s, read from the model's memo `_dia`."""
-    try:
-        return model._dia[s]
-    except KeyError:
-        got = model._dia[s] = dia_image(model.succ, s)
-        return got
+    """The diamond image of s, stored in the run's memo `_dia`."""
+    got = model._dia[s] = dia_image(model.succ, s)
+    return got
 
 
 def _box_mask(model: KripkeModel, s: int, key=None) -> int:
-    """The box image of s, read from the model's memo `_box`."""
-    try:
-        return model._box[s]
-    except KeyError:
-        got = model._box[s] = box_image(model.succ, s)
-        return got
+    """The box image of s, stored in the run's memo `_box`."""
+    got = model._box[s] = box_image(model.succ, s)
+    return got
 
 
 def _step_key(g: MuFormula, scope: dict, open_keys: dict):
@@ -353,22 +336,52 @@ def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
 
 
 def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
-                D: Mapping[int, int], B: Mapping[int, int],
                 env: Optional[Mapping[str, int]] = None) -> list:
     """The values of one run of `program` under the algebra `dia`/`box` on
     `model`, as one list: `program.index` gives each key's place in it and
     `program.roots` each root's; a step shared by several roots runs once.
-    A diamond step reads the memo `D` by its argument mask and on a miss
-    calls `dia(model, s, key)`, with `key` the argument's key; box steps
-    read `B` and call `box` alike.  Tangle steps read the model's tangle
-    memo, fetched only if the program has one."""
+    The run has memos of its own (`_run_memos`).  A diamond step reads the
+    memo `_dia` by its argument mask and on a miss calls `dia(model, s,
+    key)`, with `key` the argument's key; box steps read `_box` and call
+    `box` alike.  Only the algebra fills the memos: with one that stores
+    nothing, every modal step calls it."""
     v = [None] * len(program.index)
-    T = _tangle_cache(model)[3] if program.tangles else None
     val, full = model.val, model.full_mask
     env = env or {}
-    for segment in program.segments:
-        segment(v, model, val, full, env, dia, box, D, B, T)
+    with _run_memos(model, program.tangles):
+        D, B = model._dia, model._box
+        T = model._tangle[3] if program.tangles else None
+        for segment in program.segments:
+            segment(v, model, val, full, env, dia, box, D, B, T)
     return v
+
+
+class _run_memos:
+    """The set-up of every run on a model or a batch, a context manager:
+    fresh modal memos `_dia`/`_box` and, if `tangles`, a fresh tangle state
+    `_tangle` over the target's `tangle_rows()`, `(spread, (same, inside,
+    down), witnessed, memo)`.  `spread` is the diamond over such rows
+    (`dia_image` on a model, `_spread` on a batch); `witnessed` maps a
+    member mask to the points with a witness for it inside their cluster,
+    and `memo` member masks to the result.  All three are None again once
+    the run ends, however it ends.  `run_program` and `_tangle_mask` run
+    inside it; it is a class, not a generator, since criterion 2 of the
+    acceptance tests makes a million `_tangle_mask` runs."""
+
+    __slots__ = ("target",)
+
+    def __init__(self, target: KripkeModel | ModelBatch, tangles: bool):
+        target._dia, target._box = {}, {}
+        if tangles:
+            spread = _spread if type(target) is ModelBatch else dia_image
+            target._tangle = (spread, target.tangle_rows(), {}, {})
+        self.target = target
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, *exc):
+        self.target._dia = self.target._box = self.target._tangle = None
 
 
 def _spread(rows: Sequence[Sequence[tuple[int, int]]], s: int) -> int:
@@ -403,16 +416,9 @@ def _wide_box(batch: ModelBatch, s: int, key=None) -> int:
 
 def _batch_value(batch: ModelBatch, f: MuFormula | TangleFormula) -> int:
     """f's packed value on the batch, stored in `batch.results`: the batch
-    runs f once, with modal and tangle memos for that run only."""
+    runs f once."""
     program = compile_roots((f,))
-    D, B = {}, {}
-    batch._dia, batch._box = D, B
-    if program.tangles:
-        batch._tangle = (_spread, batch.tangle_rows(), {}, {})
-    try:
-        v = run_program(batch, program, _wide_dia, _wide_box, D, B)
-    finally:
-        batch._dia = batch._box = batch._tangle = None
+    v = run_program(batch, program, _wide_dia, _wide_box)
     got = batch.results[f] = v[program.roots[0]]
     return got
 
@@ -424,8 +430,7 @@ def eval_roots(model: KripkeModel,
     by one run of their program (given, or compiled from the roots here):
     a step shared by roots runs once."""
     program = roots if type(roots) is Program else compile_roots(roots)
-    v = run_program(model, program, _dia_mask, _box_mask, model._dia,
-                    model._box, env)
+    v = run_program(model, program, _dia_mask, _box_mask, env)
     return [v[i] for i in program.roots]
 
 
@@ -509,39 +514,18 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
 # tangle evaluation
 
 
-def _tangle_cache(model: KripkeModel) -> tuple:
-    """The model's tangle state, built on first use, as `_batch_value` sets
-    a batch's: `(spread, (same, inside, down), witnessed, memo)`.  The rows
-    are per world u: u's cluster mask, its successors inside it, and
-    `succ[u] | same[u]`; `spread` is the diamond over such rows
-    (`dia_image` here, `_spread` on a batch); `witnessed` maps a member
-    mask to the points with a witness for it inside their cluster, and
-    `memo` member masks to the result."""
-    if model._tangle is None:
-        same = [model.cluster_mask(u) for u in range(model.n)]
-        rows = (same, [r & c for r, c in zip(model.succ, same)],
-                [r | c for r, c in zip(model.succ, same)])
-        model._tangle = (dia_image, rows, {}, {})
-    return model._tangle
-
-
 def _tangle_mask(model: KripkeModel, member_masks: Sequence[int]) -> int:
     """Worlds weakly below a maximal cluster in which the member multiset is
     recurrently satisfied: each cluster point either sees witnesses for every
     member inside the cluster, or satisfies one member itself and sees
-    witnesses for all the others.  Read from, or stored in, the model's
-    tangle memo."""
-    memo = _tangle_cache(model)[3]
-    key = tuple(member_masks)
-    got = memo.get(key)
-    if got is None:
-        got = memo[key] = _tangle_compute(model, key)
-    return got
+    witnesses for all the others."""
+    with _run_memos(model, True):
+        return _tangle_compute(model, tuple(member_masks))
 
 
 def _tangle_compute(model: KripkeModel | ModelBatch, key: tuple) -> int:
-    """`_tangle_mask` of the member masks `key` without the memo, on a
-    model or in every copy of a batch; the tangle state must be built.
+    """`_tangle_mask` of the member masks `key`, on a model or in every
+    copy of a batch, under the tangle state of the run in progress.
     `none` holds the points that see a witness inside their cluster for
     every member so far, `one` those that lack one for exactly one member
     (each occurrence counts) and satisfy it.  The result is the down-set of

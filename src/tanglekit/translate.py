@@ -420,17 +420,18 @@ class Translator:
         def dia(model: KripkeModel, s: int, key) -> int:
             if sky_above >> bit[key] & 1:
                 return model.full_mask
-            return sem._dia_mask(model, s)
+            return sem.dia_image(model.succ, s)
 
         def box(model: KripkeModel, s: int, key) -> int:
             if sky_above >> bit[key] & 2:
                 return 0
-            return sem._box_mask(model, s)
+            return sem.box_image(model.succ, s)
 
+        # dia and box store nothing in the run's memos, so that every modal
+        # step reaches the sky
         block = cluster.realize()
-        no_memo: dict = {}  # so that every modal step reaches the sky
         program = self._program
-        values = sem.run_program(block, program, dia, box, no_memo, no_memo)
+        values = sem.run_program(block, program, dia, box)
         sky = sky_above
         for k, i in bit.items():
             x = values[program.index[k]]

@@ -89,6 +89,17 @@ class TestPrinting:
         b = fm.conj(fm.prop("p"), fm.diamond(fm.prop("p")))
         assert a is b
 
+    def test_repr_of_a_shared_dag_is_short(self):
+        # each step doubles the tree and adds two DAG nodes: the whole text
+        # would be over two million characters
+        t, f = fm.t_prop("p"), fm.prop("p")
+        for _ in range(18):
+            t, f = fm.t_and(t, fm.t_dia(t)), fm.conj(f, fm.diamond(f))
+        assert fm.tangle_dag_nodes(t) == fm.tangle_dag_nodes(f) == 37
+        assert repr(t) == "<TangleFormula and, 37 DAG nodes>"
+        assert repr(f) == "<MuFormula and, 37 DAG nodes>"
+        assert repr(p("nu x. (p & <> x)")) == "MuFormula('nu x. p & <> x')"
+
 
 class TestPinnedText:
     """sha256 of printed text and keys over seeded corpora, as first
@@ -144,12 +155,20 @@ class TestNegate:
         assert fm.negate(fm.negate(f)) is f
 
     def test_matches_recursive_dual(self):
-        # negate's memo holds each pair both ways, so the involution tests
-        # read it back; this compares with a dual built afresh
+        # negate keeps each dual on both nodes, so the involution tests read
+        # it back; this compares with a dual built afresh
         rng = random.Random(11)
         for _ in range(2000):
             f = random_formula(rng, ["p", "q"], rng.randint(0, 6), names=["x", "y"])
             assert fm.negate(f) is _dual(f)
+
+    def test_dual_is_kept_on_both_nodes(self):
+        f = p("nu x. (r & <> [] (~q | x))")
+        assert f._dual is None
+        g = fm.negate(f)
+        assert f._dual is g and g._dual is f
+        assert f.body.left._dual is fm.neg_prop("r")
+        assert fm.neg_prop("r")._dual is f.body.left
 
     def test_open_formula_rejected_after_its_closure_was_negated(self):
         f = p("nu x. (p & <> x)")
@@ -266,6 +285,20 @@ class TestFloor:
         binder = p("nu x. <> x")
         name = fm.fresh_constant_name(binder)
         assert fm.floor(fm.neg_prop(name)) is fm.negate(binder)
+
+    def test_fresh_name_is_found_again_past_a_collision(self):
+        # the name comes from the owner table alone, so a binder whose short
+        # name is taken gets the same longer one on every call
+        binder = p("nu x. (collide & <> x)")
+        short = "x_" + binder.key[:8]
+        fm._fresh_by_name[short] = p("nu x. (other & <> x)")
+        try:
+            name = fm.fresh_constant_name(binder)
+            assert name == "x_" + binder.key[:16]
+            assert fm._fresh_by_name[name] is binder
+            assert fm.fresh_constant_name(binder) == name
+        finally:
+            del fm._fresh_by_name[short]
 
     def test_nested_fresh(self):
         outer = p("nu x. <> nu y. (x & <> y)")

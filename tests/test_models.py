@@ -474,28 +474,35 @@ def _row_masks(rows):
 
 
 class TestModalMemos:
-    def test_models_of_one_frame_share_memos(self):
+    def test_models_of_one_frame_share_no_memo(self):
+        # memos live for one run: an enumerated model holds none between
+        # runs, and while one model of a frame runs, the others hold none
+        f = fm.parse_mu("nu x. mu y. ((p & <> x) | [] y)")
         by_frame: dict = {}
         for m in enumerate_models(["p"], 3):
             by_frame.setdefault(m.succ, []).append(m)
-        memos = set()
+            sem.eval_roots(m, (f,))
+            assert m._dia is m._box is m._tangle is None
         for models in by_frame.values():
-            first = models[0]
-            assert first._dia is not first._box
-            assert all(m._dia is first._dia and m._box is first._box for m in models)
-            memos.add(id(first._dia))
-        assert len(memos) == len(by_frame) == 2 + 10 + 54
+            with sem._run_memos(models[0], True):
+                assert models[0]._dia is not models[0]._box
+                assert all(m._dia is m._box is m._tangle is None for m in models[1:])
+        assert len(by_frame) == 2 + 10 + 54
 
     def test_enumerations_and_other_models_do_not_share(self):
         one = list(enumerate_models(["p"], 2))
         two = list(enumerate_models(["p"], 2))
         assert [m.succ for m in one] == [m.succ for m in two]
-        assert all(a._dia is not b._dia and a._box is not b._box
-                   for a, b in zip(one, two))
         m = one[-1]
         copies = [KripkeModel(m.labels, (), _masks=(m.succ, m.val)), m.close(),
                   m.restrict(m.full_mask)]
-        assert all(c._dia is not m._dia and c._box is not m._box for c in copies)
+        # every run makes its own memos, kept alive here to compare them
+        memos = []
+        for model in one + two + copies + [m]:
+            with sem._run_memos(model, True):
+                memos += [model._dia, model._box, model._tangle]
+            assert model._dia is model._box is model._tangle is None
+        assert len(set(map(id, memos))) == len(memos)
 
     def test_enumerated_models_match_constructed_ones(self):
         count = 0

@@ -1,11 +1,12 @@
 import random
+from contextlib import contextmanager
 
 import pytest
 
 from tanglekit import formulas as fm
 from tanglekit import semantics as sem
-from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel, depth,
-                              enumerate_models, iter_bits, random_model)
+from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel, ModelBatch,
+                              depth, enumerate_models, iter_bits, random_model)
 from tanglekit.translate import translate
 from tests.conftest import random_formula, random_tangle_dag
 
@@ -118,8 +119,7 @@ class TestTangleFormulaEval:
         keys = [key for key, _, _ in program.steps]
         assert len(keys) == len(set(keys)) == len(program.index)
         for model in models_pq3[::7]:
-            values = sem.run_program(model, program, sem._dia_mask, sem._box_mask,
-                                     model._dia, model._box)
+            values = sem.run_program(model, program, sem._dia_mask, sem._box_mask)
             assert None not in values
             assert sem.eval_roots(model, program) == [sem.eval_tangle(model, t) for t in roots]
             for node, i in program.index.items():
@@ -171,14 +171,17 @@ class TestTangleFormulaEval:
         assert sem.eval_roots(model, program) == [sem.eval_mu(model, f) for f in roots]
 
     def test_tangle_geometry_is_built_only_for_tangle_steps(self):
+        # the rows are kept once built; the tangle state lives for one run
         model = KripkeModel(["0", "1"], [(0, 1), (1, 0)], {"p": [0]})
         sem.eval_mu(model, p("nu x. (p & <> <> x)"))
         plain = fm.t_box(fm.t_or(fm.t_not(fm.t_prop("p")), fm.t_dia(fm.t_prop("p"))))
         assert sem.eval_tangle(model, plain) == sem.eval_mu(model, fm.to_mu(plain))
-        assert model._tangle is None
+        assert model._tangle_rows is None
         t = fm.t_and(plain, fm.t_tangle([fm.t_prop("p"), fm.t_not(fm.t_prop("p"))]))
         assert sem.eval_tangle(model, t) == sem.eval_mu(model, fm.to_mu(t)) != 0
-        assert model._tangle is not None
+        rows = model._tangle_rows
+        assert rows == ([3, 3], [2, 1], [3, 3]) and model._tangle is None
+        assert sem.eval_tangle(model, t) != 0 and model.tangle_rows() is rows
 
     def test_deep_chain(self, cycle_model):
         # far beyond the interpreter's recursion limit
@@ -190,7 +193,7 @@ class TestTangleFormulaEval:
                 want = cycle_model.full_mask & ~want
             else:
                 t = fm.t_dia(t)
-                want = sem._dia_mask(cycle_model, want)
+                want = sem.dia_image(cycle_model.succ, want)
         assert sem.eval_tangle(cycle_model, t) == want
 
 
@@ -381,17 +384,17 @@ class TestCompiledMu:
 
         def dia(model, s, key):
             calls.append(("dia", key))
-            return sem._dia_mask(model, s)
+            return sem.dia_image(model.succ, s)
 
         def box(model, s, key):
             calls.append(("box", key))
-            return sem._box_mask(model, s)
+            return sem.box_image(model.succ, s)
 
         def run(*roots):
             calls.clear()
             program = sem.compile_roots(roots)
-            # empty memos, so that every modal step calls the algebra
-            values = sem.run_program(cycle_model, program, dia, box, {}, {})
+            # the algebra stores nothing, so every modal step calls it
+            values = sem.run_program(cycle_model, program, dia, box)
             assert None not in values
             assert [values[i] for i in program.roots] == [
                 sem.eval_mu(cycle_model, f) for f in roots]
@@ -738,28 +741,86 @@ class TestModalMemo:
         assert errors == ["unbound variable 'z'"] * 3
         assert f not in model._batch.results
 
-    def test_oracle_reads_no_memo(self, cycle_model):
+    def test_oracle_reads_no_memo(self, cycle_model, monkeypatch):
+        # a poisoned fast-path diamond changes eval_mu, not the oracle
         f = p("<> e")
         right = sem.eval_mu_exact(cycle_model, f)
         assert sem.eval_mu(cycle_model, f) == right
-        cycle_model._dia[cycle_model.val["e"]] = right ^ cycle_model.full_mask
+        monkeypatch.setattr(sem, "_dia_mask", lambda model, s, key=None: right ^ model.full_mask)
         assert sem.eval_mu(cycle_model, f) == right ^ cycle_model.full_mask
         assert sem.eval_mu_exact(cycle_model, f) == right
 
-    def test_tangle_steps_agree_with_a_memo_filled_by_eval_mu(self):
+    def test_tangle_steps_agree_with_a_memo_filled_by_mu_steps(self):
+        # in one run of phi and chi, chi's steps read the memo entries that
+        # phi's mu steps made first, and chi's value is the one it has alone
+        # on a fresh model, and on the batch
         phi = p("<> p")
         chi, _ = translate(phi)
+        both, alone = sem.compile_roots((phi, chi)), sem.compile_roots((chi,))
+        shared = 0
         for model in enumerate_models(("p",), 3):
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
-            # `eval_roots` takes the per-model path, which fills the frame's
-            # memo; `eval_mu` reads the model's batch
-            sem.eval_roots(model, (phi,))
-            assert model._dia
-            program = sem.compile_roots((chi,))
-            filled, empty = (sem.run_program(m, program, sem._dia_mask, sem._box_mask,
-                                             m._dia, m._box) for m in (model, fresh))
-            assert filled == empty
-            assert filled[program.roots[0]] == sem.eval_tangle(model, chi)
+            images = ([], [])
+
+            def dia(m, s, key):
+                images[m is fresh].append(s)
+                return sem._dia_mask(m, s)
+            filled = sem.run_program(model, both, dia, sem._box_mask)
+            empty = sem.run_program(fresh, alone, dia, sem._box_mask)
+            assert filled[both.roots[1]] == empty[alone.roots[0]] == sem.eval_tangle(model, chi)
+            # phi's `<> p` images first, and no mask is imaged twice in a run
+            assert images[0][0] == model.val["p"] and len(set(images[0])) == len(images[0])
+            shared += model.val["p"] in images[1]
+        assert shared
+
+
+class TestRunRule:
+    """Memos live for one run, on models as on batches: every entry point
+    sets up fresh memos and resets them when it returns or raises."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        seen = []
+        real = sem._run_memos
+
+        @contextmanager
+        def spy(target, tangles):
+            with real(target, tangles):
+                seen.append((target, target._dia, target._box, target._tangle))
+                yield
+        monkeypatch.setattr(sem, "_run_memos", spy)
+        return seen
+
+    def test_every_entry_point_resets_its_memos(self, runs):
+        f = p("nu x. mu y. ((p & <> x) | (q & [] y))")
+        t = fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_not(fm.t_prop("q")))])
+        opened = fm.mu("y", fm.disj(fm.var("z"), fm.diamond(fm.var("y"))))
+        members = [p("p"), p("<> q")]
+        calls = [lambda m: sem.eval_mu(m, f), lambda m: sem.eval_mu(m, f, {}),
+                 lambda m: sem.eval_mu(m, opened, {"z": 1}),
+                 lambda m: sem.eval_tangle(m, t), lambda m: sem.eval_roots(m, (f, t)),
+                 lambda m: sem.eval_tangle_direct(m, members),
+                 lambda m: sem._tangle_mask(m, [m.val_mask("p"), m.full_mask])]
+        enumerated = list(enumerate_models(("p", "q"), 2))
+        constructed = [KripkeModel(m.labels, (), _masks=(m.succ, m.val))
+                       for m in enumerated[::3]]
+        for model in enumerated + constructed:
+            for call in calls:
+                call(model)
+                _assert_no_memos(model)
+            with pytest.raises(sem.UnboundVariableError):
+                sem.eval_mu(model, opened)
+            _assert_no_memos(model)
+        assert {type(target) for target, *_ in runs} == {KripkeModel, ModelBatch}
+        # no two runs, and so no two models, share a memo
+        memos = [memo for _, *three in runs for memo in three if memo is not None]
+        assert len(set(map(id, memos))) == len(memos) > 2 * len(runs)
+
+
+def _assert_no_memos(model):
+    for target in (model, model._batch):
+        if target is not None:
+            assert target._dia is target._box is target._tangle is None
 
 
 def _batch_formulas():
