@@ -10,11 +10,10 @@ once each has its own bit set (`_row_clusters`, which both
 strictly above a cluster are then its representative's row outside it,
 and `_cluster_heights` settles the clusters by how many there are.
 
-A model, like a `ModelBatch`, holds the memos of an evaluation only while
-it runs: `_dia`, `_box` and `_tangle` are None between runs (see
-`semantics._run_memos`).  What a model keeps is derived from `succ` alone:
-its clusters, and the relation rows tangle steps read (`tangle_rows()`),
-each built on first use.
+A model, like a `ModelBatch`, holds nothing of an evaluation: a run's
+memos are its own locals (`semantics.run_program`).  What a model keeps is
+derived from `succ` alone: its clusters, and the relation rows tangle
+steps read (`tangle_rows()`), each built on first use.
 
 The models enumerated on a run of consecutive frames of one world count
 are also the copies of one `ModelBatch`, their disjoint union packed into
@@ -92,10 +91,8 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
 
 class KripkeModel:
     # Filled on first use; an enumerated model also gets its batch and the
-    # bit offset of its copy there.  `_dia`, `_box` and `_tangle` are the
-    # memos of the run in progress.
+    # bit offset of its copy there.
     _clusters = _cluster_id = _cluster_masks = _tangle_rows = _batch = None
-    _dia = _box = _tangle = None
     _shift = 0
 
     def __init__(self, labels: Sequence[str], edges: Iterable[tuple[int, int]],
@@ -539,12 +536,9 @@ class ModelBatch:
     first bits, as rows of pairs `(v, mask)` per world u, zero masks left
     out: `dia_rows` marks the copies whose frame has u -> v; the cluster
     relations only tangle steps read come from `tangle_rows()`, by
-    `_row_clusters`.  `results` holds each root's packed value; `_dia`,
-    `_box` and `_tangle` are the memos of the run in progress, None
-    between runs."""
+    `_row_clusters`.  `results` holds each root's packed value."""
 
-    __slots__ = ("val", "full_mask", "dia_rows", "_firsts", "_tangle_rows",
-                 "_dia", "_box", "_tangle", "results")
+    __slots__ = ("val", "full_mask", "dia_rows", "_firsts", "_tangle_rows", "results")
 
     def __init__(self, frames: Sequence[tuple[int, ...]], props: Sequence[str],
                  valuations: Sequence[Sequence[tuple[int, ...]]]):
@@ -569,7 +563,7 @@ class ModelBatch:
         self.full_mask = (1 << offset) - 1
         self.dia_rows = _rows(succ)
         self._firsts = firsts
-        self._tangle_rows = self._dia = self._box = self._tangle = None
+        self._tangle_rows = None
         self.results: dict = {}
 
     def tangle_rows(self) -> tuple:

@@ -28,16 +28,18 @@ result with `x`, so no function nests blocks more than three deep; running
 recurses once per nested binder only, and nothing else recurses.
 
 `run_program` runs the segments over a world-set algebra: the model gives
-the valuation and `full` (the set of all its worlds) gives top.  Memos live
-for one run, on a model as on a batch: `_run_memos` gives every run fresh
-ones and drops them when it ends.  A diamond step reads the memo `D` by its
-argument mask and on a miss calls `dia(model, s, key)` with the argument's
-key, which may store the image in `D` (`_dia_mask`, `_wide_dia`) or not
-(the translator's root blocks, whose modalities first read what holds above
-the cluster); box steps read `B` and call `box` alike.  Tangle steps read
-the run's tangle state: rows of the cluster relations, which the model or
-batch keeps (`tangle_rows()`), and a diamond over them, so that one
-formula, `_tangle_compute`, serves models and batches.  A free variable
+the valuation and `full` (the set of all its worlds) gives top.  A run's
+memos are locals of `run_program`, made when it starts, so nothing of a
+run is stored on the model or the batch, and runs nested in one another or
+in several threads on one model do not meet.  A diamond step reads the
+memo `D` by its argument mask and on a miss calls `dia(model, s, key, D)`
+with the argument's key, which may store the image in `D` (`_dia_mask`,
+`_wide_dia`) or not (the translator's root blocks, whose modalities first
+read what holds above the cluster); box steps read `B` and call `box`
+alike.  Tangle steps read the run's tangle state `S`: rows of the cluster
+relations, which the model or batch keeps (`tangle_rows()`), and a diamond
+over them, so that one formula, `_tangle_compute`, serves models and
+batches.  A free variable
 missing from `env` raises `UnboundVariableError`.  `eval_mu_exact` is the
 independent oracle: it walks the formula with a stack of generators, not
 by recursion, and enumerates exact fixed points, with `dia_image`/
@@ -117,15 +119,15 @@ def box_image(succ: Sequence[int], s: int) -> int:
     return out
 
 
-def _dia_mask(model: KripkeModel, s: int, key=None) -> int:
-    """The diamond image of s, stored in the run's memo `_dia`."""
-    got = model._dia[s] = dia_image(model.succ, s)
+def _dia_mask(model: KripkeModel, s: int, key, memo: dict) -> int:
+    """The diamond image of s, stored in the run's memo."""
+    got = memo[s] = dia_image(model.succ, s)
     return got
 
 
-def _box_mask(model: KripkeModel, s: int, key=None) -> int:
-    """The box image of s, stored in the run's memo `_box`."""
-    got = model._box[s] = box_image(model.succ, s)
+def _box_mask(model: KripkeModel, s: int, key, memo: dict) -> int:
+    """The box image of s, stored in the run's memo."""
+    got = memo[s] = box_image(model.succ, s)
     return got
 
 
@@ -222,13 +224,14 @@ def _unbound(name: str):
     raise UnboundVariableError(f"unbound variable {name!r}")
 
 
-# The signature of every segment.  `D`, `B` and `T` are the diamond, box
-# and tangle memos read inline.  Besides these names its source uses only
-# the locals `x` and `k` and the globals of its program: `names` (atom and
-# free variable names), `K` (the keys passed to `dia`/`box`), `F` (every
-# segment of the program), `unbound` and `tangle`.
-_HEAD = "def segment(v, model, val, full, env, dia, box, D, B, T):\n"
-_CALL = "F[{}](v, model, val, full, env, dia, box, D, B, T)"
+# The signature of every segment.  `D`, `B` and `T` are the run's diamond,
+# box and tangle memos, read inline, and `S` its tangle state.  Besides
+# these names its source uses only the locals `x` and `k` and the globals
+# of its program: `names` (atom and free variable names), `K` (the keys
+# passed to `dia`/`box`), `F` (every segment of the program), `unbound`
+# and `tangle`.
+_HEAD = "def segment(v, model, val, full, env, dia, box, D, B, T, S):\n"
+_CALL = "F[{}](v, model, val, full, env, dia, box, D, B, T, S)"
 
 
 def _step_source(i: int, kind: str, operand, index: dict, names: list,
@@ -250,14 +253,14 @@ def _step_source(i: int, kind: str, operand, index: dict, names: list,
         a = index[operand]
         return (f"x = {memo}.get(v[{a}])\n"
                 "if x is None:\n"
-                f"    x = {op}(model, v[{a}], K[{len(algebra) - 1}])\n"
+                f"    x = {op}(model, v[{a}], K[{len(algebra) - 1}], {memo})\n"
                 f"v[{i}] = x")
     if kind == TANGLE:
         members = ", ".join(f"v[{index[m]}]" for m in operand)
         return (f"k = ({members},)\n"
                 "x = T.get(k)\n"
                 "if x is None:\n"
-                "    x = T[k] = tangle(model, k)\n"
+                "    x = T[k] = tangle(S, full, k)\n"
                 f"v[{i}] = x")
     if kind == TOP:
         return f"v[{i}] = full"
@@ -340,48 +343,24 @@ def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
     """The values of one run of `program` under the algebra `dia`/`box` on
     `model`, as one list: `program.index` gives each key's place in it and
     `program.roots` each root's; a step shared by several roots runs once.
-    The run has memos of its own (`_run_memos`).  A diamond step reads the
-    memo `_dia` by its argument mask and on a miss calls `dia(model, s,
-    key)`, with `key` the argument's key; box steps read `_box` and call
-    `box` alike.  Only the algebra fills the memos: with one that stores
-    nothing, every modal step calls it."""
+    The run's memos are its own locals.  A diamond step reads the memo `D`
+    by its argument mask and on a miss calls `dia(model, s, key, D)`, with
+    `key` the argument's key; box steps read `B` and call `box` alike.
+    Only the algebra fills the memos: with one that stores nothing, every
+    modal step calls it.  A program with a tangle step also gets the
+    tangle memo `T`, from member masks to the result, and the tangle state
+    `S` (see `_tangle_compute`) over the target's `tangle_rows()`."""
     v = [None] * len(program.index)
     val, full = model.val, model.full_mask
     env = env or {}
-    with _run_memos(model, program.tangles):
-        D, B = model._dia, model._box
-        T = model._tangle[3] if program.tangles else None
-        for segment in program.segments:
-            segment(v, model, val, full, env, dia, box, D, B, T)
+    D, B = {}, {}
+    T = S = None
+    if program.tangles:
+        T = {}
+        S = (_spread if type(model) is ModelBatch else dia_image, model.tangle_rows(), {})
+    for segment in program.segments:
+        segment(v, model, val, full, env, dia, box, D, B, T, S)
     return v
-
-
-class _run_memos:
-    """The set-up of every run on a model or a batch, a context manager:
-    fresh modal memos `_dia`/`_box` and, if `tangles`, a fresh tangle state
-    `_tangle` over the target's `tangle_rows()`, `(spread, (same, inside,
-    down), witnessed, memo)`.  `spread` is the diamond over such rows
-    (`dia_image` on a model, `_spread` on a batch); `witnessed` maps a
-    member mask to the points with a witness for it inside their cluster,
-    and `memo` member masks to the result.  All three are None again once
-    the run ends, however it ends.  `run_program` and `_tangle_mask` run
-    inside it; it is a class, not a generator, since criterion 2 of the
-    acceptance tests makes a million `_tangle_mask` runs."""
-
-    __slots__ = ("target",)
-
-    def __init__(self, target: KripkeModel | ModelBatch, tangles: bool):
-        target._dia, target._box = {}, {}
-        if tangles:
-            spread = _spread if type(target) is ModelBatch else dia_image
-            target._tangle = (spread, target.tangle_rows(), {}, {})
-        self.target = target
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, *exc):
-        self.target._dia = self.target._box = self.target._tangle = None
 
 
 def _spread(rows: Sequence[Sequence[tuple[int, int]]], s: int) -> int:
@@ -399,18 +378,18 @@ def _spread(rows: Sequence[Sequence[tuple[int, int]]], s: int) -> int:
     return out
 
 
-def _wide_dia(batch: ModelBatch, s: int, key=None) -> int:
+def _wide_dia(batch: ModelBatch, s: int, key, memo: dict) -> int:
     """The diamond image of s in every copy of the batch at once, stored
-    in the batch's memo `_dia`."""
-    got = batch._dia[s] = _spread(batch.dia_rows, s)
+    in the run's memo."""
+    got = memo[s] = _spread(batch.dia_rows, s)
     return got
 
 
-def _wide_box(batch: ModelBatch, s: int, key=None) -> int:
+def _wide_box(batch: ModelBatch, s: int, key, memo: dict) -> int:
     """The box image of s in every copy of the batch at once (the dual of
-    the diamond), stored in the batch's memo `_box`."""
+    the diamond), stored in the run's memo."""
     full = batch.full_mask
-    got = batch._box[s] = full & ~_spread(batch.dia_rows, full & ~s)
+    got = memo[s] = full & ~_spread(batch.dia_rows, full & ~s)
     return got
 
 
@@ -514,25 +493,22 @@ def eval_mu_exact(model: KripkeModel, f: MuFormula,
 # tangle evaluation
 
 
-def _tangle_mask(model: KripkeModel, member_masks: Sequence[int]) -> int:
-    """Worlds weakly below a maximal cluster in which the member multiset is
-    recurrently satisfied: each cluster point either sees witnesses for every
-    member inside the cluster, or satisfies one member itself and sees
-    witnesses for all the others."""
-    with _run_memos(model, True):
-        return _tangle_compute(model, tuple(member_masks))
-
-
-def _tangle_compute(model: KripkeModel | ModelBatch, key: tuple) -> int:
-    """`_tangle_mask` of the member masks `key`, on a model or in every
-    copy of a batch, under the tangle state of the run in progress.
+def _tangle_compute(state: tuple, full: int, key: tuple) -> int:
+    """Worlds weakly below a maximal cluster in which the multiset of the
+    member masks `key` is recurrently satisfied: each cluster point either
+    sees witnesses for every member inside the cluster, or satisfies one
+    member itself and sees witnesses for all the others.  It runs on a
+    model or in every copy of a batch, whose set of all worlds is `full`,
+    under the tangle state `(spread, (same, inside, down), witnessed)`:
+    `spread` is the diamond over the rows of the cluster relations
+    (`dia_image` on a model, `_spread` on a batch), and `witnessed` maps a
+    member mask to the points with a witness for it inside their cluster.
     `none` holds the points that see a witness inside their cluster for
     every member so far, `one` those that lack one for exactly one member
     (each occurrence counts) and satisfy it.  The result is the down-set of
     the clusters all of whose points are in either.  Compiled tangle steps
     call this on a memo miss and store the result themselves."""
-    spread, (same, inside, down), witnessed, _ = model._tangle
-    full = model.full_mask
+    spread, (same, inside, down), witnessed = state
     none, one = full, 0
     for m in key:
         seen = witnessed.get(m)
@@ -550,7 +526,8 @@ def eval_tangle_direct(model: KripkeModel, members: Sequence[MuFormula],
     model by the program kept on it."""
     if not members:
         raise ValueError("tangle of an empty multiset")
-    return _tangle_mask(model, [eval_roots(model, (m,), env)[0] for m in members])
+    masks = tuple(eval_roots(model, (m,), env)[0] for m in members)
+    return _tangle_compute((dia_image, model.tangle_rows(), {}), model.full_mask, masks)
 
 
 def eval_tangle(model: KripkeModel, f: TangleFormula) -> int:

@@ -417,12 +417,12 @@ class Translator:
             return got
         bit = self._sky_bit
 
-        def dia(model: KripkeModel, s: int, key) -> int:
+        def dia(model: KripkeModel, s: int, key, memo: dict) -> int:
             if sky_above >> bit[key] & 1:
                 return model.full_mask
             return sem.dia_image(model.succ, s)
 
-        def box(model: KripkeModel, s: int, key) -> int:
+        def box(model: KripkeModel, s: int, key, memo: dict) -> int:
             if sky_above >> bit[key] & 2:
                 return 0
             return sem.box_image(model.succ, s)

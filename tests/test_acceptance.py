@@ -72,17 +72,17 @@ def test_criterion_1_example_fidelity(cycle):
 def test_criterion_2_tangle_duality():
     t0 = time.time()
     lits = [fm.prop("p"), fm.neg_prop("p"), fm.prop("q"), fm.neg_prop("q")]
-    gammas = [[a] for a in lits]
-    gammas += [[a, b] for i, a in enumerate(lits) for b in lits[i:]]
-    expansions = [fm.expand_tangle(g) for g in gammas]
-    # the literals and the expansions are one set of roots, run once per model
-    program = sem.compile_roots(lits + expansions)
+    t_lits = [fm.t_prop("p"), fm.t_not(fm.t_prop("p")), fm.t_prop("q"), fm.t_not(fm.t_prop("q"))]
+    gammas = [[i] for i in range(4)] + [[i, j] for i in range(4) for j in range(i, 4)]
+    expansions = [fm.expand_tangle([lits[i] for i in g]) for g in gammas]
+    # the direct side: tangle steps, read by the cluster reading
+    # `_tangle_compute`; both sides are one set of roots, run once per model
+    tangles = [fm.t_tangle([t_lits[i] for i in g]) for g in gammas]
+    program = sem.compile_roots(expansions + tangles)
     checked = bad = 0
     for model in enumerate_models(["p", "q"], 4):
         values = sem.eval_roots(model, program)
-        masks = dict(zip(lits, values))
-        for gamma, unfolded in zip(gammas, values[len(lits):]):
-            direct = sem._tangle_mask(model, [masks[m] for m in gamma])
+        for unfolded, direct in zip(values[:len(gammas)], values[len(gammas):]):
             checked += 1
             bad += direct != unfolded
     elapsed = time.time() - t0

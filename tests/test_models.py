@@ -473,20 +473,36 @@ def _row_masks(rows):
     return {(u, v): mask for u, row in enumerate(rows) for v, mask in row}
 
 
+def _memos_of_a_run(model, program):
+    """The distinct memos handed to the algebra by one run of the program
+    on the model, which holds only its own fields afterwards."""
+    seen = []
+
+    def dia(m, s, key, memo):
+        seen.append(memo)
+        return sem._dia_mask(m, s, key, memo)
+
+    def box(m, s, key, memo):
+        seen.append(memo)
+        return sem._box_mask(m, s, key, memo)
+    sem.run_program(model, program, dia, box)
+    assert set(vars(model)) <= {"labels", "n", "succ", "val", "full_mask", "_batch", "_shift"}
+    return list({id(memo): memo for memo in seen}.values())
+
+
 class TestModalMemos:
     def test_models_of_one_frame_share_no_memo(self):
-        # memos live for one run: an enumerated model holds none between
-        # runs, and while one model of a frame runs, the others hold none
+        # memos live for one run: each run on a model of a frame is handed
+        # memos of its own, and none stays on the model
         f = fm.parse_mu("nu x. mu y. ((p & <> x) | [] y)")
+        program = sem.compile_roots((f,))
         by_frame: dict = {}
         for m in enumerate_models(["p"], 3):
             by_frame.setdefault(m.succ, []).append(m)
-            sem.eval_roots(m, (f,))
-            assert m._dia is m._box is m._tangle is None
-        for models in by_frame.values():
-            with sem._run_memos(models[0], True):
-                assert models[0]._dia is not models[0]._box
-                assert all(m._dia is m._box is m._tangle is None for m in models[1:])
+        runs = [_memos_of_a_run(m, program) for models in by_frame.values() for m in models]
+        assert all(len(run) == 2 for run in runs)
+        memos = [memo for run in runs for memo in run]
+        assert len(set(map(id, memos))) == len(memos)
         assert len(by_frame) == 2 + 10 + 54
 
     def test_enumerations_and_other_models_do_not_share(self):
@@ -496,12 +512,10 @@ class TestModalMemos:
         m = one[-1]
         copies = [KripkeModel(m.labels, (), _masks=(m.succ, m.val)), m.close(),
                   m.restrict(m.full_mask)]
-        # every run makes its own memos, kept alive here to compare them
-        memos = []
-        for model in one + two + copies + [m]:
-            with sem._run_memos(model, True):
-                memos += [model._dia, model._box, model._tangle]
-            assert model._dia is model._box is model._tangle is None
+        program = sem.compile_roots((fm.parse_mu("<> [] p"),))
+        memos = [memo for model in one + two + copies + [m]
+                 for memo in _memos_of_a_run(model, program)]
+        assert len(memos) == 2 * (len(one) + len(two) + len(copies) + 1)
         assert len(set(map(id, memos))) == len(memos)
 
     def test_enumerated_models_match_constructed_ones(self):

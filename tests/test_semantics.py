@@ -1,5 +1,6 @@
 import random
-from contextlib import contextmanager
+import sys
+import threading
 
 import pytest
 
@@ -180,7 +181,8 @@ class TestTangleFormulaEval:
         t = fm.t_and(plain, fm.t_tangle([fm.t_prop("p"), fm.t_not(fm.t_prop("p"))]))
         assert sem.eval_tangle(model, t) == sem.eval_mu(model, fm.to_mu(t)) != 0
         rows = model._tangle_rows
-        assert rows == ([3, 3], [2, 1], [3, 3]) and model._tangle is None
+        assert rows == ([3, 3], [2, 1], [3, 3])
+        _assert_frame_data_only(model)
         assert sem.eval_tangle(model, t) != 0 and model.tangle_rows() is rows
 
     def test_deep_chain(self, cycle_model):
@@ -382,11 +384,11 @@ class TestCompiledMu:
     def test_custom_algebra_and_steps_shared_by_roots(self, cycle_model):
         calls = []
 
-        def dia(model, s, key):
+        def dia(model, s, key, memo):
             calls.append(("dia", key))
             return sem.dia_image(model.succ, s)
 
-        def box(model, s, key):
+        def box(model, s, key, memo):
             calls.append(("box", key))
             return sem.box_image(model.succ, s)
 
@@ -746,7 +748,7 @@ class TestModalMemo:
         f = p("<> e")
         right = sem.eval_mu_exact(cycle_model, f)
         assert sem.eval_mu(cycle_model, f) == right
-        monkeypatch.setattr(sem, "_dia_mask", lambda model, s, key=None: right ^ model.full_mask)
+        monkeypatch.setattr(sem, "_dia_mask", lambda model, s, key, memo: right ^ model.full_mask)
         assert sem.eval_mu(cycle_model, f) == right ^ cycle_model.full_mask
         assert sem.eval_mu_exact(cycle_model, f) == right
 
@@ -762,9 +764,9 @@ class TestModalMemo:
             fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
             images = ([], [])
 
-            def dia(m, s, key):
+            def dia(m, s, key, memo):
                 images[m is fresh].append(s)
-                return sem._dia_mask(m, s)
+                return sem._dia_mask(m, s, key, memo)
             filled = sem.run_program(model, both, dia, sem._box_mask)
             empty = sem.run_program(fresh, alone, dia, sem._box_mask)
             assert filled[both.roots[1]] == empty[alone.roots[0]] == sem.eval_tangle(model, chi)
@@ -775,23 +777,22 @@ class TestModalMemo:
 
 
 class TestRunRule:
-    """Memos live for one run, on models as on batches: every entry point
-    sets up fresh memos and resets them when it returns or raises."""
+    """Memos live for one run, on models as on batches: every run makes
+    its own, as locals, and nothing of it stays on the model or batch."""
 
     @pytest.fixture
-    def runs(self, monkeypatch):
+    def memos(self, monkeypatch):
+        # (target, memo) per call of the algebra; the memos are kept alive,
+        # so no two of them share an id
         seen = []
-        real = sem._run_memos
-
-        @contextmanager
-        def spy(target, tangles):
-            with real(target, tangles):
-                seen.append((target, target._dia, target._box, target._tangle))
-                yield
-        monkeypatch.setattr(sem, "_run_memos", spy)
+        for name in ("_dia_mask", "_box_mask", "_wide_dia", "_wide_box"):
+            def spy(target, s, key, memo, real=getattr(sem, name)):
+                seen.append((target, memo))
+                return real(target, s, key, memo)
+            monkeypatch.setattr(sem, name, spy)
         return seen
 
-    def test_every_entry_point_resets_its_memos(self, runs):
+    def test_every_entry_point_runs_with_its_own_memos(self, memos):
         f = p("nu x. mu y. ((p & <> x) | (q & [] y))")
         t = fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_not(fm.t_prop("q")))])
         opened = fm.mu("y", fm.disj(fm.var("z"), fm.diamond(fm.var("y"))))
@@ -799,28 +800,93 @@ class TestRunRule:
         calls = [lambda m: sem.eval_mu(m, f), lambda m: sem.eval_mu(m, f, {}),
                  lambda m: sem.eval_mu(m, opened, {"z": 1}),
                  lambda m: sem.eval_tangle(m, t), lambda m: sem.eval_roots(m, (f, t)),
-                 lambda m: sem.eval_tangle_direct(m, members),
-                 lambda m: sem._tangle_mask(m, [m.val_mask("p"), m.full_mask])]
+                 lambda m: sem.eval_tangle_direct(m, members)]
         enumerated = list(enumerate_models(("p", "q"), 2))
         constructed = [KripkeModel(m.labels, (), _masks=(m.succ, m.val))
                        for m in enumerated[::3]]
+        runs = []  # the memos handed to the algebra by each call
         for model in enumerated + constructed:
             for call in calls:
+                start = len(memos)
                 call(model)
-                _assert_no_memos(model)
+                runs.append({id(memo) for _, memo in memos[start:]})
+                _assert_frame_data_only(model)
             with pytest.raises(sem.UnboundVariableError):
                 sem.eval_mu(model, opened)
-            _assert_no_memos(model)
-        assert {type(target) for target, *_ in runs} == {KripkeModel, ModelBatch}
-        # no two runs, and so no two models, share a memo
-        memos = [memo for _, *three in runs for memo in three if memo is not None]
-        assert len(set(map(id, memos))) == len(memos) > 2 * len(runs)
+            _assert_frame_data_only(model)
+        assert {type(target) for target, _ in memos} == {KripkeModel, ModelBatch}
+        # a diamond memo and a box memo per run of f; no two runs, and so
+        # no two models, share one
+        assert max(map(len, runs)) == 2
+        assert sum(map(len, runs)) == len(set().union(*runs)) > 2 * len(calls)
+
+    def test_a_run_nested_in_a_run_on_one_target(self):
+        # the outer run's algebra first runs another root on the same model
+        # (then on the same batch) and then stores into its own memo
+        f = p("nu x. mu y. ((p & <> x) | (q & [] y))")
+        inner = p("mu y. (p | <> y)")
+        for model in [random_model(["p", "q"], 6, 3), list(enumerate_models(("p", "q"), 3))[-1]]:
+            batch = model._batch
+            want = sem.eval_mu(KripkeModel(model.labels, (), _masks=(model.succ, model.val)), f)
+            real = sem._wide_dia if batch else sem._dia_mask
+            nested = []
+
+            def dia(m, s, key, memo):
+                nested.append(sem.eval_mu(model, inner))
+                return real(m, s, key, memo)
+            program = sem.compile_roots((f,))
+            v = sem.run_program(batch or model, program, dia,
+                                sem._wide_box if batch else sem._box_mask)
+            got = v[program.roots[0]]
+            if batch:
+                got = got >> model._shift & model.full_mask
+            assert nested and got == sem.eval_mu(model, f) == want
+
+    def test_threads_on_one_shared_model(self):
+        model = random_model(["p", "q"], 12, 7)
+        roots = [p("nu x. mu y. ((p & <> x) | (q & [] y))"),
+                 p("mu x. nu y. ((p | <> x) & [] (q | y))"),
+                 fm.t_and(fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_prop("q"))]),
+                          fm.t_box(fm.t_not(fm.t_prop("q"))))]
+        # built and compiled before the threads start: only evaluation is
+        # shared between them
+        want = [sem.eval_mu(model, f) for f in roots]
+        got, errors = [], []
+
+        def work():
+            try:
+                for _ in range(100):
+                    got.append([sem.eval_mu(model, f) for f in roots])
+            except Exception as error:
+                errors.append(error)
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and got == [want] * 400
+        _assert_frame_data_only(model)
 
 
-def _assert_no_memos(model):
-    for target in (model, model._batch):
-        if target is not None:
-            assert target._dia is target._box is target._tangle is None
+# What a model or a batch may hold: its construction, the frame-derived
+# clusters and tangle rows, an enumerated model's batch and copy offset,
+# and a batch's packed root values
+_MODEL_FIELDS = {"labels", "n", "succ", "val", "full_mask", "_batch", "_shift",
+                 "_clusters", "_cluster_id", "_cluster_masks", "_tangle_rows"}
+_BATCH_FIELDS = {"val", "full_mask", "dia_rows", "_firsts", "_tangle_rows", "results"}
+
+
+def _assert_frame_data_only(model):
+    assert set(vars(model)) <= _MODEL_FIELDS
+    if model._batch is not None:
+        assert set(ModelBatch.__slots__) == _BATCH_FIELDS
+        assert all(type(value) is int for value in model._batch.results.values())
 
 
 def _batch_formulas():
@@ -856,8 +922,8 @@ class TestBatches:
                 assert packed == own, (
                     f"first mismatch: {model.to_dict()} on {f}: batch {packed}, "
                     f"fresh model {own}")
-                # a batch's memos live for one root's run only
-                assert batch._dia is batch._box is batch._tangle is None
+                # nothing of a run stays on the model or its batch
+                _assert_frame_data_only(model)
             count += 1
         assert count == {3: 2848, 4: 5089}[size]
         # some batches hold frames of different cluster shapes
