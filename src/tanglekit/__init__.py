@@ -7,8 +7,8 @@ from .formulas import (ClosureOverflowError, FormulaSyntaxError, MuFormula,
                        alternation_free, big_and, big_or, bot, box, conj,
                        diamond, disj, dot_box, dot_diamond, expand_tangle,
                        floor, in_tangle_fragment, mu, neg_prop, negate, nu,
-                       parse_mu, print_mu, print_tangle, prop, sigma_closure,
-                       size, sub_star, to_mu, top, var)
+                       parse_mu, print_mu, prop, sigma_closure, size,
+                       sub_star, to_mu, top, var)
 from .models import (CanonicalCluster, KripkeModel, ModelFormatError,
                      canonical_of_cluster, cluster_le, depth, disjoint_union,
                      enumerate_canonical_clusters, enumerate_models,

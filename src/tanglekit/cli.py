@@ -107,8 +107,7 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def _fuzz_models(args):
-    props = [p for p in (args.props.split(",") if args.props else []) if p]
+def _fuzz_models(args, props: list):
     if args.exhaustive:
         yield from enumerate_models(props, args.size)
     else:
@@ -134,10 +133,10 @@ def cmd_fuzz(args) -> int:
         right_eval = lambda model: sem.eval_mu(model, right)
     else:
         raise UsageError("need a second formula or --chi")
-    if not args.props:
-        args.props = ",".join(sorted(atoms))
+    # each name once, stripped; with no name left, the formulas' atoms
+    props = list(dict.fromkeys(filter(None, map(str.strip, args.props.split(",")))))
     checked = 0
-    for model in _fuzz_models(args):
+    for model in _fuzz_models(args, props or sorted(atoms)):
         checked += 1
         lmask = sem.eval_mu(model, left)
         rmask = right_eval(model)

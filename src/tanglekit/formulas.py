@@ -81,7 +81,7 @@ class MuFormula:
     # object.__hash__ are exactly what we want.
 
     def __repr__(self):
-        return _repr(self, print_mu)
+        return _repr(self, _mu_parts, _mu_entry)
 
     @property
     def key(self) -> str:
@@ -642,7 +642,7 @@ class SigmaClosure:
         if m is None:
             m = self._canonical[f] = canonical_member(f)
         if m not in self.members:
-            raise KeyError(f"not a closure member: {print_mu(f)}")
+            raise KeyError(f"not a closure member: {f!r}")
         return m
 
 
@@ -801,7 +801,7 @@ class TangleFormula:
         self._program = None
 
     def __repr__(self):
-        return _repr(self, print_tangle)
+        return _repr(self, TangleFormula.children, _tangle_entry)
 
     @property
     def key(self) -> str:
@@ -933,9 +933,8 @@ def to_mu(f: TangleFormula) -> MuFormula:
     return memo[f]
 
 
-def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:
-    """Distinct DAG nodes of f (a mu formula too); with `limit`, the walk
-    stops once it has seen that many, so the count is min(nodes, limit)."""
+def tangle_dag_nodes(f: TangleFormula) -> int:
+    """Distinct DAG nodes of f (a mu formula too)."""
     seen: set[TangleFormula] = set()
     stack = [f]
     while stack:
@@ -943,8 +942,6 @@ def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:
         if g in seen:
             continue
         seen.add(g)
-        if len(seen) == limit:
-            break
         stack.extend(g.children())
     return len(seen)
 
@@ -955,10 +952,10 @@ def tangle_dag_nodes(f: TangleFormula, limit: Optional[int] = None) -> int:
 _REPR_SIZE = 1 << 16
 
 
-def _repr(f, printer: Callable) -> str:
+def _repr(f, parts: Callable, entry: Callable) -> str:
     name = type(f).__name__
     if size(f) <= _REPR_SIZE:
-        return f"{name}({printer(f)!r})"
+        return f"{name}({_print(f, parts, entry)!r})"
     return f"<{name} {f.kind}, {tangle_dag_nodes(f)} DAG nodes>"
 
 
@@ -1131,28 +1128,33 @@ def _operator_text(op: str, entries: list) -> tuple:
     return _PREFIX[op] + _parens(entries[0], _PREC_UNARY), _PREC_UNARY
 
 
-def _print(f, parts: Callable, entry: Callable) -> str:
+def _print(f, parts: Callable, entry: Callable,
+           share: Optional[Callable] = None) -> str:
     """The printing fold.  `parts(g)` are the nodes whose texts g's text is
     made from, and `entry(g, texts)` is g's (text, precedence), read from
-    theirs in `texts`.  A node claims its parts when the walk enters it, and
-    a text is dropped once every claim on it is met, so only texts still
-    awaited are kept."""
-    texts: dict = {}
-    claims: dict = {}
-    claimed: dict = {}
+    theirs in `texts`.  One walk lists the distinct nodes and counts each
+    one's parents; then each node's text is made once, and dropped after its
+    last parent has read it.  With `share`, a node with two or more parents
+    gets `share(g, entry)` as its entry."""
+    made_of: dict = {}
+    parents: dict = {}
 
-    def claim(g) -> tuple:
-        nodes = claimed[g] = parts(g)
+    def count(g) -> tuple:
+        nodes = made_of[g] = parts(g)
         for c in nodes:
-            claims[c] = claims.get(c, 0) + 1
+            parents[c] = parents.get(c, 0) + 1
         return nodes
 
-    for g in _post_order(f, texts.__contains__, claim):
-        texts[g] = entry(g, texts)
-        for c in claimed.pop(g):
-            claims[c] -= 1
-            if not claims[c]:
-                del texts[c], claims[c]
+    # a node is done once entered: formulas are acyclic, so the walk is the
+    # same, and it must list every node before the first text is made
+    texts: dict = {}
+    for g in list(_post_order(f, made_of.__contains__, count)):
+        text = entry(g, texts)
+        texts[g] = text if share is None or parents.get(g, 0) < 2 else share(g, text)
+        for c in made_of.pop(g):
+            parents[c] -= 1
+            if not parents[c]:
+                del texts[c]
     return texts[f][0]
 
 
@@ -1179,29 +1181,39 @@ def _mu_entry(g: MuFormula, texts: dict) -> tuple:
 
 
 def print_mu(f: MuFormula) -> str:
+    """Canonical text of f as a tree.  A shared subterm prints once per
+    occurrence, so on a shared DAG the text can be exponentially longer
+    than the DAG; `repr` prints the tree only up to `_REPR_SIZE` nodes."""
     return _print(f, _mu_parts, _mu_entry)
 
 
-def tangle_entry(g: TangleFormula, texts: Mapping, names: Mapping) -> tuple:
-    """(text, precedence) of tangle node g, the one step of every tangle
-    printer: a child with a name in `names` prints as that name, any other
-    child as its entry in `texts`."""
+def _tangle_entry(g: TangleFormula, texts: Mapping) -> tuple:
     kind = g.kind
     if kind in (TOP, PROP):
         return "T" if kind == TOP else g.name, _PREC_ATOM
     if g is _T_BOT:
         return "F", _PREC_ATOM
-    entries = [(names[c], _PREC_ATOM) if c in names else texts[c]
-               for c in g.children()]
+    entries = [texts[c] for c in g.children()]
     if kind == TANGLE:
         return "<inf>{" + ", ".join(text for text, _ in entries) + "}", _PREC_ATOM
     return _operator_text(kind, entries)
 
 
-def print_tangle(f: TangleFormula,
-                 names: Optional[Mapping[TangleFormula, str]] = None) -> str:
-    """Canonical text of a tangle formula.  With `names`, every proper
-    subterm that has a name prints as that name, so the walk stops there."""
-    names = names or {}
-    return _print(f, lambda g: [c for c in g.children() if c not in names],
-                  lambda g, texts: tangle_entry(g, texts, names))
+@pauses_collector
+def format_tangle_dag(f: TangleFormula) -> str:
+    """Render a tangle formula with `let` definitions for shared subterms:
+    a node with two or more parents and at least three distinct nodes is
+    printed once, on a `let d<i>` line, and its parents print its name."""
+    lines = []
+
+    def share(g, entry: tuple) -> tuple:
+        # fewer than three distinct nodes: no children, or one leaf child
+        cs = g.children()
+        if not cs or (not cs[0].children() and len(set(cs)) == 1):
+            return entry
+        name = f"d{len(lines)}"
+        lines.append(f"let {name} = {entry[0]}")
+        return name, _PREC_ATOM
+
+    lines.append(f"chi = {_print(f, TangleFormula.children, _tangle_entry, share)}")
+    return "\n".join(lines)

@@ -44,10 +44,10 @@ Scaling notes, all semantically transparent:
   depends on fact sets, they are sorted by the ascending tuple of their
   bit positions, which is the sorted `(depth, index)` order; that key is
   memoised per fact set.
-- `format_tangle_dag` prints every node once, in one pass over the DAG's
-  post-order, and names a shared node only if it has at least `min_size`
-  distinct nodes; that walk stops as soon as it has seen `min_size`, so
-  printing stays linear in the DAG.
+- `format_tangle_dag` (from `formulas`) prints every node once, in one
+  pass over the DAG's post-order, and names a node with two or more
+  parents if it has at least three distinct nodes, which its children
+  tell without a walk; so printing stays linear in the DAG.
 - Semi-rooted chains are not materialized one by one: their contribution to
   the split formula is grouped per (prefix chain, root cluster), with the
   disjunction over root-fact sets collapsed through the fact formulas, which
@@ -60,7 +60,8 @@ from typing import Iterable, Optional
 
 from . import formulas as fm
 from . import semantics as sem
-from .formulas import MuFormula, TangleFormula
+# `format_tangle_dag` is re-exported: the CLI and perfbench import it from here
+from .formulas import MuFormula, TangleFormula, format_tangle_dag
 from .models import (ONE, SAT, CanonicalCluster, KripkeModel, disjoint_union,
                      enumerate_canonical_clusters, iter_bits, stack)
 
@@ -855,52 +856,3 @@ def size_bound_ok(phi: MuFormula, chi: TangleFormula) -> bool:
     if log_floor < bound:
         return True
     return log_floor == bound and tree & (tree - 1) == 0
-
-
-# ---------------------------------------------------------------------------
-# shared-DAG text output
-
-
-@fm.pauses_collector
-def format_tangle_dag(f: TangleFormula, min_size: int = 3) -> str:
-    """Render a tangle formula with `let` definitions for shared subterms."""
-    # references to each node from distinct parents, and the distinct nodes
-    # in post-order (children left to right); on the stack, None means the
-    # node under it is finished
-    counts: dict[TangleFormula, int] = {f: 1}
-    order: list[TangleFormula] = []
-    expanded = set()
-    stack: list = [f]
-    while stack:
-        g = stack.pop()
-        if g is None:
-            order.append(stack.pop())
-        elif g not in expanded:
-            expanded.add(g)
-            children = g.children()
-            for c in children:
-                counts[c] = counts.get(c, 0) + 1
-            stack += (g, None)
-            stack += reversed(children)
-    # one pass over the post-order: a node's text is made from its
-    # children's, and a child's text is dropped once its last parent has
-    # read it; a named node's text goes to its `let` line, and its parents
-    # print its name
-    names: dict[TangleFormula, str] = {}
-    texts: dict[TangleFormula, tuple] = {}
-    lines = []
-    bottom = fm.t_bot()
-    for g in order:
-        entry = fm.tangle_entry(g, texts, names)
-        for c in g.children():
-            counts[c] -= 1
-            if not counts[c]:
-                texts.pop(c, None)
-        if (counts[g] < 2 or g.kind in (fm.TOP, fm.PROP) or g is bottom
-                or fm.tangle_dag_nodes(g, limit=min_size) < min_size):
-            texts[g] = entry
-        else:
-            names[g] = f"d{len(names)}"
-            lines.append(f"let {names[g]} = {entry[0]}")
-    lines.append(f"chi = {texts[f][0]}")
-    return "\n".join(lines)

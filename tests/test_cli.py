@@ -177,9 +177,13 @@ class TestFuzz:
     @pytest.mark.parametrize("argv", [
         ["p", "p | q", "--size", "3", "--models", "50"],
         ["p", "p | q", "--exhaustive", "--size", "2"],
-        ["F", "q", "--exhaustive", "--size", "2"]])
+        ["F", "q", "--exhaustive", "--size", "2"],
+        ["p", "p | q", "--exhaustive", "--size", "2", "--props", ","],
+        ["p", "p | q", "--exhaustive", "--size", "2", "--props", " , "],
+        ["p", "p | q", "--exhaustive", "--size", "2", "--props", " p , q , p"]])
     def test_default_atoms_are_those_of_both_formulas(self, argv, capsys):
-        # without --props the models range over the atoms of A and of B
+        # without --props, or with no name in it, the models range over the
+        # atoms of A and of B; each name is stripped and counted once
         assert main(["fuzz-equiv", *argv]) == 1
         assert "q" in json.loads(capsys.readouterr().out)["model"]["val"]
 

@@ -705,7 +705,7 @@ class TestModalMemo:
                     image = (sem.eval_mu(fresh, images[t])
                              if t in hand or model.n < size else own)
                     assert packed == own == image, (
-                        f"first mismatch: {model.to_dict()} on {fm.print_tangle(t)[:200]}: "
+                        f"first mismatch: {model.to_dict()} on {repr(t)[:200]}: "
                         f"batch {packed}, fresh model {own}, mu image {image}")
                 count += 1
         assert count == 5089 + 2848

@@ -332,8 +332,7 @@ class TestDagOutput:
         for _ in range(25):
             pool = random_tangle_dag(rng, 40)
             for f in pool[-5:]:
-                for min_size in (1, 2, 3, 5):
-                    assert format_tangle_dag(f, min_size) == _format_dag_per_name(f, min_size)
+                assert format_tangle_dag(f) == _format_dag_per_name(f)
 
     # sha256 of the DAG text as first recorded for the benchmark; the
     # output must stay byte-identical
@@ -354,12 +353,12 @@ class TestDagOutput:
         assert text_out == _format_dag_per_name(chi)
 
 
-def _format_dag_per_name(f, min_size=3):
-    """`format_tangle_dag` as it once was, one `print_tangle(g, names)` fold
-    per `let` line: the oracle of the one-pass printer.  A node is named
-    when it has two or more parents (a repeated tangle member counts
-    twice), at least `min_size` distinct nodes, and is neither the root, a
-    constant nor F; names go in post-order."""
+def _format_dag_per_name(f):
+    """The oracle of `format_tangle_dag`, with its own walk and its own
+    naming test.  A node is named when it has two or more parents (a
+    repeated tangle member counts twice) and at least three distinct nodes;
+    names go in post-order, and each `let` line is the node's entry with
+    its named children read as their names."""
     order: list = []
     done: set = set()
     for g in fm._post_order(f, done.__contains__):
@@ -369,14 +368,15 @@ def _format_dag_per_name(f, min_size=3):
     for g in order:
         for c in g.children():
             parents[c] = parents.get(c, 0) + 1
-    names = {}
+    texts: dict = {}
+    lines = []
     for g in order:
-        if (parents.get(g, 0) >= 2 and g.kind not in (fm.TOP, fm.PROP)
-                and g is not fm.t_bot()
-                and fm.tangle_dag_nodes(g, limit=min_size) >= min_size):
-            names[g] = f"d{len(names)}"
-    lines = [f"let {name} = {fm.print_tangle(g, names)}" for g, name in names.items()]
-    lines.append(f"chi = {fm.print_tangle(f, names)}")
+        texts[g] = fm._tangle_entry(g, texts)
+        if parents.get(g, 0) >= 2 and fm.tangle_dag_nodes(g) >= 3:
+            name = f"d{len(lines)}"
+            lines.append(f"let {name} = {texts[g][0]}")
+            texts[g] = (name, fm._PREC_ATOM)
+    lines.append(f"chi = {texts[f][0]}")
     return "\n".join(lines)
 
 
