@@ -75,11 +75,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    try:
+        guards = TranslationGuards(max_depth=args.max_depth,
+                                   max_pairs=args.max_pairs,
+                                   max_chains=args.max_chains,
+                                   max_thetas=args.max_thetas)
+    except ValueError as exc:
+        # "max_pairs must be ..." names the flag "--max-pairs"
+        raise UsageError("--" + str(exc).replace("_", "-")) from None
     formula = _parse_formula(args.formula)
-    guards = TranslationGuards(max_depth=args.max_depth,
-                               max_pairs=args.max_pairs,
-                               max_chains=args.max_chains,
-                               max_thetas=args.max_thetas)
     chi, translator = translate(formula, guards)
     report = translator.report(chi)
     report["size_bound_exponent_digits"] = decimal_digits(

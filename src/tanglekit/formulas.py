@@ -122,8 +122,19 @@ def _mk(kind, name=None, left=None, right=None, arg=None, var=None, body=None) -
     inside the node, those that occur under a nu binder), or None once a
     binder inside the node has its own variable under a binder of the
     opposite kind.  Every empty set is `_NO_VARS` and every empty pair is
-    `_NO_ALT`, so the pairs of closed nodes share one tuple."""
-    key = (kind, name, left, right, arg, var, body)
+    `_NO_ALT`, so the pairs of closed nodes share one tuple.
+
+    The table key holds only the fields the node's kind uses, kind first:
+    `(kind, left, right)`, `(kind, arg)`, `(kind, var, body)` or
+    `(kind, name)`; so two kinds never share a key."""
+    if left is not None:
+        key = (kind, left, right)
+    elif arg is not None:
+        key = (kind, arg)
+    elif body is not None:
+        key = (kind, var, body)
+    else:
+        key = (kind, name)
     node = _mu_table.get(key)
     if node is None:
         node = _mu_table[key] = MuFormula(kind, name, left, right, arg, var, body)
@@ -828,8 +839,17 @@ _tangle_table: dict[tuple, TangleFormula] = {}
 
 def _tmk(kind, name=None, left=None, right=None, arg=None, members=None) -> TangleFormula:
     """The interned node; a new one gets its tree size from its children's,
-    so `size` never walks a tangle formula."""
-    key = (kind, name, left, right, arg, members)
+    so `size` never walks a tangle formula.  Keyed as in `_mk`:
+    `(kind, left, right)`, `(kind, arg)`, `(kind, members)` or
+    `(kind, name)`."""
+    if left is not None:
+        key = (kind, left, right)
+    elif arg is not None:
+        key = (kind, arg)
+    elif members is not None:
+        key = (kind, members)
+    else:
+        key = (kind, name)
     node = _tangle_table.get(key)
     if node is None:
         node = TangleFormula(kind, name=name, left=left, right=right, arg=arg,

@@ -34,8 +34,12 @@ Scaling notes, all semantically transparent:
 - Only final pairs are built and stored; a cell's finality is read from
   the block memo first.  The cells of a depth are its candidate fact
   profiles (`cells[d]`, with a shrunk recipe each) times the clusters;
-  chain extension counts the semi-final ones, `eval_triples` reads their
-  truths from the block memo, and the pairs guard counts cells up front.
+  chain extension counts the semi-final ones, and the pairs guard counts
+  cells up front.  `eval_triples` reads the semi-final cells from the
+  block memo once per sky, since cells with one sky have the same truths,
+  and lists each root situation once, so `characteristic` builds one
+  conjunction per distinct situation (5,050 on the six corpus formulas,
+  where a listing per cell and cluster has 27,736).
 - A fact set is an int: the fact "member i holds at depth d" is bit
   `d * M + i`, with M the number of distinct members and i the member's
   index in `members`.  Root truths are int masks over member indices.
@@ -80,6 +84,9 @@ class TranslationGuardError(RuntimeError):
 
 
 class TranslationGuards:
+    """Table limits; each must be at least 0, and a negative one raises
+    ValueError here, before anything is built."""
+
     def __init__(self, max_depth: int = 16, max_pairs: int = 30000,
                  max_thetas: int = 30000, max_chains: int = 30000,
                  max_witness_worlds: int = 200000):
@@ -88,6 +95,9 @@ class TranslationGuards:
         self.max_thetas = max_thetas
         self.max_chains = max_chains
         self.max_witness_worlds = max_witness_worlds
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
 
 
 class SatPair:
@@ -177,6 +187,7 @@ class Translator:
         self._a_memo: dict = {}
         self._slice_memo: dict = {}
         self._alpha_memo: dict = {}
+        self._shape_memo: dict = {}
         self._facts_memo: dict = {}
         self._delta_memo: dict = {}
         self._depth_memo: dict = {}
@@ -596,14 +607,18 @@ class Translator:
 
     def _tau_chain_shape(self, valuation: frozenset, facts: TangleFormula,
                          parent: Optional[Chain], ir: bool) -> TangleFormula:
-        parts = [self.tau_formula(valuation), facts]
-        if parent is not None:
-            inner = self.delta_formula(parent)
-            if ir:
-                parts.append(fm.t_dia(fm.t_big_and([self.tau_formula(valuation), inner])))
-            else:
-                parts.append(fm.t_dia(inner))
-        return fm.t_big_and(parts)
+        key = (valuation, facts, parent, ir)
+        got = self._shape_memo.get(key)
+        if got is None:
+            parts = [self.tau_formula(valuation), facts]
+            if parent is not None:
+                inner = self.delta_formula(parent)
+                if ir:
+                    parts.append(fm.t_dia(fm.t_big_and([self.tau_formula(valuation), inner])))
+                else:
+                    parts.append(fm.t_dia(inner))
+            got = self._shape_memo[key] = fm.t_big_and(parts)
+        return got
 
     def _alpha_shape(self, cluster: CanonicalCluster, facts: TangleFormula,
                      parent: Optional[Chain], ir: bool) -> TangleFormula:
@@ -751,31 +766,36 @@ class Translator:
     # -- the characteristic formula ----------------------------------------------
 
     def eval_triples(self, phi: MuFormula) -> list[tuple[frozenset, Optional[Chain], int]]:
-        """All root situations satisfying phi: (root valuation, witnessing
-        chain or None, visible facts).  A chain means the root is final in
-        some witness; None means it is not, and the facts then carry the
-        whole profile."""
+        """All root situations satisfying phi, each once, in first-occurrence
+        order: (root valuation, witnessing chain or None, visible facts).  A
+        chain means the root is final in some witness; None means it is not,
+        and the facts then carry the whole profile."""
         self.build()
         i = self._member_index[self.rep_of[self.sigma.member_of(phi)]]
-        triples = []
-
-        def add(cluster: CanonicalCluster, truths: dict, chain: Optional[Chain],
-                theta: int) -> None:
-            for val, _ in cluster.entries:
-                if truths[frozenset(val)] >> i & 1:
-                    triples.append((frozenset(val), chain, theta))
-
+        triples: dict[tuple, None] = {}
         for level in self.chains:
             for c in level:
-                add(c.root.cluster, c.root.truths, c, c.root.theta)
-        # the semi-final cells, read from the block memo
+                for val, tr in c.root.truths.items():
+                    if tr >> i & 1:
+                        triples[val, c, c.root.theta] = None
+        # the semi-final cells, read from the block memo; cells with one sky
+        # share their truths, so the valuations where phi holds in a
+        # non-final cluster are listed once per sky
+        holds: dict[int, list[frozenset]] = {}
         for d in range(1, len(self.cells)):
             for theta, _, sky in self._profiles(d):
-                for cluster in self.clusters:
-                    truths, is_final, _ = self._root_block(cluster, sky)
-                    if not is_final:
-                        add(cluster, truths, None, theta)
-        return triples
+                vals = holds.get(sky)
+                if vals is None:
+                    found: dict[frozenset, None] = {}
+                    for cluster in self.clusters:
+                        truths, is_final, _ = self._root_block(cluster, sky)
+                        if not is_final:
+                            found.update((val, None) for val, tr in truths.items()
+                                         if tr >> i & 1)
+                    vals = holds[sky] = list(found)
+                for val in vals:
+                    triples[val, None, theta] = None
+        return list(triples)
 
     @fm.pauses_collector
     def characteristic(self, phi: MuFormula) -> TangleFormula:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from tanglekit.cli import _build_parser, main
-from tanglekit.translate import TranslationGuards
+from tanglekit.translate import TranslationGuards, Translator
 
 
 @pytest.fixture
@@ -100,6 +100,17 @@ class TestTranslate:
         assert err == ("error: pairs guard exceeded: 4264 pairs at depth 3, more than "
                        "4263 (built: pairs [[8, 0], [34, 94], [28, 1444]], "
                        "lattice [16, 200, 733])\n")
+
+    @pytest.mark.parametrize("flag", ["--max-depth", "--max-pairs", "--max-chains",
+                                      "--max-thetas"])
+    def test_negative_guard_is_rejected_before_building(self, capsys, monkeypatch, flag):
+        def build(self):
+            raise AssertionError("built with a negative guard")
+        monkeypatch.setattr(Translator, "build", build)
+        assert main(["translate", "p", flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {flag} must be at least 0, got -1\n"
+        assert captured.out == ""
 
     def test_guard_defaults_match_library(self):
         args = _build_parser().parse_args(["translate", "p"])

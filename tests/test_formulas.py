@@ -104,6 +104,46 @@ class TestPrinting:
         b = fm.conj(fm.prop("p"), fm.diamond(fm.prop("p")))
         assert a is b
 
+    def test_rebuilding_returns_the_interned_node(self):
+        def mu_nodes():
+            a, b = fm.prop("k1"), fm.neg_prop("k2")
+            return [fm.top(), fm.bot(), a, b, fm.var("k1"), fm.conj(a, b),
+                    fm.disj(a, b), fm.diamond(a), fm.box(a), fm.mu("k1", a),
+                    fm.nu("k1", a)]
+
+        def tangle_nodes():
+            a, b = fm.t_prop("k1"), fm.t_prop("k2")
+            return [fm.t_top(), fm.t_bot(), a, fm.t_not(a), fm.t_and(a, b),
+                    fm.t_or(a, b), fm.t_dia(a), fm.t_box(a), fm.t_tangle([a, b]),
+                    fm.t_tangle([a])]
+
+        for build in (mu_nodes, tangle_nodes):
+            first, again = build(), build()
+            assert len(set(first)) == len(first)
+            assert all(f is g for f, g in zip(first, again))
+
+    def test_kinds_on_the_same_fields_stay_distinct(self):
+        a, b = fm.prop("k1"), fm.prop("k2")
+        pairs = [(fm.conj(a, b), fm.disj(a, b)), (fm.diamond(a), fm.box(a)),
+                 (fm.mu("k1", a), fm.nu("k1", a))]
+        for f, g in pairs:
+            assert f is not g and f.kind != g.kind
+            assert f.children() == g.children()
+        names = [fm.prop("k1"), fm.neg_prop("k1"), fm.var("k1")]
+        assert [f.kind for f in names] == [fm.PROP, fm.NEGPROP, fm.VAR]
+        assert all(f.name == "k1" for f in names)
+        t = fm.t_prop("k1")
+        unary = [fm.t_not(t), fm.t_dia(t), fm.t_box(t), fm.t_tangle([t])]
+        assert [f.kind for f in unary] == [fm.NOT, fm.DIA, fm.BOX, fm.TANGLE]
+        assert all(f.children() == (t,) for f in unary)
+
+    def test_keys_hold_the_kind_and_its_fields_only(self):
+        p("nu x. mu y. ((k1 & <> x) | (~k1 & [] y))")
+        fm.t_tangle([fm.t_prop("k1"), fm.t_not(fm.t_prop("k1"))])
+        for table in (fm._mu_table, fm._tangle_table):
+            for key, node in table.items():
+                assert key[0] == node.kind and len(key) <= 3
+
     def test_repr_of_a_shared_dag_is_short(self):
         # each step doubles the tree and adds two DAG nodes: the whole text
         # would be over two million characters

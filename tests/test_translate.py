@@ -246,6 +246,24 @@ class TestCharacteristic:
         # the root valuation of every triple where p holds contains p
         assert all("p" in val for val, _, _ in triples)
 
+    @pytest.mark.parametrize("text, distinct", [
+        ("F", None), ("p", None), ("<> p", 1639), ("[] p", None),
+        ("mu x.(p | <> x)", None), ("nu x.(p & <> x)", 3270),
+    ])
+    def test_triples_match_the_per_cell_listing(self, text, distinct):
+        phi = p(text)
+        translator = Translator(fm.sigma_closure(phi)).build()
+        oracle = _triples_per_cell(translator, phi)
+        triples = translator.eval_triples(phi)
+        assert triples == list(dict.fromkeys(oracle))
+        if distinct is None:
+            return
+        assert len(triples) == distinct < len(oracle)
+        # one conjunction per listed triple, repeats included, gives the
+        # same interned chi
+        chi = translator.characteristic(phi)
+        assert chi is fm.t_big_or([_situation(translator, *t) for t in oracle])
+
     def test_member_identification_is_sound(self):
         # the seed fixed point and its unfolded body share a representative
         translator = Translator(fm.sigma_closure(p("nu x.(p & <> x)")))
@@ -258,6 +276,13 @@ class TestCharacteristic:
         with pytest.raises(TranslationGuardError) as err:
             translate(p("nu x.(p & <> x)"), guards)
         assert err.value.table in ("thetas", "pairs", "chains")
+
+    @pytest.mark.parametrize("field", ["max_depth", "max_pairs", "max_thetas",
+                                       "max_chains", "max_witness_worlds"])
+    def test_negative_guard_raises(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 0, got -1$"):
+            TranslationGuards(**{field: -1})
+        assert getattr(TranslationGuards(**{field: 0}), field) == 0
 
     def test_pairs_guard_counts_cells_before_building(self):
         # depth 3 of <> p has 4,264 cells, none of them final
@@ -351,6 +376,45 @@ class TestDagOutput:
         text_out = format_tangle_dag(chi)
         assert hashlib.sha256(text_out.encode()).hexdigest() == digest
         assert text_out == _format_dag_per_name(chi)
+
+
+def _triples_per_cell(translator, phi):
+    """The oracle of `eval_triples`: one triple per root class where phi
+    holds, read cell by cell and cluster by cluster, repeats included."""
+    i = translator.members.index(translator.rep_of[translator.sigma.member_of(phi)])
+    triples = []
+
+    def add(cluster, truths, chain, theta):
+        for val, _ in cluster.entries:
+            if truths[frozenset(val)] >> i & 1:
+                triples.append((frozenset(val), chain, theta))
+
+    for level in translator.chains:
+        for c in level:
+            add(c.root.cluster, c.root.truths, c, c.root.theta)
+    for d in range(1, len(translator.cells)):
+        for theta, recipe in translator.cells[d].items():
+            sky = 0
+            for pair in recipe:
+                sky |= pair.sky
+            for cluster in translator.clusters:
+                truths, is_final, _ = translator._root_block(cluster, sky)
+                if not is_final:
+                    add(cluster, truths, None, theta)
+    return triples
+
+
+def _situation(translator, val, chain, theta):
+    """The conjunction `characteristic` makes for one root situation."""
+    n = chain.depth if chain else (theta.bit_length() - 1) // translator._width
+    split = translator.split_formula(n)
+    return fm.t_big_and([
+        translator.depth_formula(n),
+        fm.t_not(translator.depth_formula(n + 1)),
+        fm.t_not(split) if chain else split,
+        translator.tau_formula(val),
+        fm.t_dot_dia(translator.delta_formula(chain)) if chain else translator.a_formula(theta),
+    ])
 
 
 def _format_dag_per_name(f):
