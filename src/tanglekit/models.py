@@ -21,10 +21,13 @@ wide ints of at most `BATCH_BITS` bits (a wider frame is a run of its own),
 built from the frames' successor rows.  Such a model keeps its batch in
 `_batch` and the bit offset of its copy in `_shift`, which runs 0, n, 2n,
 ... across the run's frames in order; every other model has
-`_batch = None`.  A batch is built before its first model is yielded (its
-cluster relations by the first tangle step run on it) and holds the packed
-value of each root evaluated on it (`semantics.eval_mu`/`eval_tangle`), so
-these are freed with the models.
+`_batch = None`.  An enumerated model is a view of its copy: its `val`
+is read from the batch's packed valuation on first use and then cached
+on the model, while every other model sets `val` when it is built.  A
+batch is built before its first model is yielded (its cluster relations
+by the first tangle step run on it) and holds the packed value of each
+root evaluated on it (`semantics.eval_mu`/`eval_tangle`), so these are
+freed with the models.
 
 `enumerate_models` yields every model up to isomorphism.  Its frames come
 from `_wk4_canonical(n)`, which lists the wK4 extensions of each canonical
@@ -47,6 +50,7 @@ orbits of up to 720 images each, so the enumeration is capped at five
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import random
@@ -91,7 +95,7 @@ def weak_closure_masks(succ: Sequence[int]) -> tuple[int, ...]:
 
 class KripkeModel:
     # Filled on first use; an enumerated model also gets its batch and the
-    # bit offset of its copy there.
+    # bit offset of its copy there, and reads `val` from that copy.
     _clusters = _cluster_id = _cluster_masks = _tangle_rows = _batch = None
     _shift = 0
 
@@ -114,7 +118,8 @@ class KripkeModel:
                 for w in worlds:
                     mask |= 1 << w
                 val[name] = mask
-        # as in `enumerate_models`: one order, so one shared key table
+        # labels, n and succ first, as in `enumerate_models`: one shared
+        # key table
         self.labels = labels
         self.n = len(labels)
         self.succ = tuple(succ)
@@ -122,6 +127,13 @@ class KripkeModel:
         self.full_mask = (1 << self.n) - 1
 
     # -- basic views ---------------------------------------------------
+
+    @functools.cached_property
+    def val(self) -> dict[str, int]:
+        """An enumerated model's valuation, read on first use from its copy
+        in its batch; every other model sets it in `__init__`."""
+        shift, full = self._shift, self.full_mask
+        return {name: mask >> shift & full for name, mask in self._batch.val.items()}
 
     def val_mask(self, name: str) -> int:
         return self.val.get(name, 0)
@@ -536,7 +548,9 @@ class ModelBatch:
     first bits, as rows of pairs `(v, mask)` per world u, zero masks left
     out: `dia_rows` marks the copies whose frame has u -> v; the cluster
     relations only tangle steps read come from `tangle_rows()`, by
-    `_row_clusters`.  `results` holds each root's packed value."""
+    `_row_clusters`.  `val` holds each atom's packed valuation, from which
+    the enumerated models read their own, and `results` each root's packed
+    value."""
 
     __slots__ = ("val", "full_mask", "dia_rows", "_firsts", "_tangle_rows", "results")
 
@@ -597,13 +611,15 @@ MAX_WORLDS = 5
 def enumerate_models(props: Iterable[str], max_worlds: int) -> Iterator[KripkeModel]:
     """All weakly transitive models with 1..max_worlds worlds over the given
     atoms, up to isomorphism.  Deterministic order: frames by canonical
-    relation, then valuations as the least tuple of their orbit.  Each
-    model keeps the `ModelBatch` of its run of consecutive frames in
-    `_batch`, built before the run's first model is yielded, and the offset
-    of its copy there in `_shift`.  They are filled in without
-    `KripkeModel.__init__`'s checks and copies, and a frame's valuation
-    tuples are freed once its models are yielded."""
-    props = tuple(sorted(props))
+    relation, then valuations as the least tuple of their orbit; a
+    repeated atom counts once.  Each model keeps the `ModelBatch` of its
+    run of consecutive frames in `_batch`, built before the run's first
+    model is yielded, and the offset of its copy there in `_shift`.  They
+    are filled in without `KripkeModel.__init__`'s checks and copies, and
+    without a valuation: `val` is read from the copy on first use.  Once
+    the batch is packed, the run's valuation tuples are freed and only
+    each frame's rows and model count are kept."""
+    props = tuple(sorted(set(props)))
     if max_worlds > MAX_WORLDS:
         raise ClusterEnumerationError(
             f"exhaustive enumeration capped at {MAX_WORLDS} worlds")
@@ -613,15 +629,15 @@ def enumerate_models(props: Iterable[str], max_worlds: int) -> Iterator[KripkeMo
         full = (1 << n) - 1
         for group in _frame_runs(n, len(props)):
             batch = ModelBatch([succ for succ, _ in group], props, [vals for _, vals in group])
+            frames = [(succ, len(valuations)) for succ, valuations in group]
+            group.clear()
             shift = 0
-            for i, (succ, valuations) in enumerate(group):
-                group[i] = None
-                for masks in valuations:
+            for succ, count in frames:
+                for _ in range(count):
                     model = new(KripkeModel)
                     model.labels = labels
                     model.n = n
                     model.succ = succ
-                    model.val = dict(zip(props, masks))
                     model.full_mask = full
                     model._batch = batch
                     model._shift = shift
@@ -673,9 +689,10 @@ def _edges_of(succ: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def random_model(props: Iterable[str], size: int, seed: int) -> KripkeModel:
-    """Seed-deterministic random weakly transitive model (closure applied)."""
+    """Seed-deterministic random weakly transitive model (closure applied);
+    a repeated atom counts once."""
     rng = random.Random(seed)
-    props = tuple(sorted(props))
+    props = tuple(sorted(set(props)))
     density = rng.uniform(0.08, 0.45)
     succ = [0] * size
     for a in range(size):

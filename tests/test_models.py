@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 
 import pytest
 
@@ -347,6 +349,12 @@ class TestEnumeration:
         assert len(got) == len(set(got))
         assert set(got) == _brute_force_models(props, max_worlds)
 
+    def test_repeated_atoms_count_once(self):
+        want = [(m.succ, m.val, m._shift) for m in enumerate_models(["p"], 2)]
+        got = [(m.succ, m.val, m._shift) for m in enumerate_models(["p", "p"], 2)]
+        assert len(want) == 40
+        assert got == want
+
     def test_five_worlds(self):
         # 2,902 five-world frames, checked once against the brute force
         assert sum(1 for _ in enumerate_models([], 5)) == 3327
@@ -441,6 +449,11 @@ class TestRandomModels:
     def test_different_seeds_differ(self):
         outs = {random_model(["p"], 8, s).succ for s in range(20)}
         assert len(outs) > 10
+
+    def test_repeated_atoms_count_once(self):
+        for seed in range(20):
+            a, b = random_model(["p", "p"], 3, seed), random_model(["p"], 3, seed)
+            assert (a.succ, a.val) == (b.succ, b.val)
 
 
 class TestSerialization:
@@ -544,11 +557,12 @@ class TestModalMemos:
             assert models[-1]._shift + n - start == len(models) * n
             masks = dict(zip(("dia_rows", "cluster_rows", "inside_rows", "down_rows"),
                              map(_row_masks, (batch.dia_rows, *batch.tangle_rows()))))
+            # the valuations are the frame's orbit leaders, in order
+            leaders = km._orbit_leaders(n, 2, dict(km._wk4_canonical(n))[models[0].succ])
+            assert [m.val for m in models] == [dict(zip("pq", masks)) for masks in leaders]
             for j, m in enumerate(models):
                 assert m._batch is batch and m._shift == start + j * n
                 base = m._shift
-                assert all(batch.val[name] >> base & m.full_mask == mask
-                           for name, mask in m.val.items())
 
                 def bit(name, u, v):
                     return masks[name].get((u, v), 0) >> base & 1
@@ -606,3 +620,97 @@ class TestModalMemos:
         m = KripkeModel(["a", "b", "c"], [(0, 1)])
         assert m.full_mask == 0b111 == vars(m)["full_mask"]
         assert KripkeModel([], ()).full_mask == 0
+
+
+def _leader_models(props, max_worlds):
+    """`(succ, val)` of each model `enumerate_models` yields, in its order,
+    from the frame table and the orbit leaders alone, reading no batch."""
+    props = sorted(props)
+    for n in range(1, max_worlds + 1):
+        for succ, tables in km._wk4_canonical(n):
+            for masks in km._orbit_leaders(n, len(props), tables):
+                yield succ, dict(zip(props, masks))
+
+
+def _fields(m):
+    return m.labels, m.succ, m.val, m.full_mask, m._batch
+
+
+# what each reader of a model's valuation returns, comparable across
+# models (`val` itself is checked against the oracle directly)
+_READERS = {
+    "val_mask": lambda m: [m.val_mask(name) for name in ("p", "q", "r")],
+    "to_dict": lambda m: m.to_dict(),
+    "close": lambda m: _fields(m.close()),
+    "restrict": lambda m: [_fields(m.restrict(mask)) for mask in range(m.full_mask + 1)],
+}
+
+_VIEW_FAMILIES = [(["p", "q"], 3), (["p"], 4)]
+
+
+class TestValuationView:
+    """An enumerated model reads its valuation from its copy in its batch,
+    on first use; it must read as the model built from the same rows and
+    the orbit leaders."""
+
+    @pytest.mark.parametrize("props, max_worlds", _VIEW_FAMILIES)
+    def test_val_is_read_on_first_use(self, props, max_worlds):
+        models = list(enumerate_models(props, max_worlds))
+        oracle = list(_leader_models(props, max_worlds))
+        assert len(models) == len(oracle)
+        assert not any("val" in vars(m) for m in models)
+        for m, (succ, val) in zip(models, oracle):
+            assert (m.succ, m.val) == (succ, val)
+            assert vars(m)["val"] is m.val
+
+    @pytest.mark.parametrize("reader", sorted(_READERS))
+    @pytest.mark.parametrize("props, max_worlds", _VIEW_FAMILIES)
+    def test_views_read_as_built_models(self, props, max_worlds, reader):
+        # each reader is the first to read the view's valuation
+        read = _READERS[reader]
+        count = 0
+        for m, (succ, val) in zip(enumerate_models(props, max_worlds),
+                                  _leader_models(props, max_worlds)):
+            built = KripkeModel(m.labels, (), _masks=(succ, val))
+            assert "val" not in vars(m)
+            assert read(m) == read(built)
+            count += 1
+        assert count == {3: 2848, 4: 5089}[max_worlds]
+
+    @pytest.mark.parametrize("props, max_worlds", _VIEW_FAMILIES)
+    def test_per_model_path_matches_the_batch_value(self, props, max_worlds):
+        # with an env, eval_mu runs on the model and reads its valuation;
+        # without one it shifts the model's copy out of the batch's value
+        f = fm.parse_mu("nu x. mu y. ((p & <> x) | (q & [] y))")
+        for m in enumerate_models(props, max_worlds):
+            per_model = sem.eval_mu(m, f, {})
+            assert "val" in vars(m)
+            assert per_model == sem.eval_mu(m, f)
+
+    @pytest.mark.parametrize("props, max_worlds", _VIEW_FAMILIES)
+    def test_threads_reading_one_view_agree(self, props, max_worlds):
+        # eight threads, more than the cores, read each sampled view's
+        # first valuation at once, with threads switched every microsecond
+        oracle = list(_leader_models(props, max_worlds))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i, m in enumerate(enumerate_models(props, max_worlds)):
+                if i % 101:
+                    continue
+                start = threading.Barrier(8, timeout=10)
+                got = [None] * 8
+
+                def read(k):
+                    start.wait()
+                    got[k] = m.val
+
+                threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [oracle[i][1]] * 8 and vars(m)["val"] == oracle[i][1]
+        finally:
+            sys.setswitchinterval(interval)
