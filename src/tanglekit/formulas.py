@@ -617,7 +617,7 @@ class SigmaClosure:
     to its closed form, taken once the saturation has named every fixed
     point the members mention."""
 
-    _program = None  # the compiled program of all floors, set by semantics
+    _program = None  # the program of all floors, set by semantics
 
     def __init__(self, seed: MuFormula, members: frozenset[MuFormula]):
         self.seed = seed
