@@ -17,30 +17,15 @@ its body's steps, and each step sits in the body of the innermost binder
 whose variable is free in it, so work that does not depend on a variable
 runs outside that variable's loop.  `compile_roots` lowers the listed steps
 to tuples `(op, i, a, b)` over one per-run value list `v`, with integer
-places for operands, and compiles nothing.
+places for operands.
 
-A program runs in one of two tiers.  The step loop, `_run_steps`, takes the
-lowered steps in order, one branch per step kind; a fixed point iterates
-`v[i] = x`, its body, and a compare of the body's result with `x`, and
-running recurses once per nested binder only.  The loop counts its step
-executions on the program.  Once they reach `COMPILE_BUDGET` per step, the
-program is compiled once, and every later run calls its compiled segments,
-which iterate the same way: the top level and each binder's body become
-segments of their own, runs of at most `SEGMENT_STEPS` step sources, each
-one Python function generated with `compile`/`exec`.  Compiling costs
-memory that grows with the size of the function, hence the split.  A step's
-source is a line or a short block over `v`, with integer indices and fixed
-local names only: atom names, free variable names and algebra keys are
-read by index from lists of the program and never written into the source.
-A fixed point's source is the loop above, calling its body's segments, so
-no function nests blocks more than three deep.  One thread compiles and
-publishes the segments by one store; threads that meet a program being
-compiled keep to the step loop meanwhile.  `compile` costs a few hundred
-step executions of the loop per step, so a program that runs little, like
-a chi checked on the families of at most five worlds, never pays for it,
-and one that runs long pays it once.
+A program runs by one loop, `_run_steps`, over its lowered steps in order,
+one branch per step kind.  A fixed point iterates `v[i] = x`, its body,
+and a compare of the body's result with `x`, and running recurses once per
+nested binder only.  Atom names, free variable names and algebra keys are
+operands of the lowered steps, never source text: no program is compiled.
 
-`run_program` runs either tier over a world-set algebra: the model gives
+`run_program` runs a program over a world-set algebra: the model gives
 the valuation and `full` (the set of all its worlds) gives top.  A run's
 memos are locals of `run_program`, made when it starts, so nothing of a
 run is stored on the model or the batch, and runs nested in one another or
@@ -52,7 +37,7 @@ read what holds above the cluster); box steps read `B` and call `box`
 alike.  Tangle steps read the run's tangle state `S`: rows of the cluster
 relations, which the model or batch keeps (`tangle_rows()`), and a diamond
 over them, so that one formula, `_tangle_compute`, serves models and
-batches in both tiers.  A free variable missing from `env` raises
+batches.  A free variable missing from `env` raises
 `UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
 walks the formula with a stack of generators, not by recursion, and
 enumerates exact fixed points, with `dia_image`/`box_image` called
@@ -89,8 +74,7 @@ from __future__ import annotations
 
 import operator
 import random
-import threading
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import formulas as fm
 from .formulas import (AND, BOT, BOX, DIA, MU, NEGPROP, NOT, NU, OR, PROP,
@@ -215,46 +199,26 @@ def mu_program(roots: Sequence[MuFormula | TangleFormula]) -> tuple[list, list]:
     return top, [_step_key(f, {}, open_keys) for f in roots]
 
 
-# Steps per compiled segment.  A program is compiled only once its step loop
-# has spent `COMPILE_BUDGET`; compiling then costs memory that grows with the
-# size of the function compiled, so a program of any size is split into
-# functions of at most this many steps.
-SEGMENT_STEPS = 128
-
-# Step executions per program step that a program runs by its step list
-# before it is compiled: the cost of `compile` per step over the step loop's
-# extra cost per step execution.  That is the ski-rental rule: the loop pays
-# a little more on every step execution and `compile` pays once per step,
-# so a program compiles once the loop's extra cost would have paid for it,
-# and never costs much more than one compile over the better of the two
-# ways.  Measured on a 2 vCPU Xeon with Python 3.11.7, on chi of
-# `mu x.(p | <> x)` and of `nu x.(p & <> x)` over the one-atom batches of
-# at most 4 and 5 worlds, and on four two-atom roots over the 4-world
-# batches (three sets of alternating runs): `compile` took
-# 13-25 us per step of a chi and 30-66 us per step of the short roots, and
-# the loop took 0.03-0.12 us more per step execution than the compiled
-# segments, so 200-860 executions per step, about 420 in the median.
-COMPILE_BUDGET = 400
-
 # The step kinds of a lowered program, numbered in the order the step loop
 # tests them: the kinds most frequent in a chi first, then the fixed points,
 # which run once per round of the binders around them, then the leaves,
 # which run once per run.
-_AND, _OR, _TANGLE, _DIA, _NOT, _BOX, _MU, _NU, _PROP, _NEGPROP, _TOP, _BOT, _VAR = range(13)
+(_AND, _OR, _TANGLE, _DIA, _NOT, _BOX, _MU, _NU, _PROP, _NEGPROP, _TOP, _BOT,
+ _VAR) = range(13)
 _OPS = {AND: _AND, OR: _OR, TANGLE: _TANGLE, DIA: _DIA, NOT: _NOT, BOX: _BOX,
         MU: _MU, NU: _NU, PROP: _PROP, NEGPROP: _NEGPROP, TOP: _TOP, BOT: _BOT,
         fm.VAR: _VAR}
 
 
-def _lower(step: tuple, index: dict, names: list, bodies: dict) -> tuple:
+def _lower(step: tuple, index: dict, bodies: dict) -> tuple:
     """The lowered step `(op, i, a, b)` of a listed step, which writes
     `v[i]`: `a` and `b` are the operands' places for AND and OR; `a` is the
     argument's place for NOT, DIA and BOX, and for the last two `b` is the
-    argument's key, which the algebra is handed.  For TANGLE `a` holds the members' places and `b`
-    a getter of all of them from `v`, or None for one member; for PROP,
-    NEGPROP and VAR `a` is the name and `b` its place in `names`.  A fixed
-    point's `a` is its lowered body, from `bodies`, and `b` the place of the
-    body's result."""
+    argument's key, which the algebra is handed.  For TANGLE `a` holds the
+    members' places and `b` a getter of all of them from `v`, or None for
+    one member; for PROP, NEGPROP and VAR `a` is the name.  A fixed point's
+    `a` is its lowered body, from `bodies`, and `b` the place of the body's
+    result."""
     key, kind, operand = step
     op, i = _OPS[kind], index[key]
     if kind in (AND, OR):
@@ -270,15 +234,14 @@ def _lower(step: tuple, index: dict, names: list, bodies: dict) -> tuple:
         return op, i, bodies[id(operand[0])], index[operand[1]]
     if kind in (TOP, BOT):
         return op, i, None, None
-    names.append(operand)
-    return op, i, operand, len(names) - 1
+    return op, i, operand, None
 
 
 def _run_steps(steps: tuple, v: list, model, val, full: int, env, dia, box,
-               D: dict, B: dict, T, S) -> int:
-    """Run lowered steps in order, a fixed point by iterating its body as
-    its compiled source does, and return the number of step executions."""
-    ran = len(steps)
+               D: dict, B: dict, T, S) -> None:
+    """Run lowered steps in order; a fixed point iterates its body from
+    bottom (MU) or top (NU) until the body's result equals the value it
+    was given."""
     for op, i, a, b in steps:
         if op == _AND:
             v[i] = v[a] & v[b]
@@ -306,7 +269,7 @@ def _run_steps(steps: tuple, v: list, model, val, full: int, env, dia, box,
             x = 0 if op == _MU else full
             while True:
                 v[i] = x
-                ran += _run_steps(a, v, model, val, full, env, dia, box, D, B, T, S)
+                _run_steps(a, v, model, val, full, env, dia, box, D, B, T, S)
                 if v[b] == x:
                     break
                 x = v[b]
@@ -320,106 +283,26 @@ def _run_steps(steps: tuple, v: list, model, val, full: int, env, dia, box,
             v[i] = 0
         else:  # VAR, free in the root
             v[i] = env[a] if a in env else _unbound(a)
-    return ran
-
-
-def _compile_segments(steps: list[str], scope: dict) -> list:
-    """Split the step sources into runs of at most `SEGMENT_STEPS` and
-    compile each run, under `_HEAD`, into one function whose globals are a
-    copy of `scope`."""
-    segments = []
-    for start in range(0, len(steps), SEGMENT_STEPS):
-        body = "\n".join(steps[start:start + SEGMENT_STEPS])
-        source = _HEAD + "    " + body.replace("\n", "\n    ") + "\n"
-        namespace = dict(scope)
-        exec(compile(source, "<segment>", "exec"), namespace)
-        segments.append(namespace["segment"])
-    return segments
 
 
 def _unbound(name: str):
     raise UnboundVariableError(f"unbound variable {name!r}")
 
 
-# The signature of every segment.  `D`, `B` and `T` are the run's diamond,
-# box and tangle memos, read inline, and `S` its tangle state.  Besides
-# these names its source uses only the locals `x` and `k` and the globals
-# of its program: `names` (atom and free variable names), `K` (the keys
-# passed to `dia`/`box`), `F` (every segment of the program), `unbound`
-# and `tangle`.
-_HEAD = "def segment(v, model, val, full, env, dia, box, D, B, T, S):\n"
-_CALL = "F[{}](v, model, val, full, env, dia, box, D, B, T, S)"
-
-
-def _step_source(step: tuple, algebra: list, calls: Iterable[int]) -> str:
-    """The source of the lowered step `(op, i, a, b)` over the value list
-    `v`: it reads earlier steps' values by index and writes its own to
-    `v[i]`.  Names and algebra keys are read by index from `names` and
-    `algebra`.  A fixed point iterates its body, whose segments are `F[j]`
-    for j in `calls`."""
-    op, i, a, b = step
-    if op == _AND:
-        return f"v[{i}] = v[{a}] & v[{b}]"
-    if op == _OR:
-        return f"v[{i}] = v[{a}] | v[{b}]"
-    if op == _NOT:
-        return f"v[{i}] = full & ~v[{a}]"
-    if op in (_DIA, _BOX):
-        algebra.append(b)
-        memo, call = ("D", "dia") if op == _DIA else ("B", "box")
-        return (f"x = {memo}.get(v[{a}])\n"
-                "if x is None:\n"
-                f"    x = {call}(model, v[{a}], K[{len(algebra) - 1}], {memo})\n"
-                f"v[{i}] = x")
-    if op == _TANGLE:
-        members = ", ".join(f"v[{m}]" for m in a)
-        return (f"k = ({members},)\n"
-                "x = T.get(k)\n"
-                "if x is None:\n"
-                "    x = T[k] = tangle(S, full, k)\n"
-                f"v[{i}] = x")
-    if op == _TOP:
-        return f"v[{i}] = full"
-    if op == _BOT:
-        return f"v[{i}] = 0"
-    if op in (_MU, _NU):
-        return "\n".join([f"x = {'0' if op == _MU else 'full'}",
-                          "while True:",
-                          f"    v[{i}] = x",
-                          *("    " + _CALL.format(j) for j in calls),
-                          f"    if v[{b}] == x:",
-                          "        break",
-                          f"    x = v[{b}]"])
-    if op == _PROP:
-        return f"v[{i}] = val.get(names[{b}], 0)"
-    if op == _NEGPROP:
-        return f"v[{i}] = full & ~val.get(names[{b}], 0)"
-    # VAR, free in the root
-    return f"v[{i}] = env[names[{b}]] if names[{b}] in env else unbound(names[{b}])"
-
-
-class Program:
+class Program(NamedTuple):
     """The program of one or more roots (see `compile_roots`)."""
-    __slots__ = ("steps", "code", "index", "roots", "tangles", "names", "ran",
-                 "segments")
-
-    def __init__(self, steps: list, code: tuple, index: dict, roots: tuple,
-                 tangles: bool, names: tuple):
-        self.steps = steps  # the top level, as `mu_program` lists it
-        self.code = code  # the top level, lowered
-        self.index = index  # each step key's place in the value list
-        self.roots = roots  # each root's place in the value list
-        self.tangles = tangles  # whether any step is a tangle
-        self.names = names  # the atom and free variable names the steps read
-        self.ran = 0  # step executions by the step loop so far
-        self.segments = None  # the top level's segments, once compiled
+    steps: list  # the top level, as `mu_program` lists it
+    code: tuple  # the top level, lowered
+    index: dict  # each step key's place in the value list
+    roots: tuple  # each root's place in the value list
+    tangles: bool  # whether any step is a tangle
 
 
 def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
     """The program of the roots, listed by `mu_program` and lowered to step
-    tuples; nothing is compiled here.  The value list holds the top-level
-    steps first, then each binder's body in order of discovery.  A single
-    root's program is made once and kept on it."""
+    tuples for `_run_steps`.  The value list holds the top-level steps
+    first, then each binder's body in order of discovery.  A single root's
+    program is made once and kept on it."""
     if len(roots) == 1 and roots[0]._program is not None:
         return roots[0]._program
     steps, root_keys = mu_program(roots)
@@ -434,60 +317,14 @@ def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
             elif kind == TANGLE:
                 tangles = True
     # last found first, so each binder's body is lowered before the binder
-    names: list = []
     lowered: dict = {}
     for body in reversed(bodies):
-        lowered[id(body)] = tuple(_lower(step, index, names, lowered) for step in body)
+        lowered[id(body)] = tuple(_lower(step, index, lowered) for step in body)
     program = Program(steps, lowered[id(steps)], index,
-                      tuple(index[key] for key in root_keys), tangles, tuple(names))
+                      tuple(index[key] for key in root_keys), tangles)
     if len(roots) == 1:
         roots[0]._program = program
     return program
-
-
-def _compile_program(program: Program) -> tuple:
-    """The top level's segments: the top level and each binder's body
-    become segments of their own, compiled from the lowered steps."""
-    bodies = [program.code]
-    for body in bodies:  # grows as binders are found
-        bodies += [a for op, _, a, _ in body if op in (_MU, _NU)]
-    starts = [0]
-    for body in bodies:
-        starts.append(starts[-1] + (len(body) + SEGMENT_STEPS - 1) // SEGMENT_STEPS)
-    algebra, segments = [], []
-    scope = {"unbound": _unbound, "tangle": _tangle_compute,
-             "names": program.names, "K": algebra, "F": segments}
-    found = 1
-    for body in bodies:
-        sources = []
-        for step in body:
-            calls = ()
-            if step[0] in (_MU, _NU):
-                calls = range(starts[found], starts[found + 1])
-                found += 1
-            sources.append(_step_source(step, algebra, calls))
-        segments += _compile_segments(sources, scope)
-    return tuple(segments[:starts[1]])
-
-
-# Held by the one thread that compiles; the others run the step loop
-# meanwhile rather than wait.
-_compiling = threading.Lock()
-# Held while a run adds its step executions to its program's count.
-_counting = threading.Lock()
-
-
-def _segments(program: Program) -> Optional[tuple]:
-    """The program's segments, compiled here if no thread did yet and
-    published by one store, or None while another thread compiles."""
-    if not _compiling.acquire(blocking=False):
-        return None
-    try:
-        if program.segments is None:
-            program.segments = _compile_program(program)
-        return program.segments
-    finally:
-        _compiling.release()
 
 
 def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
@@ -501,9 +338,7 @@ def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
     Only the algebra fills the memos: with one that stores nothing, every
     modal step calls it.  A program with a tangle step also gets the
     tangle memo `T`, from member masks to the result, and the tangle state
-    `S` (see `_tangle_compute`) over the target's `tangle_rows()`.
-    The run goes by the step loop until the program's step executions reach
-    `COMPILE_BUDGET` per step, and by its compiled segments from then on."""
+    `S` (see `_tangle_compute`) over the target's `tangle_rows()`."""
     v = [None] * len(program.index)
     val, full = model.val, model.full_mask
     env = env or {}
@@ -512,16 +347,7 @@ def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
     if program.tangles:
         T = {}
         S = (_spread if type(model) is ModelBatch else dia_image, model.tangle_rows(), {})
-    segments = program.segments
-    if segments is None and program.ran >= COMPILE_BUDGET * len(program.index):
-        segments = _segments(program)
-    if segments is None:
-        ran = _run_steps(program.code, v, model, val, full, env, dia, box, D, B, T, S)
-        with _counting:
-            program.ran += ran
-    else:
-        for segment in segments:
-            segment(v, model, val, full, env, dia, box, D, B, T, S)
+    _run_steps(program.code, v, model, val, full, env, dia, box, D, B, T, S)
     return v
 
 
@@ -668,9 +494,8 @@ def _tangle_compute(state: tuple, full: int, key: tuple) -> int:
     `none` holds the points that see a witness inside their cluster for
     every member so far, `one` those that lack one for exactly one member
     (each occurrence counts) and satisfy it.  The result is the down-set of
-    the clusters all of whose points are in either.  The tangle steps of
-    both tiers, the step loop and the compiled segments, call this on a
-    miss in the run's memo `T` and store the result there themselves."""
+    the clusters all of whose points are in either.  A tangle step calls
+    this on a miss in the run's memo `T` and stores the result there."""
     spread, (same, inside, down), witnessed = state
     none, one = full, 0
     for m in key:

@@ -1,7 +1,6 @@
 import random
 import sys
 import threading
-import time
 
 import pytest
 
@@ -9,7 +8,7 @@ from tanglekit import formulas as fm
 from tanglekit import semantics as sem
 from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel, ModelBatch,
                               depth, enumerate_models, iter_bits, random_model)
-from tanglekit.translate import Translator, translate
+from tanglekit.translate import translate
 from tests.conftest import random_formula, random_tangle_dag
 
 
@@ -127,14 +126,11 @@ class TestTangleFormulaEval:
             for node, i in program.index.items():
                 assert values[i] == sem.eval_tangle(model, node)
 
-    def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3, monkeypatch):
-        # compiled from the first run on, so that segments read operands
-        # from segments before them
-        monkeypatch.setattr(sem, "COMPILE_BUDGET", 0)
-        size = sem.SEGMENT_STEPS
+    def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
+        size = 128  # the program is longer than two blocks of this many steps
         pool = random_tangle_dag(random.Random(61), 3 * size)
         # One root over the whole pool, joined pairwise, so its program holds
-        # every node and late steps read operands from early segments.
+        # every node and late steps read operands listed far before them.
         level = pool
         while len(level) > 1:
             level = [(fm.t_and if i % 4 else fm.t_or)(*level[i:i + 2])
@@ -156,12 +152,9 @@ class TestTangleFormulaEval:
             values = sem.eval_roots(model, tangles)
             assert values[-1] == sem.eval_tangle(model, root)
             assert values == sem.eval_roots(model, images)
-        assert len(tangles.segments) > 2 and images.segments is not None
 
     @pytest.mark.parametrize("name", ["a'b", "v", "full", "x); import os #"])
-    def test_atom_names_are_data_not_source(self, name, monkeypatch):
-        # compiled from the first run on: names stay out of the sources
-        monkeypatch.setattr(sem, "COMPILE_BUDGET", 0)
+    def test_atom_names_are_data_not_source(self, name):
         model = KripkeModel(["0", "1", "2"], [(0, 1), (0, 2), (1, 2), (2, 1)],
                             {name: [1], "q": [2]})
         atom = fm.t_prop(name)
@@ -171,13 +164,10 @@ class TestTangleFormulaEval:
                   fm.t_and(fm.t_not(atom), fm.t_tangle([atom, fm.t_prop("q")]))):
             image = fm.to_mu(t)
             assert sem.eval_tangle(model, t) == sem.eval_mu(model, image)
-            assert name in sem.compile_roots((t,)).names
             roots += [image, t]
         # one program of both languages over the same atoms
         program = sem.compile_roots(roots)
-        assert name in program.names
         assert sem.eval_roots(model, program) == [sem.eval_mu(model, f) for f in roots]
-        assert program.segments is not None
 
     def test_tangle_geometry_is_built_only_for_tangle_steps(self):
         # the rows are kept once built; the tangle state lives for one run
@@ -338,11 +328,8 @@ class TestCompiledMu:
             assert sem.eval_mu(model, nest) == want
         assert {sem.eval_mu(m, core) for m in models_pq2} != {0}
 
-    def test_binder_body_longer_than_two_segments(self, models_pq2, monkeypatch):
-        # compiled from the first run on, so that the body's segments read
-        # operands from segments before them
-        monkeypatch.setattr(sem, "COMPILE_BUDGET", 0)
-        size = sem.SEGMENT_STEPS
+    def test_binder_body_longer_than_two_segments(self, models_pq2):
+        size = 128  # the body is longer than two blocks of this many steps
         first = fm.diamond(fm.var("x"))
         g = first
         for i in range(size + 8):
@@ -350,7 +337,7 @@ class TestCompiledMu:
                 g = fm.conj(fm.diamond(g), fm.prop("p"))
             else:
                 g = fm.disj(fm.box(g), fm.prop("q"))
-        # A late step reads `<> x`, one of the body's first, two segments back.
+        # A late step reads `<> x`, one of the body's first, two blocks back.
         f = fm.nu("x", fm.disj(fm.conj(first, fm.prop("q")), g))
         _, _, (body, _) = sem.mu_program([f])[0][-1]
         position = {key: i for i, (key, _, _) in enumerate(body)}
@@ -364,12 +351,9 @@ class TestCompiledMu:
             got[model] = sem.eval_mu(model, f)
             assert got[model] == sem.eval_mu_exact(model, f)
         assert len(set(got.values())) > 2
-        assert sem.compile_roots((f,)).segments is not None
 
     @pytest.mark.parametrize("name", ["a'b", "v", "full", "x); import os #"])
-    def test_names_are_data_not_source(self, name, monkeypatch):
-        # compiled from the first run on: names stay out of the sources
-        monkeypatch.setattr(sem, "COMPILE_BUDGET", 0)
+    def test_names_are_data_not_source(self, name):
         model = KripkeModel(["0", "1", "2"], [(0, 1), (0, 2), (1, 2), (2, 1)],
                             {name: [1], "q": [2]})
         atom, free = fm.prop(name), fm.var(name)
@@ -382,15 +366,11 @@ class TestCompiledMu:
                    fm.t_tangle([fm.t_prop(name), fm.t_not(fm.t_prop("q"))])]
         for f in formulas:
             assert sem.eval_mu(model, f, env) == sem.eval_mu_exact(model, f, env)
-            if name in fm.free_vars(f) | fm.prop_names(f):
-                assert name in sem.compile_roots((f,)).names
         # one program of both languages over the same atoms and variable
         roots = formulas + tangles
         program = sem.compile_roots(roots)
-        assert name in program.names
         assert sem.eval_roots(model, program, env) == [sem.eval_mu(model, f, env)
                                                        for f in roots]
-        assert program.segments is not None
         assert sem.eval_roots(model, tangles) == [sem.eval_tangle(model, t) for t in tangles]
         assert sem.eval_mu(model, atom) == model.val[name]
         with pytest.raises(sem.UnboundVariableError, match="unbound variable"):
@@ -433,14 +413,11 @@ class TestCompiledMu:
         assert run(looped) == x_calls
 
 
-# A budget no program spends: it runs by its step list only.
-NEVER = float("inf")
-
-
 def _every_kind_roots():
     """Mu and tangle roots that between them have all thirteen step kinds:
     binders nested and alternating, a binder read inside another's body, the
-    free variable z, tangles of one, two and three members (one repeated)."""
+    free variable z, tangles of one, two and three members (one repeated),
+    and a negation as a root."""
     a, b = fm.t_prop("p"), fm.t_prop("q")
     z = fm.var("z")
     mus = [p("nu x. mu y. ((p & <> x) | (q & [] y))"),
@@ -448,8 +425,11 @@ def _every_kind_roots():
            p("(T & <> p) | (F | [] ~p)"),
            fm.mu("y", fm.disj(fm.conj(z, fm.prop("p")), fm.diamond(fm.var("y")))),
            fm.nu("x", fm.conj(z, fm.mu("y", fm.disj(fm.var("x"), fm.box(fm.var("y"))))))]
-    tangles = [fm.t_and(fm.t_tangle([a, fm.t_not(b)]), fm.t_box(fm.t_or(b, fm.t_tangle([fm.t_dia(a)])))),
-               fm.t_or(fm.t_tangle([a, a, fm.t_not(b)]), fm.t_and(fm.t_top(), fm.t_not(fm.t_bot())))]
+    tangles = [fm.t_and(fm.t_tangle([a, fm.t_not(b)]),
+                        fm.t_box(fm.t_or(b, fm.t_tangle([fm.t_dia(a)])))),
+               fm.t_or(fm.t_tangle([a, a, fm.t_not(b)]),
+                       fm.t_and(fm.t_top(), fm.t_not(fm.t_bot()))),
+               fm.t_not(fm.t_dia(a))]
     return mus, tangles
 
 
@@ -463,206 +443,54 @@ def _kinds(program) -> set:
     return kinds
 
 
-class TestTiers:
-    """The step loop and the compiled segments, against each other and an
-    oracle: each test runs one program with the budget never spent and
-    another, listed alike, compiled before its first run."""
+class TestStepLoop:
+    """The step loop over every step kind against the exact oracle, on
+    models and on batches."""
 
-    @pytest.fixture
-    def run(self, monkeypatch):
-        def run(budget, *args):
-            monkeypatch.setattr(sem, "COMPILE_BUDGET", budget)
-            return sem.run_program(*args)
-        return run
-
-    def test_every_step_kind_on_models(self, run):
+    def test_every_step_kind_on_models(self):
         mus, tangles = _every_kind_roots()
-        roots = mus + tangles
-        looped, compiled = sem.compile_roots(roots), sem.compile_roots(roots)
-        assert len(_kinds(looped)) == 13
+        program = sem.compile_roots(mus + tangles)
+        assert len(_kinds(program)) == 13
         images = mus + [fm.to_mu(t) for t in tangles]
         for m in enumerate_models(("p", "q"), 2):
             model = KripkeModel(m.labels, (), _masks=(m.succ, m.val))
             for z in {0, 1, model.full_mask}:
                 env = {"z": z}
-                v = run(NEVER, model, looped, sem._dia_mask, sem._box_mask, env)
-                assert run(0, model, compiled, sem._dia_mask, sem._box_mask, env) == v
-                assert [v[i] for i in looped.roots] == [
+                v = sem.run_program(model, program, sem._dia_mask, sem._box_mask, env)
+                assert [v[i] for i in program.roots] == [
                     sem.eval_mu_exact(model, f, env) for f in images]
-        assert looped.segments is None and looped.ran > 0
-        assert compiled.segments is not None and compiled.ran == 0
 
-    def test_every_closed_step_kind_on_batches(self, run):
+    def test_every_closed_step_kind_on_batches(self):
         mus, tangles = _every_kind_roots()
         roots = [f for f in mus if not fm.free_vars(f)] + tangles
-        looped, compiled = sem.compile_roots(roots), sem.compile_roots(roots)
-        assert _kinds(looped) == _kinds(compiled) == _kinds(sem.compile_roots(mus + tangles)) - {fm.VAR}
+        program = sem.compile_roots(roots)
+        assert _kinds(program) == _kinds(sem.compile_roots(mus + tangles)) - {fm.VAR}
         images = [f if isinstance(f, fm.MuFormula) else fm.to_mu(f) for f in roots]
         oracle = sem.compile_roots(images)
         batches: dict = {}
         for m in enumerate_models(("p", "q"), 3):
             batches.setdefault(m._batch, []).append(m)
         for batch, models in batches.items():
-            v = run(NEVER, batch, looped, sem._wide_dia, sem._wide_box)
-            assert run(0, batch, compiled, sem._wide_dia, sem._wide_box) == v
+            v = sem.run_program(batch, program, sem._wide_dia, sem._wide_box)
             for m in models:
                 fresh = KripkeModel(m.labels, (), _masks=(m.succ, m.val))
                 want = ([sem.eval_mu_exact(fresh, f) for f in images] if m.n < 3 else
                         sem.eval_roots(fresh, oracle))
-                assert [v[i] >> m._shift & m.full_mask for i in looped.roots] == want
-        assert looped.segments is None and compiled.segments is not None
+                assert [v[i] >> m._shift & m.full_mask for i in program.roots] == want
 
     @pytest.mark.parametrize("name", ["z", "a'b"])
-    def test_unbound_variable_raises_the_same_error(self, run, name):
+    def test_unbound_variable_raises_the_same_error(self, name):
         f = fm.mu("y", fm.disj(fm.var(name), fm.diamond(fm.var("y"))))
         model = next(enumerate_models(("p",), 2))
         fresh = KripkeModel(model.labels, (), _masks=(model.succ, model.val))
+        program = sem.compile_roots((p("<> p"), f))
         errors = []
-        for budget in (NEVER, 0):
-            program = sem.compile_roots((p("<> p"), f))
-            for target, dia, box in ((fresh, sem._dia_mask, sem._box_mask),
-                                     (model._batch, sem._wide_dia, sem._wide_box)):
-                with pytest.raises(sem.UnboundVariableError) as info:
-                    run(budget, target, program, dia, box)
-                errors.append(str(info.value))
-            assert (program.segments is None) == (budget == NEVER)
-        assert errors == [f"unbound variable {name!r}"] * 4
-
-    def test_translator_blocks_agree_under_both_budgets(self, monkeypatch):
-        # the root blocks' algebra stores nothing in the run's memos, so
-        # every modal step of either tier reaches the sky
-        sigma = fm.sigma_closure(p("nu x.(p & <> x)"))
-        blocks, programs = [], []
-        for budget in (NEVER, 0):
-            monkeypatch.setattr(sem, "COMPILE_BUDGET", budget)
-            translator = Translator(sigma).build()
-            blocks.append(translator._block_memo)
-            programs.append(translator._program)
-        assert programs[0].segments is None and programs[1].segments is not None
-        assert len(blocks[0]) > 100 and blocks[0] == blocks[1]
-
-    def test_a_program_compiles_once_its_budget_is_spent(self, monkeypatch, cycle_model):
-        monkeypatch.setattr(sem, "COMPILE_BUDGET", 3)
-        # no binder: every run of the loop counts each step once
-        roots = [fm.t_tangle([fm.t_prop("e"), fm.t_dia(fm.t_prop("o"))]), fm.t_box(fm.t_prop("p"))]
-        program = sem.compile_roots(roots)
-        size = len(program.index)
-        want = [sem.eval_tangle(cycle_model, t) for t in roots]
-        for runs in range(1, 4):
-            assert sem.eval_roots(cycle_model, program) == want
-            assert program.ran == runs * size and program.segments is None
-        assert sem.eval_roots(cycle_model, program) == want
-        segments = program.segments
-        assert segments is not None and program.ran == 3 * size
-        assert sem.eval_roots(cycle_model, program) == want
-        assert program.segments is segments
-        # a thread that saw no segments before they were published finds
-        # them once it holds the lock, and compiles nothing
-        assert sem._segments(program) is segments
-        # a fixed point counts its body once per round: rounds are the
-        # calls of an algebra that stores nothing
-        f = p("nu x. (p & <> x)")
-        looped = sem.compile_roots((f, f))
-        rounds = []
-        v = sem.run_program(cycle_model, looped, lambda m, s, key, memo: rounds.append(s) or
-                            sem.dia_image(m.succ, s), sem._box_mask)
-        assert v[looped.roots[0]] == sem.eval_mu_exact(cycle_model, f)
-        assert len(rounds) > 1 and looped.ran == len(looped.steps) + 2 * len(rounds)
-
-    def test_threads_cross_the_budget_once(self, monkeypatch):
-        model = random_model(["p", "q"], 12, 7)
-        roots = [p("nu x. mu y. ((p & <> x) | (q & [] y))"),
-                 p("mu x. nu y. ((p | <> x) & [] (q | y))"),
-                 fm.t_and(fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_prop("q"))]),
-                          fm.t_box(fm.t_not(fm.t_prop("q"))))]
-        want = sem.eval_roots(model, sem.compile_roots(roots))
-        program = sem.compile_roots(roots)
-        monkeypatch.setattr(sem, "COMPILE_BUDGET", 20)
-        compiles = []
-
-        def compile_program(program, real=sem._compile_program):
-            # the other threads reach the budget while this one compiles
-            compiles.append(program)
-            time.sleep(0.01)
-            return real(program)
-        monkeypatch.setattr(sem, "_compile_program", compile_program)
-        counted = []  # the step executions of each run by the loop
-
-        def run_steps(steps, *args, real=sem._run_steps):
-            ran = real(steps, *args)
-            if steps is program.code:
-                counted.append(ran)
-            return ran
-        monkeypatch.setattr(sem, "_run_steps", run_steps)
-        got, errors = [], []
-        start = threading.Barrier(8)
-
-        def work():
-            try:
-                start.wait(timeout=60)
-                for _ in range(40):
-                    got.append(sem.eval_roots(model, program))
-            except Exception as error:
-                errors.append(error)
-        threads = [threading.Thread(target=work) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and got == [want] * 320
-        # no thread lost another's count, and one thread compiled
-        assert program.ran == sum(counted) >= 20 * len(program.index)
-        assert compiles == [program]
-
-
-class TestTraffic:
-    """Where `COMPILE_BUDGET` puts real checks: chi against phi on the
-    one-atom families of at most four and five worlds runs by the step loop
-    only, and the alternating pair that CI checks on all two-atom models of
-    at most four worlds compiles each side once."""
-
-    @pytest.fixture
-    def compiles(self, monkeypatch):
-        seen = []
-
-        def compile_program(program, real=sem._compile_program):
-            seen.append(program)
-            return real(program)
-        monkeypatch.setattr(sem, "_compile_program", compile_program)
-        return seen
-
-    @pytest.mark.parametrize("size, batches", [(4, 13), (5, 201)])
-    def test_chi_checks_never_compile(self, monkeypatch, compiles, size, batches):
-        phi = p("mu x.(p | <> x)")
-        chi, _ = translate(phi)
-        monkeypatch.setattr(chi, "_program", None)
-        count = 0
-        for model in enumerate_models(("p",), size):
-            assert sem.eval_tangle(model, chi) == sem.eval_mu(model, phi)
-            count += 1
-        assert count == {4: 5089, 5: 79417}[size]
-        program = chi._program
-        assert program not in compiles and program.segments is None
-        # chi has no binder: one step execution per step and batch
-        assert program.ran == batches * len(program.index) < sem.COMPILE_BUDGET * len(program.index)
-
-    def test_a_long_check_compiles_each_side_once(self, monkeypatch, compiles):
-        left = p("nu x. mu y. ((p & <> x) | (q & [] y))")
-        right = p("mu y. ((p & <> (nu x. mu y. ((p & <> x) | (q & [] y)))) | (q & [] y))")
-        for f in (left, right):
-            monkeypatch.setattr(f, "_program", None)
-        count = 0
-        for model in enumerate_models(("p", "q"), 4):
-            assert sem.eval_mu(model, left) == sem.eval_mu(model, right)
-            count += 1
-        assert count == 70270
-        assert compiles == [left._program, right._program]
+        for target, dia, box in ((fresh, sem._dia_mask, sem._box_mask),
+                                 (model._batch, sem._wide_dia, sem._wide_box)):
+            with pytest.raises(sem.UnboundVariableError) as info:
+                sem.run_program(target, program, dia, box)
+            errors.append(str(info.value))
+        assert errors == [f"unbound variable {name!r}"] * 2
 
 
 class TestBisimulation:
@@ -1095,7 +923,7 @@ class TestRunRule:
                  p("mu x. nu y. ((p | <> x) & [] (q | y))"),
                  fm.t_and(fm.t_tangle([fm.t_prop("p"), fm.t_dia(fm.t_prop("q"))]),
                           fm.t_box(fm.t_not(fm.t_prop("q"))))]
-        # built and compiled before the threads start: only evaluation is
+        # built and listed before the threads start: only evaluation is
         # shared between them
         want = [sem.eval_mu(model, f) for f in roots]
         got, errors = [], []
