@@ -428,10 +428,17 @@ class CanonicalCluster:
 
 def enumerate_canonical_clusters(props: Iterable[str], cap: int = 20000) -> list[CanonicalCluster]:
     props = tuple(sorted(props))
-    count = 3 ** (2 ** len(props)) - 1
-    if count > cap:
+    # 3^(2^n) - 1 clusters over n atoms; stop squaring past the cap, so
+    # that no huge number is built
+    count = 3
+    for _ in props:
+        if count > cap + 1:
+            break
+        count *= count
+    if count - 1 > cap:
         raise ClusterEnumerationError(
-            f"{count} canonical clusters over {len(props)} atoms exceeds cap {cap}")
+            f"3^(2^{len(props)}) - 1 canonical clusters over {len(props)} atoms "
+            f"exceeds cap {cap}")
     valuations = [tuple(sorted(c)) for r in range(len(props) + 1)
                   for c in itertools.combinations(props, r)]
     valuations.sort()

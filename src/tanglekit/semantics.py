@@ -8,22 +8,22 @@ must be private to one model.
 
 Both languages go through one pipeline; tangle formulas are read as the mu
 sublanguage they are, with NOT and TANGLE as two more step kinds.
-`mu_program` lists one or more roots as one flat post-order program of
-`(key, kind, operand)` steps by one iterative walk, each distinct step
-once.  A closed node, and so every tangle node, is keyed by itself; an open
-one by an int, numbered inside that walk, that is the same wherever its
-free variables are bound by the same binders.  A fixed-point step carries
-its body's steps, and each step sits in the body of the innermost binder
+`compile_roots` makes the program of one or more roots by one iterative
+walk, which gives each distinct step its place in a per-run value list `v`
+when it first meets it and appends the step, lowered to a tuple
+`(op, i, a, b)` over places, when it leaves it.  A closed node, and so
+every tangle node, is one step wherever it occurs; an open one is one step
+per choice of binders for its free variables.  A fixed-point step carries
+its lowered body, and each step sits in the body of the innermost binder
 whose variable is free in it, so work that does not depend on a variable
-runs outside that variable's loop.  `compile_roots` lowers the listed steps
-to tuples `(op, i, a, b)` over one per-run value list `v`, with integer
-places for operands.
+runs outside that variable's loop.
 
-A program runs by one loop, `_run_steps`, over its lowered steps in order,
-one branch per step kind.  A fixed point iterates `v[i] = x`, its body,
-and a compare of the body's result with `x`, and running recurses once per
-nested binder only.  Atom names, free variable names and algebra keys are
-operands of the lowered steps, never source text: no program is compiled.
+A program runs by one loop, `_run_steps`, over its steps in order, one
+branch per step kind.  A fixed point iterates `v[i] = x`, its body, and a
+compare of the body's result with `x`; the loop keeps the binders it is
+iterating on a list, so nesting is bounded by memory, not by Python's
+recursion limit.  Atom names, free variable names and places are operands
+of the steps, never source text: no program is compiled.
 
 `run_program` runs a program over a world-set algebra: the model gives
 the valuation and `full` (the set of all its worlds) gives top.  A run's
@@ -31,10 +31,10 @@ memos are locals of `run_program`, made when it starts, so nothing of a
 run is stored on the model or the batch, and runs nested in one another or
 in several threads on one model do not meet.  A diamond step reads the
 memo `D` by its argument mask and on a miss calls `dia(model, s, key, D)`
-with the argument's key, which may store the image in `D` (`_dia_mask`,
-`_wide_dia`) or not (the translator's root blocks, whose modalities first
-read what holds above the cluster); box steps read `B` and call `box`
-alike.  Tangle steps read the run's tangle state `S`: rows of the cluster
+with the argument's place as `key`; the algebra may store the image in
+`D` (`_dia_mask`, `_wide_dia`) or not (the translator's root blocks, whose
+modalities first read what holds above the cluster); box steps read `B`
+and call `box` alike.  Tangle steps read the run's tangle state `S`: rows of the cluster
 relations, which the model or batch keeps (`tangle_rows()`), and a diamond
 over them, so that one formula, `_tangle_compute`, serves models and
 batches.  A free variable missing from `env` raises
@@ -62,12 +62,12 @@ translator's root blocks) runs on the one model.
 
 Roots that share work run as one program.  `compile_roots` lists the union
 of their steps once, and `run_program` returns the whole run's value list,
-in which the program's `index` gives each key's place, so a step shared by
-several roots runs once per run.  A single root keeps
-its program on the node (`_program`); a program of several roots is kept
-by its owner: the translator's for its members' floors, and a
-`SigmaClosure`'s for all its floors, set here on first use.  `eval_roots`
-runs several roots on one model; a run keeps no values once it returns.
+in which the program's `roots` give each root's place, so a step shared by
+several roots runs once per run.  A single root keeps its program on the
+node (`_program`); a program of several roots is kept by its owner: the
+translator's for its members' floors, and a `SigmaClosure`'s for all its
+floors, set here on first use.  `eval_roots` runs several roots on one
+model; a run keeps no values once it returns.
 """
 
 from __future__ import annotations
@@ -130,73 +130,15 @@ def _box_mask(model: KripkeModel, s: int, key, memo: dict) -> int:
     return got
 
 
-def _step_key(g: MuFormula, scope: dict, open_keys: dict):
-    """A closed node is its own key.  An open one gets an int from
-    `open_keys`, the same wherever its free variables are bound by the same
-    binders; a bound variable reads its binder's slot, so its key is the
-    binder's."""
+def _step_key(g: MuFormula, scope: dict):
+    """A closed node is its own key; an open one is keyed by itself and the
+    places of its free variables' binders (None for a variable left free),
+    so it is one step wherever those variables are bound by the same
+    binders."""
     fv = fm.free_vars(g)
     if not fv:
         return g
-    if g.kind == fm.VAR and g.name in scope:
-        return scope[g.name][0]
-    binding = (g, tuple(sorted((v, scope[v][0] if v in scope else None) for v in fv)))
-    return open_keys.setdefault(binding, len(open_keys))
-
-
-def mu_program(roots: Sequence[MuFormula | TangleFormula]) -> tuple[list, list]:
-    """The steps that evaluate the roots, mu or tangle formulas, and each
-    root's key.  One iterative walk lists the union of the roots' steps in
-    one post-order, each distinct step once, and numbers the open keys as it
-    meets them.  A step is `(key, kind, operand)`; the operand is the name,
-    the argument key, the `(left, right)` keys, the member keys of a tangle,
-    or for a fixed point its body's steps and the key of the body's result.
-    Each step sits in the body of the innermost binder whose variable is
-    free in it, so work that does not depend on a variable runs once,
-    outside that variable's loop; steps of variables left free (read from
-    `env`) sit at the top."""
-    top: list = []
-    seen = set()
-    open_keys: dict = {}
-    # Entries are (node, scope) to visit, or (None, (home, step)) to append
-    # the finished step to its home list.  A scope maps each bound variable
-    # to (binder key, nesting depth, the binder's body steps).
-    stack: list = [(f, {}) for f in reversed(roots)]
-    while stack:
-        g, scope = stack.pop()
-        if g is None:
-            home, step = scope
-            home.append(step)
-            continue
-        kind = g.kind
-        if kind == fm.VAR and g.name in scope:
-            continue
-        key = _step_key(g, scope, open_keys)
-        if key in seen:
-            continue
-        seen.add(key)
-        home, depth = top, 0
-        for v in fm.free_vars(g):
-            if v in scope and scope[v][1] > depth:
-                _, depth, home = scope[v]
-        if kind in (fm.MU, fm.NU):
-            body: list = []
-            inner = dict(scope)
-            inner[g.var] = (key, 1 + max((d for _, d, _ in scope.values()), default=0), body)
-            stack.append((None, (home, (key, kind, (body, _step_key(g.body, inner, open_keys))))))
-            stack.append((g.body, inner))
-            continue
-        if kind in (fm.AND, fm.OR):
-            operand = (_step_key(g.left, scope, open_keys), _step_key(g.right, scope, open_keys))
-        elif kind in (fm.DIA, fm.BOX, fm.NOT):
-            operand = _step_key(g.arg, scope, open_keys)
-        elif kind == fm.TANGLE:
-            operand = g.members  # a tangle node is closed: its own key
-        else:
-            operand = g.name
-        stack.append((None, (home, (key, kind, operand))))
-        stack.extend((c, scope) for c in g.children())
-    return top, [_step_key(f, {}, open_keys) for f in roots]
+    return (g, *[scope[v][0] if v in scope else None for v in sorted(fv)])
 
 
 # The step kinds of a lowered program, numbered in the order the step loop
@@ -210,79 +152,63 @@ _OPS = {AND: _AND, OR: _OR, TANGLE: _TANGLE, DIA: _DIA, NOT: _NOT, BOX: _BOX,
         fm.VAR: _VAR}
 
 
-def _lower(step: tuple, index: dict, bodies: dict) -> tuple:
-    """The lowered step `(op, i, a, b)` of a listed step, which writes
-    `v[i]`: `a` and `b` are the operands' places for AND and OR; `a` is the
-    argument's place for NOT, DIA and BOX, and for the last two `b` is the
-    argument's key, which the algebra is handed.  For TANGLE `a` holds the
-    members' places and `b` a getter of all of them from `v`, or None for
-    one member; for PROP, NEGPROP and VAR `a` is the name.  A fixed point's
-    `a` is its lowered body, from `bodies`, and `b` the place of the body's
-    result."""
-    key, kind, operand = step
-    op, i = _OPS[kind], index[key]
-    if kind in (AND, OR):
-        return op, i, index[operand[0]], index[operand[1]]
-    if kind in (DIA, BOX):
-        return op, i, index[operand], operand
-    if kind == NOT:
-        return op, i, index[operand], None
-    if kind == TANGLE:
-        places = tuple(index[m] for m in operand)
-        return op, i, places, operator.itemgetter(*places) if len(places) > 1 else None
-    if kind in (MU, NU):
-        return op, i, bodies[id(operand[0])], index[operand[1]]
-    if kind in (TOP, BOT):
-        return op, i, None, None
-    return op, i, operand, None
-
-
-def _run_steps(steps: tuple, v: list, model, val, full: int, env, dia, box,
+def _run_steps(code: tuple, v: list, model, val, full: int, env, dia, box,
                D: dict, B: dict, T, S) -> None:
     """Run lowered steps in order; a fixed point iterates its body from
     bottom (MU) or top (NU) until the body's result equals the value it
-    was given."""
-    for op, i, a, b in steps:
-        if op == _AND:
-            v[i] = v[a] & v[b]
-        elif op == _OR:
-            v[i] = v[a] | v[b]
-        elif op == _TANGLE:
-            k = b(v) if b else (v[a[0]],)
-            x = T.get(k)
-            if x is None:
-                x = T[k] = _tangle_compute(S, full, k)
-            v[i] = x
-        elif op == _DIA:
-            x = D.get(v[a])
-            if x is None:
-                x = dia(model, v[a], b, D)
-            v[i] = x
-        elif op == _NOT:
-            v[i] = full & ~v[a]
-        elif op == _BOX:
-            x = B.get(v[a])
-            if x is None:
-                x = box(model, v[a], b, B)
-            v[i] = x
-        elif op <= _NU:  # MU or NU: `a` is the body, `b` its result's place
-            x = 0 if op == _MU else full
-            while True:
+    was given.  Nothing recurses: each binder being iterated keeps the
+    steps after it and its own step on `loops`."""
+    loops: list = []
+    steps = iter(code)
+    while True:
+        for op, i, a, b in steps:
+            if op == _AND:
+                v[i] = v[a] & v[b]
+            elif op == _OR:
+                v[i] = v[a] | v[b]
+            elif op == _TANGLE:
+                k = b(v) if b else (v[a[0]],)
+                x = T.get(k)
+                if x is None:
+                    x = T[k] = _tangle_compute(S, full, k)
                 v[i] = x
-                _run_steps(a, v, model, val, full, env, dia, box, D, B, T, S)
-                if v[b] == x:
-                    break
-                x = v[b]
-        elif op == _PROP:
-            v[i] = val.get(a, 0)
-        elif op == _NEGPROP:
-            v[i] = full & ~val.get(a, 0)
-        elif op == _TOP:
-            v[i] = full
-        elif op == _BOT:
-            v[i] = 0
-        else:  # VAR, free in the root
-            v[i] = env[a] if a in env else _unbound(a)
+            elif op == _DIA:
+                x = D.get(v[a])
+                if x is None:
+                    x = dia(model, v[a], a, D)
+                v[i] = x
+            elif op == _NOT:
+                v[i] = full & ~v[a]
+            elif op == _BOX:
+                x = B.get(v[a])
+                if x is None:
+                    x = box(model, v[a], a, B)
+                v[i] = x
+            elif op <= _NU:  # MU or NU: `a` is the body, `b` its result's place
+                v[i] = 0 if op == _MU else full
+                loops.append((steps, i, a, b))
+                steps = iter(a)
+                break
+            elif op == _PROP:
+                v[i] = val.get(a, 0)
+            elif op == _NEGPROP:
+                v[i] = full & ~val.get(a, 0)
+            elif op == _TOP:
+                v[i] = full
+            elif op == _BOT:
+                v[i] = 0
+            else:  # VAR, free in the root
+                v[i] = env[a] if a in env else _unbound(a)
+        else:  # a body, or the top level, ran to its end
+            if not loops:
+                return
+            outer, i, a, b = loops[-1]
+            if v[b] == v[i]:
+                loops.pop()
+                steps = outer
+            else:
+                v[i] = v[b]
+                steps = iter(a)
 
 
 def _unbound(name: str):
@@ -291,37 +217,82 @@ def _unbound(name: str):
 
 class Program(NamedTuple):
     """The program of one or more roots (see `compile_roots`)."""
-    steps: list  # the top level, as `mu_program` lists it
-    code: tuple  # the top level, lowered
-    index: dict  # each step key's place in the value list
+    code: tuple  # the top-level steps, lowered
+    size: int  # the length of the value list
     roots: tuple  # each root's place in the value list
     tangles: bool  # whether any step is a tangle
 
 
 def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
-    """The program of the roots, listed by `mu_program` and lowered to step
-    tuples for `_run_steps`.  The value list holds the top-level steps
-    first, then each binder's body in order of discovery.  A single root's
-    program is made once and kept on it."""
+    """The program of the roots, mu or tangle formulas, by one iterative
+    walk: each distinct step gets its place in the value list when the walk
+    first meets it, and its lowered tuple `(op, i, a, b)`, which writes
+    `v[i]`, is appended to its home list when the walk leaves it, so each
+    list is in post-order.  `a` and `b` are the operands' places for AND
+    and OR; `a` is the argument's place for NOT, DIA and BOX, and the
+    algebra is handed that place as the modal step's key.  For TANGLE `a`
+    holds the members' places and `b` a getter of all of them from `v`, or
+    None for one member; for PROP, NEGPROP and VAR `a` is the name.  A
+    fixed point's `a` is its lowered body and `b` the place of the body's
+    result.  A step's home is the body of the innermost binder whose
+    variable is free in it, so work that does not depend on a variable
+    runs once, outside that variable's loop; steps of variables left free
+    (read from `env`) sit at the top.  A single root's program is made once
+    and kept on it."""
     if len(roots) == 1 and roots[0]._program is not None:
         return roots[0]._program
-    steps, root_keys = mu_program(roots)
-    bodies = [steps]
-    index: dict = {}
+    index: dict = {}  # step key -> place
+    top: list = []
     tangles = False
-    for body in bodies:  # grows as binders are found
-        for key, kind, operand in body:
-            index[key] = len(index)
-            if kind in (MU, NU):
-                bodies.append(operand[0])
+
+    def place(g, scope: dict) -> int:
+        if g.kind == fm.VAR and g.name in scope:
+            return scope[g.name][0]  # a bound variable reads its binder's place
+        return index[_step_key(g, scope)]
+
+    # Entries are (node, scope) to visit, or (None, (node, scope, home, i))
+    # to lower the node at place i and append it to its home list.  A scope
+    # maps each bound variable to (binder place, nesting depth, the binder's
+    # body); a binder's entries carry the scope of its body.
+    stack: list = [(f, {}) for f in reversed(roots)]
+    while stack:
+        g, scope = stack.pop()
+        if g is None:
+            g, scope, home, i = scope
+            kind = g.kind
+            if kind in (AND, OR):
+                step = (_OPS[kind], i, place(g.left, scope), place(g.right, scope))
+            elif kind in (DIA, BOX, NOT):
+                step = (_OPS[kind], i, place(g.arg, scope), None)
             elif kind == TANGLE:
                 tangles = True
-    # last found first, so each binder's body is lowered before the binder
-    lowered: dict = {}
-    for body in reversed(bodies):
-        lowered[id(body)] = tuple(_lower(step, index, lowered) for step in body)
-    program = Program(steps, lowered[id(steps)], index,
-                      tuple(index[key] for key in root_keys), tangles)
+                places = tuple(index[m] for m in g.members)  # members are closed
+                step = (_TANGLE, i, places,
+                        operator.itemgetter(*places) if len(places) > 1 else None)
+            elif kind in (MU, NU):
+                step = (_OPS[kind], i, tuple(scope[g.var][2]), place(g.body, scope))
+            elif kind in (TOP, BOT):
+                step = (_OPS[kind], i, None, None)
+            else:
+                step = (_OPS[kind], i, g.name, None)
+            home.append(step)
+            continue
+        if g.kind == fm.VAR and g.name in scope:
+            continue
+        key = _step_key(g, scope)
+        if key in index:
+            continue
+        i = index[key] = len(index)
+        home, depth = top, 0
+        for var in fm.free_vars(g):
+            if var in scope and scope[var][1] > depth:
+                _, depth, home = scope[var]
+        if g.kind in (MU, NU):
+            depth = 1 + max((d for _, d, _ in scope.values()), default=0)
+            scope = {**scope, g.var: (i, depth, [])}
+        stack.append((None, (g, scope, home, i)))
+        stack.extend((c, scope) for c in g.children())
+    program = Program(tuple(top), len(index), tuple(place(f, {}) for f in roots), tangles)
     if len(roots) == 1:
         roots[0]._program = program
     return program
@@ -330,16 +301,16 @@ def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
 def run_program(model: KripkeModel | ModelBatch, program: Program, dia, box,
                 env: Optional[Mapping[str, int]] = None) -> list:
     """The values of one run of `program` under the algebra `dia`/`box` on
-    `model`, as one list: `program.index` gives each key's place in it and
-    `program.roots` each root's; a step shared by several roots runs once.
-    The run's memos are its own locals.  A diamond step reads the memo `D`
-    by its argument mask and on a miss calls `dia(model, s, key, D)`, with
-    `key` the argument's key; box steps read `B` and call `box` alike.
+    `model`, as one list, in which `program.roots` gives each root's place;
+    a step shared by several roots runs once.  The run's memos are its own
+    locals.  A diamond step reads the memo `D` by its argument mask and on
+    a miss calls `dia(model, s, key, D)`, with `key` the argument's place;
+    box steps read `B` and call `box` alike.
     Only the algebra fills the memos: with one that stores nothing, every
     modal step calls it.  A program with a tangle step also gets the
     tangle memo `T`, from member masks to the result, and the tangle state
     `S` (see `_tangle_compute`) over the target's `tangle_rows()`."""
-    v = [None] * len(program.index)
+    v = [None] * program.size
     val, full = model.val, model.full_mask
     env = env or {}
     D, B = {}, {}
@@ -394,7 +365,7 @@ def eval_roots(model: KripkeModel,
                roots: Program | Sequence[MuFormula | TangleFormula],
                env: Optional[Mapping[str, int]] = None) -> list[int]:
     """World sets of several roots, mu or tangle formulas, on the one model,
-    by one run of their program (given, or listed from the roots here): a
+    by one run of their program (given, or made from the roots here): a
     step shared by roots runs once."""
     program = roots if type(roots) is Program else compile_roots(roots)
     v = run_program(model, program, _dia_mask, _box_mask, env)

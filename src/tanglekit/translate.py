@@ -21,12 +21,12 @@ Scaling notes, all semantically transparent:
   evaluator, instead of model-checking the assembled witness; the witness
   itself stays available as a recipe (`materialize_witness`) and
   `verify_pair` replays the summary computation against it.  What lies
-  above the root enters through the *sky*: two bits per program key of a
-  member floor or of a dia/box argument in that program, bit 2i "true
+  above the root enters through the *sky*: two bits per program place of
+  a member floor or of a dia/box argument in that program, bit 2i "true
   somewhere" and bit 2i+1 "false somewhere".  A diamond whose argument is true somewhere
   above holds on the whole cluster, a box whose argument is false somewhere
-  above holds nowhere; otherwise they act inside the cluster.  Open
-  arguments are keyed per binding, and their values after the run are the
+  above holds nowhere; otherwise they act inside the cluster.  An open
+  argument has one place per binding, and its values after the run are the
   values at the fixed points, so no closed instance is ever built.
 - That block evaluation reads only the cluster and the sky above, so it is
   memoised per `(cluster, sky_above)` and shared by every cell with the
@@ -170,8 +170,7 @@ class Translator:
         self.rep_of, self.members = self._dedupe_members()
         self._member_index = {m: i for i, m in enumerate(self.members)}
         self._width = len(self.members)
-        self._floors = [sigma.floors[m] for m in self.members]
-        self._program = sem.compile_roots(self._floors)
+        self._program = sem.compile_roots([sigma.floors[m] for m in self.members])
         self._sky_bit = self._sky_index()
         self.cells: list[dict[int, tuple[SatPair, ...]]] = []
         self.pairs: list[dict[tuple, SatPair]] = []
@@ -240,18 +239,18 @@ class Translator:
     # -- the sky --------------------------------------------------------------
 
     def _sky_index(self) -> dict:
-        """Bit position 2i of each program key the root block reads from
-        above: the member floors and every dia/box argument in the floors'
+        """Bit position 2i of each place the root block reads from above:
+        each member floor's and each dia/box argument's place in the floors'
         program.  Bit 2i means "true somewhere", bit 2i+1 "false somewhere"."""
-        keys = dict.fromkeys(self._floors)
-        bodies = [self._program.steps]
+        places = dict.fromkeys(self._program.roots)
+        bodies = [self._program.code]
         while bodies:
-            for _, kind, operand in bodies.pop():
-                if kind in (fm.DIA, fm.BOX):
-                    keys.setdefault(operand)
-                elif kind in (fm.MU, fm.NU):
-                    bodies.append(operand[0])
-        return {k: 2 * i for i, k in enumerate(keys)}
+            for op, _, a, _ in bodies.pop():
+                if op in (sem._DIA, sem._BOX):
+                    places.setdefault(a)
+                elif op in (sem._MU, sem._NU):
+                    bodies.append(a)
+        return {place: 2 * i for i, place in enumerate(places)}
 
     # -- table construction ----------------------------------------------------
 
@@ -445,8 +444,8 @@ class Translator:
         program = self._program
         values = sem.run_program(block, program, dia, box)
         sky = sky_above
-        for k, i in bit.items():
-            x = values[program.index[k]]
+        for place, i in bit.items():
+            x = values[place]
             if x:
                 sky |= 1 << i
             if x != block.full_mask:
@@ -454,7 +453,8 @@ class Translator:
         # per member index: its truth mask on the block, and whether it is
         # true somewhere above
         masks = [values[i] for i in program.roots]
-        above = sum(1 << i for i, f in enumerate(self._floors) if sky_above >> bit[f] & 1)
+        above = sum(1 << i for i, place in enumerate(program.roots)
+                    if sky_above >> bit[place] & 1)
         truths = {}
         w = 0
         final_classes = set()

@@ -94,6 +94,14 @@ class TestTranslate:
         err = capsys.readouterr().err
         assert "guard exceeded" in err
 
+    def test_many_atoms_fail_the_cluster_guard(self, capsys):
+        atoms = " & ".join(f"p{i}" for i in range(16))
+        assert main(["translate", atoms]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: 3^(2^16) - 1 canonical clusters over 16 atoms "
+                                "exceeds cap 20000\n")
+        assert captured.out == ""
+
     def test_guard_error_shows_growth(self, capsys):
         assert main(["translate", "<> p", "--max-pairs", "4263"]) == 2
         err = capsys.readouterr().err

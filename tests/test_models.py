@@ -259,8 +259,10 @@ class TestCanonicalClusters:
         assert c.multiplicity(["p"]) == ONE
 
     def test_cap(self):
-        with pytest.raises(km.ClusterEnumerationError):
-            enumerate_canonical_clusters(["a", "b", "c", "d"], cap=100)
+        # 3^(2^40) - 1 is never built: the count stops growing past the cap
+        for props, cap in ((["a", "b", "c", "d"], 100), ([f"p{i}" for i in range(40)], 20000)):
+            with pytest.raises(km.ClusterEnumerationError, match=f"over {len(props)} atoms"):
+                enumerate_canonical_clusters(props, cap=cap)
 
 
 class TestEnumeration:

@@ -117,18 +117,20 @@ class TestTangleFormulaEval:
         # filled, and each node's value is its own on the batch
         roots = random_tangle_dag(random.Random(5), 16)[-6:]
         program = sem.compile_roots(roots)
-        keys = [key for key, _, _ in program.steps]
-        assert len(keys) == len(set(keys)) == len(program.index)
+        nodes = _dag_nodes(roots)
+        assert sorted(i for _, i, _, _ in _lowered_steps(program)) == list(range(len(nodes)))
+        # a node already listed keeps its place when listed again as a root
+        places = sem.compile_roots(roots + nodes)
+        assert places.size == program.size and places.roots[:6] == program.roots
         for model in models_pq3[::7]:
             values = sem.run_program(model, program, sem._dia_mask, sem._box_mask)
             assert None not in values
             assert sem.eval_roots(model, program) == [sem.eval_tangle(model, t) for t in roots]
-            for node, i in program.index.items():
+            for node, i in zip(nodes, places.roots[6:]):
                 assert values[i] == sem.eval_tangle(model, node)
 
     def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
-        size = 128  # the program is longer than two blocks of this many steps
-        pool = random_tangle_dag(random.Random(61), 3 * size)
+        pool = random_tangle_dag(random.Random(61), 384)
         # One root over the whole pool, joined pairwise, so its program holds
         # every node and late steps read operands listed far before them.
         level = pool
@@ -137,16 +139,12 @@ class TestTangleFormulaEval:
                      if i + 1 < len(level) else level[i]
                      for i in range(0, len(level), 2)]
         root = level[0]
-        steps, _ = sem.mu_program([root])
-        nodes = [node for node, _, _ in steps]
-        index = {node: i for i, node in enumerate(nodes)}
-        assert len(steps) > 2 * size
-        assert any(index[c] // size < i // size - 1
-                   for i, node in enumerate(nodes) for c in node.children())
-        # every node as a root of one program, listed as the root's own, and
-        # the nodes' mu images as one program of as many roots
+        nodes = _dag_nodes([root])[::-1]  # the root last
+        assert nodes[-1] is root and len(nodes) > 384
+        # every node as a root of one program, with as many steps as the
+        # root's own, and the nodes' mu images as one program of as many roots
         tangles = sem.compile_roots(nodes)
-        assert tangles.steps == steps
+        assert tangles.size == sem.compile_roots((root,)).size == len(nodes)
         images = sem.compile_roots([fm.to_mu(node) for node in nodes])
         for model in models_pq3[::16]:
             values = sem.eval_roots(model, tangles)
@@ -272,11 +270,11 @@ class TestMuProgram:
 
     def test_invariant_work_is_hoisted(self):
         # <> p does not depend on x, so it runs once, outside the loop
-        program, _ = sem.mu_program([p("nu x. (<> p & <> x)")])
-        assert [kind for _, kind, _ in program] == [fm.PROP, fm.DIA, fm.NU]
-        _, _, (body, result) = program[-1]
-        assert [kind for _, kind, _ in body] == [fm.DIA, fm.AND]
-        assert body[-1][0] == result
+        code = sem.compile_roots((p("nu x. (<> p & <> x)"),)).code
+        assert [op for op, _, _, _ in code] == [sem._PROP, sem._DIA, sem._NU]
+        _, _, body, result = code[-1]
+        assert [op for op, _, _, _ in body] == [sem._DIA, sem._AND]
+        assert body[-1][1] == result
 
 
 def _alternating_nest(depth: int) -> fm.MuFormula:
@@ -297,15 +295,36 @@ def _alternating_nest(depth: int) -> fm.MuFormula:
     return fm.nu("x0", fm.mu("x1", fm.conj(core, inner) if depth > 2 else core))
 
 
-def _binder_nesting(program: list) -> int:
+def _binder_nesting(program: sem.Program) -> int:
     deepest = 0
-    stack = [(program, 0)]
+    stack = [(program.code, 0)]
     while stack:
-        steps, depth = stack.pop()
+        code, depth = stack.pop()
         deepest = max(deepest, depth)
-        stack.extend((operand[0], depth + 1) for _, kind, operand in steps
-                     if kind in (fm.MU, fm.NU))
+        stack.extend((a, depth + 1) for op, _, a, _ in code if op in (sem._MU, sem._NU))
     return deepest
+
+
+def _lowered_steps(program: sem.Program) -> list:
+    """Every lowered step of the program, those in binder bodies included."""
+    out, bodies = [], [program.code]
+    while bodies:
+        for step in bodies.pop():
+            out.append(step)
+            if step[0] in (sem._MU, sem._NU):
+                bodies.append(step[2])
+    return out
+
+
+def _dag_nodes(roots) -> list:
+    """The distinct nodes under the roots, the first root first."""
+    seen, stack = {}, list(roots)
+    while stack:
+        g = stack.pop()
+        if g not in seen:
+            seen[g] = None
+            stack.extend(g.children())
+    return list(seen)
 
 
 class TestCompiledMu:
@@ -319,8 +338,8 @@ class TestCompiledMu:
         # directly, that the W wrappers leave the core's value unchanged.
         nest, small = _alternating_nest(40), _alternating_nest(4)
         core = _alternating_nest(2)
-        assert _binder_nesting(sem.mu_program([nest])[0]) == 40
-        assert _binder_nesting(sem.mu_program([small])[0]) == 4
+        assert _binder_nesting(sem.compile_roots((nest,))) == 40
+        assert _binder_nesting(sem.compile_roots((small,))) == 4
         for model in models_pq2:
             want = sem.eval_mu_exact(model, core)
             assert sem.eval_mu_exact(model, small) == want
@@ -328,24 +347,27 @@ class TestCompiledMu:
             assert sem.eval_mu(model, nest) == want
         assert {sem.eval_mu(m, core) for m in models_pq2} != {0}
 
+    def test_three_thousand_nested_binders(self, models_pq2):
+        # far beyond the interpreter's recursion limit: the step loop keeps
+        # the binders it is iterating on a list, and does not recurse
+        nest, core = _alternating_nest(3000), _alternating_nest(2)
+        assert len(models_pq2) == 144
+        for model in models_pq2:
+            assert sem.eval_mu(model, nest) == sem.eval_mu_exact(model, core)
+
     def test_binder_body_longer_than_two_segments(self, models_pq2):
-        size = 128  # the body is longer than two blocks of this many steps
         first = fm.diamond(fm.var("x"))
         g = first
-        for i in range(size + 8):
+        for i in range(136):
             if i % 2:
                 g = fm.conj(fm.diamond(g), fm.prop("p"))
             else:
                 g = fm.disj(fm.box(g), fm.prop("q"))
-        # A late step reads `<> x`, one of the body's first, two blocks back.
+        # The body's last steps read `<> x`, its first.
         f = fm.nu("x", fm.disj(fm.conj(first, fm.prop("q")), g))
-        _, _, (body, _) = sem.mu_program([f])[0][-1]
-        position = {key: i for i, (key, _, _) in enumerate(body)}
-        reads = [(i, a) for i, (_, kind, operand) in enumerate(body)
-                 for a in (operand if kind in (fm.AND, fm.OR) else (operand,))]
-        assert len(body) > 2 * size
-        assert any(position[a] // size < i // size - 1
-                   for i, a in reads if a in position)
+        _, _, body, _ = sem.compile_roots((f,)).code[-1]
+        assert len(body) > 256 and body[0][0] == sem._DIA
+        assert body[0][1] in body[-2][2:]
         got = {}
         for model in models_pq2:
             got[model] = sem.eval_mu(model, f)
@@ -387,6 +409,10 @@ class TestCompiledMu:
             calls.append(("box", key))
             return sem.box_image(model.succ, s)
 
+        inner = p("<> e")
+        looped = p("nu x. (<> e & [] x)")
+        named = (p("e"), looped, p("o"))
+
         def run(*roots):
             calls.clear()
             program = sem.compile_roots(roots)
@@ -395,13 +421,15 @@ class TestCompiledMu:
             assert None not in values
             assert [values[i] for i in program.roots] == [
                 sem.eval_mu(cycle_model, f) for f in roots]
-            return list(calls)
+            # each key is a place; a node already listed keeps its place
+            # when listed again as a root, which names the places
+            places = sem.compile_roots(roots + named).roots[len(roots):]
+            node = dict(zip(places, named))
+            return [(kind, node[key]) for kind, key in calls]
 
-        inner = p("<> e")
-        looped = p("nu x. (<> e & [] x)")
         assert run(inner) == [("dia", p("e"))]
         # `[] x` reruns per round, keyed by its argument, the bound x, which
-        # reads its binder's slot
+        # reads its binder's place
         x_calls = run(looped)
         assert x_calls == [("dia", p("e"))] + [("box", looped)] * 3
         # a step shared by two roots calls the algebra once: `<> e` here,
@@ -434,13 +462,7 @@ def _every_kind_roots():
 
 
 def _kinds(program) -> set:
-    kinds, bodies = set(), [program.steps]
-    while bodies:
-        for _, kind, operand in bodies.pop():
-            kinds.add(kind)
-            if kind in (fm.MU, fm.NU):
-                bodies.append(operand[0])
-    return kinds
+    return {op for op, _, _, _ in _lowered_steps(program)}
 
 
 class TestStepLoop:
@@ -464,7 +486,7 @@ class TestStepLoop:
         mus, tangles = _every_kind_roots()
         roots = [f for f in mus if not fm.free_vars(f)] + tangles
         program = sem.compile_roots(roots)
-        assert _kinds(program) == _kinds(sem.compile_roots(mus + tangles)) - {fm.VAR}
+        assert _kinds(program) == _kinds(sem.compile_roots(mus + tangles)) - {sem._VAR}
         images = [f if isinstance(f, fm.MuFormula) else fm.to_mu(f) for f in roots]
         oracle = sem.compile_roots(images)
         batches: dict = {}
@@ -1047,10 +1069,9 @@ class TestSeveralRoots:
     def test_open_subterm_under_two_binders_gets_two_keys(self):
         least, greatest = p("mu x. (p | <> x)"), p("nu x. (p & <> x)")
         program = sem.compile_roots([least, greatest])
-        bodies = [operand[0] for _, kind, operand in program.steps
-                  if kind in (fm.MU, fm.NU)]
-        keys = [key for body in bodies for key, kind, _ in body if kind == fm.DIA]
-        assert len(keys) == 2 and keys[0] != keys[1]
+        bodies = [a for op, _, a, _ in program.code if op in (sem._MU, sem._NU)]
+        places = [i for body in bodies for op, i, _, _ in body if op == sem._DIA]
+        assert len(places) == 2 and places[0] != places[1]
         for model in enumerate_models(("p",), 3):
             assert sem.eval_roots(model, program) == [
                 sem.eval_mu_exact(model, least), sem.eval_mu_exact(model, greatest)]
