@@ -34,10 +34,10 @@ memo `D` by its argument mask and on a miss calls `dia(model, s, key, D)`
 with the argument's place as `key`; the algebra may store the image in
 `D` (`_dia_mask`, `_wide_dia`) or not (the translator's root blocks, whose
 modalities first read what holds above the cluster); box steps read `B`
-and call `box` alike.  Tangle steps read the run's tangle state `S`: rows of the cluster
-relations, which the model or batch keeps (`tangle_rows()`), and a diamond
-over them, so that one formula, `_tangle_compute`, serves models and
-batches.  A free variable missing from `env` raises
+and call `box` alike.  Tangle steps read the run's tangle state `S`: rows
+of the cluster relations, which the model or batch keeps (`tangle_rows()`),
+and a diamond over them, so that one formula, `_tangle_compute`, serves
+models and batches.  A free variable missing from `env` raises
 `UnboundVariableError`.  `eval_mu_exact` is the independent oracle: it
 walks the formula with a stack of generators, not by recursion, and
 enumerates exact fixed points, with `dia_image`/`box_image` called
@@ -288,8 +288,11 @@ def compile_roots(roots: Sequence[MuFormula | TangleFormula]) -> Program:
             if var in scope and scope[var][1] > depth:
                 _, depth, home = scope[var]
         if g.kind in (MU, NU):
+            # inside g only the binders of g's free variables are read, so
+            # the body's scope keeps just those, and deep nests stay linear
+            scope = {var: scope[var] for var in fm.free_vars(g) if var in scope}
             depth = 1 + max((d for _, d, _ in scope.values()), default=0)
-            scope = {**scope, g.var: (i, depth, [])}
+            scope[g.var] = (i, depth, [])
         stack.append((None, (g, scope, home, i)))
         stack.extend((c, scope) for c in g.children())
     program = Program(tuple(top), len(index), tuple(place(f, {}) for f in roots), tangles)

@@ -120,13 +120,13 @@ class TestTangleFormulaEval:
         nodes = _dag_nodes(roots)
         assert sorted(i for _, i, _, _ in _lowered_steps(program)) == list(range(len(nodes)))
         # a node already listed keeps its place when listed again as a root
-        places = sem.compile_roots(roots + nodes)
-        assert places.size == program.size and places.roots[:6] == program.roots
+        relisted = sem.compile_roots(roots + nodes)
+        assert relisted.size == program.size and relisted.roots[:6] == program.roots
         for model in models_pq3[::7]:
             values = sem.run_program(model, program, sem._dia_mask, sem._box_mask)
             assert None not in values
             assert sem.eval_roots(model, program) == [sem.eval_tangle(model, t) for t in roots]
-            for node, i in zip(nodes, places.roots[6:]):
+            for node, i in zip(nodes, relisted.roots[6:]):
                 assert values[i] == sem.eval_tangle(model, node)
 
     def test_dags_longer_than_two_segments_match_mu_image(self, models_pq3):
