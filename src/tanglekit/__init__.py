@@ -2,9 +2,10 @@
 parsing and evaluation for both languages, the finality machinery, and the
 translation of arbitrary fixed-point formulas into the tangle fragment."""
 
-from .formulas import (ClosureOverflowError, FormulaSyntaxError, MuFormula,
-                       NegationError, SigmaClosure, TangleFormula,
-                       alternation_free, big_and, big_or, bot, box, conj,
+from .formulas import (ClosureOverflowError, FormulaSyntaxError,
+                       FreshNameClashError, MuFormula, NegationError,
+                       SigmaClosure, TangleFormula, alternation_free,
+                       big_and, big_or, bot, box, conj,
                        diamond, disj, dot_box, dot_diamond, expand_tangle,
                        floor, in_tangle_fragment, mu, neg_prop, negate, nu,
                        parse_mu, print_mu, prop, sigma_closure, size,

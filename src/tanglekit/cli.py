@@ -254,7 +254,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc} (built: pairs {exc.growth['pairs']}, "
               f"lattice {exc.growth['lattice']})", file=sys.stderr)
         return EXIT_USAGE
-    except (fm.ClosureOverflowError, ClusterEnumerationError) as exc:
+    except (fm.ClosureOverflowError, fm.FreshNameClashError,
+            ClusterEnumerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except RecursionError:

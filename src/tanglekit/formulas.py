@@ -54,6 +54,11 @@ class ClosureOverflowError(RuntimeError):
     """Raised when a saturation exceeds its configured member cap."""
 
 
+class FreshNameClashError(ValueError):
+    """Raised when a formula's atom is named like a fresh constant, which
+    the closure would read as the fixed point that owns the name."""
+
+
 class MuFormula:
     """One interned node of an NNF mu-calculus formula."""
 
@@ -678,6 +683,10 @@ def sigma_closure(seed: MuFormula, cap: int = 20000) -> SigmaClosure:
                     raise ClosureOverflowError(
                         f"closure exceeded cap of {cap} members")
                 work.append(g)
+    # only now is every fixed point of the closure named
+    clash = sorted(_fresh_by_name.keys() & prop_names(seed))
+    if clash:
+        raise FreshNameClashError(f"atom {clash[0]} is named like a fresh constant")
     return SigmaClosure(seed, frozenset(members))
 
 

@@ -412,6 +412,10 @@ class CanonicalCluster:
     def valuations(self) -> list[frozenset[str]]:
         return [frozenset(val) for val, _ in self.entries]
 
+    def worlds(self) -> int:
+        """The world count of `realize()`: one per ONE, two per SAT."""
+        return sum(1 if mult == ONE else 2 for _, mult in self.entries)
+
     def realize(self) -> KripkeModel:
         labels = []
         vals: list[tuple[str, ...]] = []

@@ -557,6 +557,13 @@ def cluster_embeds(c: CanonicalCluster, d: CanonicalCluster) -> str:
     return EMBED_BISIMILAR if c.entries == d.entries else EMBED_STRICT
 
 
+def stack_collapses(upper: CanonicalCluster, lower: CanonicalCluster) -> bool:
+    """Is `lower` stacked underneath `upper` bisimilar to `upper` alone?  A
+    lower world matches an upper world of its valuation only if that one
+    sees a twin, so every valuation of `lower` must be SAT in `upper`."""
+    return all(upper.multiplicity(val) == SAT for val, _ in lower.entries)
+
+
 # ---------------------------------------------------------------------------
 # finality
 

@@ -28,7 +28,10 @@ Scaling notes, all semantically transparent:
   above holds nowhere; otherwise they act inside the cluster.  An open
   argument has one place per binding, and its values after the run are the
   values at the fixed points, so no closed instance is ever built.
-- That block evaluation reads only the cluster and the sky above, so it is
+- Every translator memo goes through one rule, `_memoised`: a method's
+  results are kept per translator, keyed by its argument, or by its
+  argument tuple when it takes several, so its body runs once per key.
+  The block evaluation reads only the cluster and the sky above, so it is
   memoised per `(cluster, sky_above)` and shared by every cell with the
   same input (on `nu x.(p & <> x)`, 24,480 cells have 224 distinct inputs).
 - Only final pairs are built and stored; a cell's finality is read from
@@ -48,6 +51,9 @@ Scaling notes, all semantically transparent:
   depends on fact sets, they are sorted by the ascending tuple of their
   bit positions, which is the sorted `(depth, index)` order; that key is
   memoised per fact set.
+- Stacking a canonical cluster under another collapses, up to
+  bisimulation, exactly when the upper one saturates every valuation of
+  the lower one (`sem.stack_collapses`), so no model is built to decide it.
 - `format_tangle_dag` (from `formulas`) prints every node once, in one
   pass over the DAG's post-order, and names a node with two or more
   parents if it has at least three distinct nodes, which its children
@@ -55,11 +61,14 @@ Scaling notes, all semantically transparent:
 - Semi-rooted chains are not materialized one by one: their contribution to
   the split formula is grouped per (prefix chain, root cluster), with the
   disjunction over root-fact sets collapsed through the fact formulas, which
-  are constant on clusters.
+  are constant on clusters.  Same-prefix sibling chains and the
+  disjunction of each sibling group are memoised per parent chain.
 """
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from typing import Iterable, Optional
 
 from . import formulas as fm
@@ -157,6 +166,22 @@ class Chain:
         return f"Chain(depth={self.depth})"
 
 
+def _memoised(method):
+    """Keep a translator method's results in the translator's `_memos`,
+    keyed by the argument itself, or by the argument tuple when the method
+    takes several, so the body runs once per distinct key and translator."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def memoised(self, *args):
+        memo = self._memos[name]
+        key = args[0] if len(args) == 1 else args
+        if key not in memo:
+            memo[key] = method(self, *args)
+        return memo[key]
+    return memoised
+
+
 class Translator:
     """Pair and chain tables for one closure, plus the structural formulas."""
 
@@ -178,22 +203,7 @@ class Translator:
         self._semi_split: list[list[TangleFormula]] = []
         self._semi_counts: list[int] = []
         self._lattice: list[dict[int, tuple[SatPair, ...]]] = []
-        self._stack_bisim_memo: dict[tuple, bool] = {}
-        self._embed_memo: dict[tuple, str] = {}
-        self._block_memo: dict[tuple, tuple[dict, bool, int]] = {}
-        self._theta_key_memo: dict[int, tuple] = {}
-        self._tau_memo: dict = {}
-        self._a_memo: dict = {}
-        self._slice_memo: dict = {}
-        self._alpha_memo: dict = {}
-        self._shape_memo: dict = {}
-        self._facts_memo: dict = {}
-        self._delta_memo: dict = {}
-        self._depth_memo: dict = {}
-        self._split_memo: dict = {}
-        self._option_counts: dict = {}
-        self._sibling_memo: dict = {}
-        self._group_or_memo: dict = {}
+        self._memos: defaultdict[str, dict] = defaultdict(dict)  # see `_memoised`
         self._built = False
 
     # -- member identification ------------------------------------------------
@@ -278,11 +288,9 @@ class Translator:
                           for t, c in zip(self.pairs, self.cells)],
                 "lattice": [len(lattice) for lattice in self._lattice]}
 
+    @_memoised
     def _theta_key(self, theta: int) -> tuple:
-        got = self._theta_key_memo.get(theta)
-        if got is None:
-            got = self._theta_key_memo[theta] = tuple(iter_bits(theta))
-        return got
+        return tuple(iter_bits(theta))
 
     def _build_depth(self, d: int) -> None:
         """Candidate fact profiles of depth d, in `_theta_key` order, each
@@ -334,21 +342,14 @@ class Translator:
         if d == 0:
             chains = [Chain(None, pair) for pair in table.values()]
         else:
-            lattice = self._lattice[d - 1]
             by_cluster: dict[CanonicalCluster, list[SatPair]] = {}
             for pair in table.values():
                 by_cluster.setdefault(pair.cluster, []).append(pair)
             for parent in self.chains[d - 1]:
                 base = parent.root.theta_c
-                count = self._option_counts.get(base)
-                if count is None:
-                    options = {base}
-                    options.update(base | extra for extra in lattice)
-                    assert options.issubset(self.cells[d]), \
-                        "chain extension escaped the pair table"
-                    count = self._option_counts[base] = len(options)
+                count = self._option_count(base)
                 for cluster in self.clusters:
-                    collapse = self._stack_bisimilar(parent.root.cluster, cluster)
+                    collapse = self._collapses(parent.root.cluster, cluster)
                     finals: list[int] = []
                     for pair in by_cluster.get(cluster, ()):
                         theta = pair.theta
@@ -367,6 +368,16 @@ class Translator:
         self.chains.append(chains)
         self._semi_split.append(semi_split)
         self._semi_counts.append(semi_count)
+
+    @_memoised
+    def _option_count(self, base: int) -> int:
+        """The cells extending a parent with augmented facts `base`, in the
+        depth being built; `base` has bits at the parent's depth, so it
+        fixes that depth."""
+        options = {base}
+        options.update(base | extra for extra in self._lattice[-1])
+        assert options.issubset(self.cells[-1]), "chain extension escaped the pair table"
+        return len(options)
 
     def _extend_lattice(self) -> dict[int, tuple[SatPair, ...]]:
         """The next lattice level: the closure under union of the fact
@@ -417,15 +428,12 @@ class Translator:
         return SatPair(cluster, theta, depth, recipe, is_final, truths,
                        theta_c, sky)
 
+    @_memoised
     def _root_block(self, cluster: CanonicalCluster,
                     sky_above: int) -> tuple[dict, bool, int]:
         """Root truths per valuation class, cluster-wide finality and the
         sky of `cluster` stacked under facts `sky_above`.  They depend on
         nothing else, so each distinct input is evaluated once."""
-        key = (cluster, sky_above)
-        got = self._block_memo.get(key)
-        if got is not None:
-            return got
         bit = self._sky_bit
 
         def dia(model: KripkeModel, s: int, key, memo: dict) -> int:
@@ -469,22 +477,13 @@ class Translator:
             w += 1 if mult == ONE else 2
         assert len(final_classes) in (0, len(cluster.entries)), \
             "finality must be cluster-wide"
-        is_final = len(final_classes) == len(cluster.entries)
-        got = (truths, is_final, sky)
-        self._block_memo[key] = got
-        return got
+        return truths, len(final_classes) == len(cluster.entries), sky
 
-    def _stack_bisimilar(self, upper: CanonicalCluster,
-                         lower: CanonicalCluster) -> bool:
+    @_memoised
+    def _collapses(self, upper: CanonicalCluster, lower: CanonicalCluster) -> bool:
         """Does stacking `lower` underneath `upper` collapse, up to
         bisimulation, to `upper` alone?"""
-        key = (upper, lower)
-        got = self._stack_bisim_memo.get(key)
-        if got is None:
-            up = upper.realize()
-            got = sem.bisimilar(stack(up, lower.realize()), up, self.atoms) is not None
-            self._stack_bisim_memo[key] = got
-        return got
+        return sem.stack_collapses(upper, lower)
 
     # -- witness materialization (verification hook) ---------------------------
 
@@ -492,16 +491,12 @@ class Translator:
         """Concrete model realizing the pair: its cluster stacked underneath
         the disjoint union of the component witnesses."""
         if pair._witness is None:
+            parts = [self.materialize_witness(p) for p in pair.components]
+            n = pair.cluster.worlds() + sum(part.n for part in parts)
+            if n > self.guards.max_witness_worlds:
+                raise self._guard_error("witness", f"witness model with {n} worlds")
             rooted = pair.cluster.realize()
-            if pair.components:
-                parts = [self.materialize_witness(p) for p in pair.components]
-                witness = stack(disjoint_union(parts), rooted)
-            else:
-                witness = rooted
-            if witness.n > self.guards.max_witness_worlds:
-                raise self._guard_error(
-                    "witness", f"witness model with {witness.n} worlds")
-            pair._witness = witness
+            pair._witness = stack(disjoint_union(parts), rooted) if parts else rooted
         return pair._witness
 
     def verify_pair(self, pair: SatPair) -> None:
@@ -510,8 +505,7 @@ class Translator:
         witness = self.materialize_witness(pair)
         cache: dict = {}  # the members' truths, for the depths and below
         depths, final = sem.sigma_world_depths(witness, self.sigma, cache)
-        rooted_n = pair.cluster.realize().n
-        root_mask = (1 << rooted_n) - 1
+        root_mask = (1 << pair.cluster.worlds()) - 1
         assert depths[0] == pair.depth, "witness depth mismatch"
         root_final = final & root_mask
         assert root_final in (0, root_mask), "finality must be cluster-wide"
@@ -532,12 +526,9 @@ class Translator:
 
     # -- chain orders -----------------------------------------------------------
 
+    @_memoised
     def _embeds(self, c: CanonicalCluster, d: CanonicalCluster) -> str:
-        key = (c, d)
-        got = self._embed_memo.get(key)
-        if got is None:
-            got = self._embed_memo[key] = sem.cluster_embeds(c, d)
-        return got
+        return sem.cluster_embeds(c, d)
 
     def chain_order(self, c1: Chain, c2: Chain) -> str:
         """CHAIN_STRICT when c1's root cluster strictly embeds into c2's with
@@ -555,40 +546,28 @@ class Translator:
 
     # -- structural formulas -----------------------------------------------------
 
-    def tau_formula(self, valuation: Iterable[str]) -> TangleFormula:
-        val = frozenset(valuation)
-        key = tuple(sorted(val))
-        got = self._tau_memo.get(key)
-        if got is None:
-            got = fm.t_big_and([fm.t_prop(p) if p in val else fm.t_not(fm.t_prop(p))
-                                for p in self.atoms])
-            self._tau_memo[key] = got
-        return got
+    @_memoised
+    def tau_formula(self, valuation: frozenset) -> TangleFormula:
+        return fm.t_big_and([fm.t_prop(p) if p in valuation else fm.t_not(fm.t_prop(p))
+                             for p in self.atoms])
 
+    @_memoised
     def _level_slice(self, m: int, present: int) -> TangleFormula:
-        key = (m, present)
-        got = self._slice_memo.get(key)
-        if got is None:
-            parts = []
-            for i, member in enumerate(self.members):
-                f = self.depth_formula(m, member)
-                parts.append(f if present >> i & 1 else fm.t_not(f))
-            got = fm.t_big_and(parts)
-            self._slice_memo[key] = got
-        return got
+        parts = []
+        for i, member in enumerate(self.members):
+            f = self.depth_formula(m, member)
+            parts.append(f if present >> i & 1 else fm.t_not(f))
+        return fm.t_big_and(parts)
 
+    @_memoised
     def a_formula(self, theta: int) -> TangleFormula:
         """Exact fact profile up to theta's own root depth: positives from
         theta, negations for everything else at those levels (empty set: T)."""
-        got = self._a_memo.get(theta)
-        if got is None:
-            width = self._width
-            level = (1 << width) - 1
-            top = (theta.bit_length() - 1) // width
-            got = fm.t_big_and([self._level_slice(m, theta >> m * width & level)
-                                for m in range(top + 1)])
-            self._a_memo[theta] = got
-        return got
+        width = self._width
+        level = (1 << width) - 1
+        top = (theta.bit_length() - 1) // width
+        return fm.t_big_and([self._level_slice(m, theta >> m * width & level)
+                             for m in range(top + 1)])
 
     def ir_flag(self, chain: Chain) -> bool:
         """The root pair collapses into its predecessor's augmented pair and
@@ -605,39 +584,29 @@ class Translator:
             return False
         return any(mult == ONE for _, mult in cluster.entries)
 
+    @_memoised
     def _tau_chain_shape(self, valuation: frozenset, facts: TangleFormula,
                          parent: Optional[Chain], ir: bool) -> TangleFormula:
-        key = (valuation, facts, parent, ir)
-        got = self._shape_memo.get(key)
-        if got is None:
-            parts = [self.tau_formula(valuation), facts]
-            if parent is not None:
-                inner = self.delta_formula(parent)
-                if ir:
-                    parts.append(fm.t_dia(fm.t_big_and([self.tau_formula(valuation), inner])))
-                else:
-                    parts.append(fm.t_dia(inner))
-            got = self._shape_memo[key] = fm.t_big_and(parts)
-        return got
+        parts = [self.tau_formula(valuation), facts]
+        if parent is not None:
+            inner = self.delta_formula(parent)
+            if ir:
+                inner = fm.t_big_and([self.tau_formula(valuation), inner])
+            parts.append(fm.t_dia(inner))
+        return fm.t_big_and(parts)
 
     def _alpha_shape(self, cluster: CanonicalCluster, facts: TangleFormula,
                      parent: Optional[Chain], ir: bool) -> TangleFormula:
         ms = []
         for val, mult in cluster.entries:
             t = self._tau_chain_shape(frozenset(val), facts, parent, ir)
-            ms.append(t)
-            if mult == SAT:
-                ms.append(t)
+            ms.extend((t, t) if mult == SAT else (t,))
         return fm.t_tangle(ms)
 
+    @_memoised
     def alpha_formula(self, chain: Chain) -> TangleFormula:
-        got = self._alpha_memo.get(chain)
-        if got is None:
-            got = self._alpha_shape(chain.root.cluster,
-                                    self.a_formula(chain.root.theta),
-                                    chain.parent, self.ir_flag(chain))
-            self._alpha_memo[chain] = got
-        return got
+        return self._alpha_shape(chain.root.cluster, self.a_formula(chain.root.theta),
+                                 chain.parent, self.ir_flag(chain))
 
     def _semi_alphas(self, parent: Chain, cluster: CanonicalCluster,
                      base: int, semis: int, base_semi: bool,
@@ -660,39 +629,44 @@ class Translator:
         ir_base = (not collapse) and self._ir_parts(parent, cluster, base)
         if semis > (ir_base and base_semi):
             excluded = finals + [base] if collapse or ir_base else finals
-            # many (parent, cluster) cells share one fact description
-            key = (base, tuple(excluded))
-            facts = self._facts_memo.get(key)
-            if facts is None:
-                width = self._width
-                parts = [self.depth_formula(b // width, self.members[b % width])
-                         for b in iter_bits(base)]
-                parts.extend(fm.t_not(self.a_formula(t))
-                             for t in sorted(set(excluded), key=self._theta_key))
-                facts = self._facts_memo[key] = fm.t_big_and(parts)
+            facts = self._semi_facts(base, tuple(excluded))
             out.append(self._alpha_shape(cluster, facts, parent, False))
         if ir_base and base_semi:
             out.append(self._alpha_shape(cluster, self.a_formula(base),
                                          parent, True))
         return out
 
-    def _siblings(self, chain: Chain) -> dict[int, list[Chain]]:
-        """Same-prefix chains of the same depth, grouped by root facts.  The
+    @_memoised
+    def _semi_facts(self, base: int, excluded: tuple[int, ...]) -> TangleFormula:
+        """The merged fact description: the base facts are visible, and the
+        exact profile is none of `excluded`.  Many (parent, cluster) cells
+        share one."""
+        width = self._width
+        parts = [self.depth_formula(b // width, self.members[b % width])
+                 for b in iter_bits(base)]
+        parts.extend(fm.t_not(self.a_formula(t))
+                     for t in sorted(set(excluded), key=self._theta_key))
+        return fm.t_big_and(parts)
+
+    @_memoised
+    def _siblings(self, parent: Optional[Chain], depth: int) -> dict[int, list[Chain]]:
+        """Chains of `depth` extending `parent`, grouped by root facts.  The
         chain orders relate prefix-equal chains only, so the alternatives the
         guard formulas quantify over all live here."""
-        key = id(chain.parent)
-        got = self._sibling_memo.get(key)
-        if got is None:
-            got = {}
-            for c in self.chains[chain.depth]:
-                if c.parent is chain.parent:
-                    got.setdefault(c.root.theta, []).append(c)
-            self._sibling_memo[key] = got
-        return got
+        out: dict[int, list[Chain]] = {}
+        for c in self.chains[depth]:
+            if c.parent is parent:
+                out.setdefault(c.root.theta, []).append(c)
+        return out
+
+    @_memoised
+    def _group_or(self, parent: Optional[Chain], depth: int, theta: int) -> TangleFormula:
+        return fm.t_big_or([self.alpha_formula(c)
+                            for c in self._siblings(parent, depth)[theta]])
 
     def beta_formula(self, chain: Chain) -> TangleFormula:
         lowers = [self.alpha_formula(c)
-                  for c in self._siblings(chain).get(chain.root.theta, ())
+                  for c in self._siblings(chain.parent, chain.depth).get(chain.root.theta, ())
                   if self.chain_order(c, chain) == CHAIN_STRICT]
         return fm.t_box(fm.t_implies(fm.t_big_or(lowers),
                                      self.alpha_formula(chain)))
@@ -701,67 +675,50 @@ class Translator:
         # grouped disjunction (associative regrouping only): whole same-prefix
         # groups with other facts, plus the incomparable part of the own group
         parts = []
-        for theta, group in self._siblings(chain).items():
+        for theta, group in self._siblings(chain.parent, chain.depth).items():
             if theta == chain.root.theta:
                 parts.extend(self.alpha_formula(c) for c in group
                              if self.chain_order(c, chain) == CHAIN_NONE)
             else:
-                key = (id(chain.parent), theta)
-                shared = self._group_or_memo.get(key)
-                if shared is None:
-                    shared = fm.t_big_or([self.alpha_formula(c) for c in group])
-                    self._group_or_memo[key] = shared
-                parts.append(shared)
+                parts.append(self._group_or(chain.parent, chain.depth, theta))
         return fm.t_not(fm.t_big_or(parts))
 
+    @_memoised
     def delta_formula(self, chain: Chain) -> TangleFormula:
-        got = self._delta_memo.get(chain)
-        if got is None:
-            got = fm.t_big_and([self.alpha_formula(chain),
-                                self.beta_formula(chain),
-                                self.gamma_formula(chain)])
-            self._delta_memo[chain] = got
-        return got
+        return fm.t_big_and([self.alpha_formula(chain), self.beta_formula(chain),
+                             self.gamma_formula(chain)])
 
     def depth_formula(self, n: int, member: Optional[MuFormula] = None) -> TangleFormula:
         """The depth-n observation: some witnessing chain of depth n sits
         above, rooted where `member` holds (None means T: any root)."""
-        if member is not None:
-            member = self.rep_of[member]
-        key = (n, member)
-        got = self._depth_memo.get(key)
-        if got is None:
-            chains = self.chains[n] if 0 <= n < len(self.chains) else []
-            if member is None:
-                supp = chains
-            else:
-                i = self._member_index[member]
-                supp = [c for c in chains if c.root.satisfied_somewhere(i)]
-            got = fm.t_big_or([fm.t_dot_dia(self.delta_formula(c)) for c in supp])
-            self._depth_memo[key] = got
-        return got
+        return self._depth_formula(n, None if member is None else self.rep_of[member])
 
+    @_memoised
+    def _depth_formula(self, n: int, member: Optional[MuFormula]) -> TangleFormula:
+        supp = self.chains[n] if 0 <= n < len(self.chains) else []
+        if member is not None:
+            i = self._member_index[member]
+            supp = [c for c in supp if c.root.satisfied_somewhere(i)]
+        return fm.t_big_or([fm.t_dot_dia(self.delta_formula(c)) for c in supp])
+
+    @_memoised
     def split_formula(self, n: int) -> TangleFormula:
         """Two distinct depth-n root situations visible at once, or a
         semi-rooted depth-(n+1) situation; detects non-finality at level n."""
-        got = self._split_memo.get(n)
-        if got is None:
-            parts = []
-            chains = self.chains[n] if 0 <= n < len(self.chains) else []
-            by_pair: dict[int, tuple[SatPair, list[Chain]]] = {}
-            for c in chains:
-                by_pair.setdefault(id(c.root), (c.root, []))[1].append(c)
-            # distributed over the root pairs (boolean regrouping only)
-            groups = [fm.t_big_or([fm.t_dot_dia(self.delta_formula(c)) for c in cs])
-                      for _, cs in by_pair.values()]
-            for i in range(len(groups)):
-                for j in range(i + 1, len(groups)):
-                    parts.append(fm.t_big_and([groups[i], groups[j]]))
-            if 0 <= n + 1 < len(self._semi_split):
-                parts.extend(self._semi_split[n + 1])
-            got = fm.t_big_or(parts)
-            self._split_memo[n] = got
-        return got
+        parts = []
+        chains = self.chains[n] if 0 <= n < len(self.chains) else []
+        by_pair: dict[SatPair, list[Chain]] = {}  # pairs hash by identity
+        for c in chains:
+            by_pair.setdefault(c.root, []).append(c)
+        # distributed over the root pairs (boolean regrouping only)
+        groups = [fm.t_big_or([fm.t_dot_dia(self.delta_formula(c)) for c in cs])
+                  for cs in by_pair.values()]
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                parts.append(fm.t_big_and([groups[i], groups[j]]))
+        if 0 <= n + 1 < len(self._semi_split):
+            parts.extend(self._semi_split[n + 1])
+        return fm.t_big_or(parts)
 
     # -- the characteristic formula ----------------------------------------------
 
@@ -826,7 +783,7 @@ class Translator:
             **self._growth(),
             "chains": [[len(self.chains[d]), self._semi_counts[d]]
                        for d in range(len(self.chains))],
-            "block_inputs": len(self._block_memo),
+            "block_inputs": len(self._memos["_root_block"]),
         }
         if chi is not None:
             tree = fm.size(chi)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tanglekit import formulas as fm
 from tanglekit.cli import _build_parser, main
 from tanglekit.translate import TranslationGuards, Translator
 
@@ -101,6 +102,16 @@ class TestTranslate:
         assert captured.err == ("error: 3^(2^16) - 1 canonical clusters over 16 atoms "
                                 "exceeds cap 20000\n")
         assert captured.out == ""
+
+    def test_atom_named_like_a_fresh_constant_is_refused(self, capsys):
+        # read as the fixed point's constant, the atom would give a wrong chi
+        name = fm.fresh_constant_name(fm.parse_mu("mu x.(p | <> x)"))
+        for argv in (["translate", f"(mu x.(p | <> x)) & ~{name}"],
+                     ["fuzz-equiv", f"(mu x.(p | <> x)) & ~{name}", "--chi"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: atom {name} is named like a fresh constant\n"
+            assert captured.out == ""
 
     def test_guard_error_shows_growth(self, capsys):
         assert main(["translate", "<> p", "--max-pairs", "4263"]) == 2

@@ -416,6 +416,16 @@ class TestSigmaClosure:
         with pytest.raises(fm.ClosureOverflowError):
             fm.sigma_closure(p("nu x.(p & <> x)"), cap=10)
 
+    def test_atom_named_like_a_fresh_constant_is_refused(self):
+        # the closure names the fixed point's constant while it saturates,
+        # and its floors would read the atom as that fixed point
+        binder = p("mu x.(p | <> x)")
+        name = fm.fresh_constant_name(binder)
+        seed = fm.conj(binder, fm.neg_prop(name))
+        with pytest.raises(fm.FreshNameClashError, match=f"^atom {name} is named"):
+            fm.sigma_closure(seed)
+        assert issubclass(fm.FreshNameClashError, ValueError)
+
     def test_member_of_normalizes(self):
         sigma = fm.sigma_closure(fm.prop("p"))
         doubled = fm.dot_diamond(fm.dot_diamond(fm.prop("p")))

@@ -7,7 +7,8 @@ import pytest
 from tanglekit import formulas as fm
 from tanglekit import semantics as sem
 from tanglekit.models import (ONE, SAT, CanonicalCluster, KripkeModel, ModelBatch,
-                              depth, enumerate_models, iter_bits, random_model)
+                              depth, enumerate_canonical_clusters, enumerate_models,
+                              iter_bits, random_model, stack)
 from tanglekit.translate import translate
 from tests.conftest import random_formula, random_tangle_dag
 
@@ -576,6 +577,21 @@ class TestClusterEmbeds:
         one = CanonicalCluster(("p",), ((("p",), ONE),))
         sat = CanonicalCluster(("p",), ((("p",), SAT),))
         assert sem.cluster_embeds(sat, one) == sem.EMBED_NO
+
+    @pytest.mark.parametrize("props", [("p",), ("p", "q")])
+    def test_stack_collapse_rule_matches_bisimulation(self, props):
+        # the multiplicity rule against stacking the realized clusters, on
+        # all 64 one-atom and 6,400 two-atom pairs
+        clusters = enumerate_canonical_clusters(props)
+        realized = {c: c.realize() for c in clusters}
+        collapsing = 0
+        for upper in clusters:
+            up = realized[upper]
+            for lower in clusters:
+                oracle = sem.bisimilar(stack(up, realized[lower]), up, props) is not None
+                assert sem.stack_collapses(upper, lower) == oracle
+                collapsing += oracle
+        assert 0 < collapsing < len(clusters) ** 2
 
 
 class TestFinality:

@@ -2,11 +2,13 @@ import gc
 import hashlib
 import random
 import sys
+import weakref
 
 import pytest
 
 from tanglekit import formulas as fm
 from tanglekit import semantics as sem
+from tanglekit import translate as translate_module
 from tanglekit.models import SAT, enumerate_models, iter_bits
 from tanglekit.translate import (CHAIN_REFL, CHAIN_STRICT,
                                  TranslationGuardError, TranslationGuards,
@@ -85,6 +87,27 @@ class TestPairs:
         for pair in pairs:
             translator.verify_pair(pair)
 
+    def test_witness_guard_fires_before_building(self, tr_p, monkeypatch):
+        # a depth-1 cell's components are depth-0 pairs, whose witnesses
+        # are their clusters, so only the cell itself needs a stack
+        pair = next(pair for pair in tr_p.cell_pairs(1) if pair.components)
+        n = sum(p.cluster.realize().n for p in (pair,) + pair.components)
+        stacks = []
+        real_stack = translate_module.stack
+
+        def counting_stack(upper, lower):
+            stacks.append(upper.n + lower.n)
+            return real_stack(upper, lower)
+        monkeypatch.setattr(translate_module, "stack", counting_stack)
+        monkeypatch.setattr(tr_p.guards, "max_witness_worlds", n - 1)
+        with pytest.raises(TranslationGuardError, match=f"witness model with {n} worlds"):
+            tr_p.materialize_witness(pair)
+        assert stacks == []
+        monkeypatch.setattr(tr_p.guards, "max_witness_worlds", n)
+        assert tr_p.materialize_witness(pair).n == n
+        assert stacks == [n]
+        assert all(c.worlds() == c.realize().n for c in tr_p.clusters)
+
     def test_facts_always_inhabit_every_level(self, tr_p):
         width = len(tr_p.members)
         for depth in range(len(tr_p.cells)):
@@ -128,9 +151,9 @@ class TestChains:
         assert report["block_inputs"] == 224
         # one merged semi-final fact description per distinct (base facts,
         # excluded profiles), each built once
-        assert len(translator._facts_memo) == 118
-        assert len({(base, frozenset(excluded))
-                    for base, excluded in translator._facts_memo}) == 118
+        facts = translator._memos["_semi_facts"]
+        assert len(facts) == 118
+        assert len({(base, frozenset(excluded)) for base, excluded in facts}) == 118
 
     def test_chain_order(self, tr_p):
         for chain in tr_p.chains[0]:
@@ -141,6 +164,32 @@ class TestChains:
             bigger = [c2 for c2 in tr_p.chains[0]
                       if tr_p.chain_order(c1, c2) == CHAIN_STRICT]
             assert bigger  # every all-one cluster embeds into its saturation
+
+
+class TestMemos:
+    def test_memoised_body_runs_once_per_key_and_translator(self, monkeypatch):
+        calls = []
+        real = sem.cluster_embeds
+
+        def counting(c, d):
+            calls.append((c, d))
+            return real(c, d)
+        monkeypatch.setattr(sem, "cluster_embeds", counting)
+        first, second = (Translator(fm.sigma_closure(fm.prop("p"))) for _ in range(2))
+        keys = [(c, d) for c in first.clusters for d in first.clusters]
+        for _ in range(2):
+            for c, d in keys:
+                for translator in (first, second):
+                    assert translator._embeds(c, d) == real(c, d)
+        # once per key in each translator, the repeat pass read the memos
+        assert len(calls) == 2 * len(keys)
+        assert set(calls) == set(keys)
+        assert len(first._memos["_embeds"]) == len(keys)
+        # the memos live on the translator, so they do not keep it alive
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is None
 
 
 class TestStructuralFormulas:
